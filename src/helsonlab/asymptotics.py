@@ -1,9 +1,8 @@
 """Tail constant, power-law fits, Laplace asymptotics, decay certification.
 
 Everything here consumes plain arrays or kernel callables; no operator
-assembly.  The Gamma function is implemented in-repo so the tail
-constant has no dependency beyond float arithmetic, and is validated in
-the tests against the reflection identity.
+assembly.  The tail constant takes Gamma from the standard library
+(math.lgamma).
 """
 
 from __future__ import annotations
@@ -18,51 +17,6 @@ import numpy as np
 from helsonlab.eigen import Spectrum
 from helsonlab.symbols import QuadratureError
 
-# Lanczos approximation, g = 7, 9 coefficients (standard table)
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_fn(z: float) -> float:
-    """Gamma(z) for real non-pole z, about 15 significant digits."""
-    z = float(z)
-    if z <= 0 and z == int(z):
-        raise ValueError("Gamma pole at non-positive integer")
-    if z < 0.5:
-        # reflection keeps the Lanczos series in its accurate half-plane
-        return math.pi / (math.sin(math.pi * z) * gamma_fn(1.0 - z))
-    z -= 1.0
-    x = _LANCZOS_C[0]
-    for i in range(1, 9):
-        x += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * x
-
-
-def gamma_ln(z: float) -> float:
-    """log Gamma(z) for z > 0, safe where Gamma itself would overflow."""
-    z = float(z)
-    if z <= 0:
-        raise ValueError("gamma_ln needs z > 0")
-    if z < 0.5:
-        return math.log(math.pi / math.sin(math.pi * z)) - gamma_ln(1.0 - z)
-    z -= 1.0
-    x = _LANCZOS_C[0]
-    for i in range(1, 9):
-        x += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(t) - t + math.log(x)
-
 
 def kappa(alpha: float) -> float:
     """Tail constant: 2^-a pi^(1-2a) Beta(1/(2a), 1/2)^a.
@@ -73,7 +27,7 @@ def kappa(alpha: float) -> float:
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     a = 1.0 / (2.0 * alpha)
-    log_beta = gamma_ln(a) + gamma_ln(0.5) - gamma_ln(a + 0.5)
+    log_beta = math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
     return math.exp(-alpha * math.log(2.0)
                     + (1.0 - 2.0 * alpha) * math.log(math.pi)
                     + alpha * log_beta)

@@ -27,16 +27,14 @@ from helsonlab.discretize import (ConstructionError, factor_N_dense,
                                   v_matched_grids, weighted_operator)
 from helsonlab.eigen import (Spectrum, dense_eig_oracle, lanczos_extreme,
                              spectrum_from_csv, spectrum_to_csv)
-from helsonlab.pipeline import RunConfig, StageError, run_chain
+from helsonlab.pipeline import RunConfig, StageError, run_chain, solve
 from helsonlab.schatten import sampling_check, schatten_report
 from helsonlab.structured_ops import (LinearMap, build_hankel, build_helson,
-                                      build_smooth_helson, dense_matrix)
+                                      build_smooth_helson)
 from helsonlab.symbols import (DomainError, SymbolSpec, _weight_of,
                                _weight_values, a0_quadrature, sequence_values,
                                zeta1)
 from helsonlab._svg import loglog_figure
-
-_DENSE_LIMIT = 600
 
 
 class _UsageError(Exception):
@@ -101,19 +99,19 @@ _INTEGRAL_OPS = ("integral-hankel", "integral-helson")
 
 
 def _build_operator(args):
-    """(LinearMap, densifiable) for the requested operator/kernel pair."""
+    """LinearMap for the requested operator/kernel pair."""
     smooth = args.kernel == "smooth"
     alpha = args.alpha
     N = args.size
     if args.operator == "helson":
         if smooth:
-            return build_smooth_helson(SymbolSpec("a0", alpha=alpha), N), True
-        return build_helson(SymbolSpec("helson_a", alpha=alpha), N), True
+            return build_smooth_helson(SymbolSpec("a0", alpha=alpha), N)
+        return build_helson(SymbolSpec("helson_a", alpha=alpha), N)
     if args.operator == "hankel":
         kind = "b0" if smooth else "hankel_b"
         vals = sequence_values(SymbolSpec(kind, alpha=alpha),
                                np.arange(2, 2 * N + 1))
-        return build_hankel(vals), True
+        return build_hankel(vals)
     # integral operators: grid defaults cover the useful window of each
     # kernel family (wide log window additively, t >= 1 multiplicatively)
     if args.operator == "integral-hankel":
@@ -128,7 +126,7 @@ def _build_operator(args):
         kind = "a0" if smooth else "helson_a"
         op = nystrom_helson(SymbolSpec(kind, alpha=alpha),
                             make_grid((lo, hi), N, args.spacing))
-    return op.map, op.matrix is not None
+    return op.map
 
 
 def _jsonable_meta(meta: dict) -> dict:
@@ -147,13 +145,9 @@ def _cmd_spectrum(args) -> int:
     if args.operator in _MATRIX_OPS and (args.grid_lo is not None or
                                          args.grid_hi is not None):
         _diag("note: grid flags only apply to integral operators; ignored")
-    lm, densifiable = _build_operator(args)
-    if args.size <= _DENSE_LIMIT and densifiable:
-        spec = dense_eig_oracle(dense_matrix(lm))
-    else:
-        k = min(args.topk or 64, args.size - 1)
-        spec = lanczos_extreme(lm, k=k, which="both_ends",
-                               seed=_seed_of(args))
+    spec = solve(_build_operator(args),
+                 {"k": args.topk or 64, "tol": 1e-10, "max_iter": None,
+                  "seed": _seed_of(args)})
     if args.topk:
         K = args.topk
         spec = Spectrum(lambda_plus=spec.lambda_plus[:K],

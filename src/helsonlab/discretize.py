@@ -12,8 +12,8 @@ the construction rather than a numerical accident.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from dataclasses import dataclass
+from typing import Callable, Union
 
 import numpy as np
 
@@ -170,13 +170,9 @@ class NystromOperator:
     grid: Grid
     kernel: Union[SymbolSpec, Callable]
     map: LinearMap
-    matrix: Optional[np.ndarray] = field(repr=False, default=None)
 
     def dense(self) -> np.ndarray:
-        if self.matrix is None:
-            raise ValueError("matrix-free section: use .map with the "
-                             "iterative eigensolver")
-        return self.matrix
+        return self.map.dense()
 
 
 def _kernel_callable(kernel) -> Callable:
@@ -245,8 +241,9 @@ def _wrap_operator(matrix: np.ndarray, grid: Grid, kernel,
                    matvec=lambda u: matrix @ u,
                    description=f"{what} section, n={grid.n} "
                                f"[{grid.domain[0]:g}, {grid.domain[1]:g}] "
-                               f"{grid.spacing}")
-    return NystromOperator(grid=grid, kernel=kernel, map=lm, matrix=matrix)
+                               f"{grid.spacing}",
+                   dense=lambda: matrix)
+    return NystromOperator(grid=grid, kernel=kernel, map=lm)
 
 
 def nystrom_hankel(b, grid: Grid, max_nodes: int = 4096) -> NystromOperator:
@@ -365,15 +362,16 @@ def _toeplitz_plans(tvals: np.ndarray, n_rows: int, n_cols: int):
 def log_window_smooth_section(alpha: float, n: int, step: float = 0.135,
                               u_lo: float = -6.0, pad: float = 80.0,
                               chi_lo: float = 0.25, chi_hi: float = 0.75,
-                              t0: float = 16.0,
-                              materialize: bool = False) -> NystromOperator:
+                              t0: float = 16.0) -> NystromOperator:
     """Smooth additive-kernel section in log coordinates, window grown with n.
 
     The additive smooth kernel conjugated to u = log x has the exact form
     K(u,v) = integral of g(u-mu) g(v-mu) W(mu) dmu with g(d) = e^(d/2-e^d)
     and W(mu) = w(e^-mu), so the section over a uniform u-grid is E E^T
     for a Toeplitz-structured E; the matvec runs through two FFT
-    convolutions without materializing anything n x n.  Keeping the step
+    convolutions without materializing anything n x n.  map.dense forms
+    E E^T explicitly and refuses windows with n * Q > 2^24 factor
+    entries (Q quadrature nodes in mu).  Keeping the step
     fixed while n grows widens the window, which is the actual accuracy
     knob: truncation error falls like 1/width^2 while the quadrature
     error in mu is already superexponentially small at this step.
@@ -414,17 +412,18 @@ def log_window_smooth_section(alpha: float, n: int, step: float = 0.135,
         # (E y1)_m = sum_q T[m-q] s_q y1_q
         return conv(s * y1, Q - 1, n + Q - 1)
 
-    grid = Grid(nodes=u, weights=np.full(n, h), spacing="uniform",
-                domain=(float(u[0]), float(u[-1])))
-    lm = LinearMap(rows=n, cols=n, symmetric=True, matvec=mv,
-                   description=f"log-coordinate smooth section n={n} "
-                               f"step={h:g} window=[{u[0]:g}, {u[-1]:g}]")
-    spec_b0 = SymbolSpec("b0", alpha=alpha, t0=t0, chi_lo=chi_lo, chi_hi=chi_hi)
-    dense = None
-    if materialize:
+    def dense():
         if n * Q > 1 << 24:
             raise ConstructionError("window too large to materialize")
         E = tvals[(np.arange(n)[:, None] - np.arange(Q)[None, :]) + Q - 1]
         E = E * s[None, :]
-        dense = E @ E.T
-    return NystromOperator(grid=grid, kernel=spec_b0, map=lm, matrix=dense)
+        return E @ E.T
+
+    grid = Grid(nodes=u, weights=np.full(n, h), spacing="uniform",
+                domain=(float(u[0]), float(u[-1])))
+    lm = LinearMap(rows=n, cols=n, symmetric=True, matvec=mv,
+                   description=f"log-coordinate smooth section n={n} "
+                               f"step={h:g} window=[{u[0]:g}, {u[-1]:g}]",
+                   dense=dense)
+    spec_b0 = SymbolSpec("b0", alpha=alpha, t0=t0, chi_lo=chi_lo, chi_hi=chi_hi)
+    return NystromOperator(grid=grid, kernel=spec_b0, map=lm)

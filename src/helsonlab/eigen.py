@@ -81,7 +81,10 @@ def spectrum_from_csv(path) -> Spectrum:
 
 
 def write_meta_sidecar(spec: Spectrum, path) -> None:
-    keep = {k: spec.meta[k] for k in ("dim", "iterations", "seed", "tol")
+    """Solver metadata next to a spectrum CSV, convergence flag included."""
+    keep = {k: spec.meta[k] for k in ("dim", "iterations", "seed", "tol",
+                                      "converged", "method", "lambda_max_alg",
+                                      "lambda_min_alg")
             if k in spec.meta}
     with open(path, "w") as fh:
         json.dump(keep, fh)
@@ -320,7 +323,7 @@ def lanczos_extreme(lm: LinearMap, k: int, which: str = "largest",
     rng = np.random.default_rng(seed)
 
     meta = {"dim": n, "seed": seed, "tol": tol, "iterations": 0,
-            "converged": True}
+            "converged": True, "method": "lanczos"}
     plus = minus = np.array([])
     res_parts = []
 

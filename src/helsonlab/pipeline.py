@@ -10,6 +10,7 @@ before the next one starts, so a failure leaves a usable partial run.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import pathlib
@@ -33,8 +34,8 @@ from helsonlab.structured_ops import (HelsonTruncation, LinearMap,
 from helsonlab.symbols import (SymbolSpec, difference_part_sequence,
                                sequence_values, smooth_part_sequence)
 
-# truncations at or below this order get the full dense spectrum; above
-# it the solver reports solver["k"] certified extreme pairs instead
+# solve() gives sections at or below this order the full dense spectrum;
+# above it the solver reports solver["k"] certified extreme pairs instead
 _DENSE_LIMIT = 600
 
 
@@ -123,24 +124,30 @@ def _resolved_count(lam: np.ndarray, floor: float = 1e-8) -> int:
     return int(np.sum(lam >= floor * lam[0]))
 
 
-def _matrix_spectrum(lm: LinearMap, solver: dict) -> Spectrum:
+def solve(lm: LinearMap, solver: dict, k: Optional[int] = None,
+          which: str = "both_ends") -> Spectrum:
+    """Spectrum of a symmetric section under the one solve policy.
+
+    Orders up to _DENSE_LIMIT get the full dense spectrum; larger ones
+    get k (default solver["k"]) certified Lanczos pairs per requested
+    end, with the solver's tol, max_iter and seed.
+    """
     if lm.cols <= _DENSE_LIMIT:
         return dense_eig_oracle(lm)
-    k = min(solver["k"], lm.cols - 1)
-    return lanczos_extreme(lm, k, which="both_ends", tol=solver["tol"],
+    k = min(solver["k"] if k is None else k, lm.cols - 1)
+    return lanczos_extreme(lm, k, which=which, tol=solver["tol"],
                            max_iter=solver["max_iter"], seed=solver["seed"])
 
 
-def _nystrom_spectrum(matrix: np.ndarray, solver: dict) -> Spectrum:
-    n = matrix.shape[0]
-    if n <= _DENSE_LIMIT:
-        return dense_eig_oracle(matrix)
-    lm = LinearMap(rows=n, cols=n, symmetric=True,
-                   matvec=lambda u: matrix @ u,
-                   description="nystrom section")
-    k = min(solver["k"], n - 1)
-    return lanczos_extreme(lm, k, which="both_ends", tol=solver["tol"],
-                           max_iter=solver["max_iter"], seed=solver["seed"])
+def difference_section(spec: SymbolSpec, N: int) -> LinearMap:
+    """Row-1 matrix section: the full symbol minus its factored smooth part."""
+    m_full = build_helson(spec, N)
+    m0 = build_smooth_helson(spec, N)
+    return LinearMap(
+        rows=N, cols=N, symmetric=True,
+        matvec=lambda u: m_full.matvec(u) - m0.matvec(u),
+        description=f"difference multiplicative section N={N}",
+        dense=lambda: m_full.dense() - m0.dense())
 
 
 def _write_spectrum(spec: Spectrum, out_dir: pathlib.Path, name: str,
@@ -183,9 +190,16 @@ def run_chain(config: RunConfig) -> dict:
                     "artifacts": artifacts}
     alpha = config.alpha
 
+    @contextlib.contextmanager
     def stage(name: str):
+        # a StageError keeps its own tag; any other failure gets this one
         report["stages"].append(name)
-        return name
+        try:
+            yield
+        except StageError:
+            raise
+        except Exception as exc:
+            raise StageError(name, str(exc)) from exc
 
     # symbol table for both rows; a degenerate weight empties row 0.
     # Matrix rows use the Gram-flavored sequence pair (genuine head for
@@ -205,12 +219,7 @@ def run_chain(config: RunConfig) -> dict:
         # use row_seq, which re-integrates every product independently
         if i == 0:
             return build_smooth_helson(full_spec, size)
-        m_full = build_helson(full_spec, size)
-        m0 = build_smooth_helson(full_spec, size)
-        return LinearMap(
-            rows=size, cols=size, symmetric=True,
-            matvec=lambda u: m_full.matvec(u) - m0.matvec(u),
-            description=f"difference multiplicative section N={size}")
+        return difference_section(full_spec, size)
 
     if config.weight_zero:
         # zero weight: the smooth part vanishes identically and the
@@ -229,21 +238,15 @@ def run_chain(config: RunConfig) -> dict:
         raise StageError("config", "no sizes at or below the matrix cap")
 
     row_spectra: dict = {}
-    try:
-        name = stage("row_matrices")
+    with stage("row_matrices"):
         for i in (0, 1):
             for size in matrix_sizes:
-                spec = _matrix_spectrum(row_map(i, size), config.solver)
+                spec = solve(row_map(i, size), config.solver)
                 row_spectra[(i, size)] = spec
                 _write_spectrum(spec, out_dir, f"row{i}_matrix_N{size}",
                                 artifacts)
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError(name, str(exc)) from exc
 
-    try:
-        name = stage("row_integrals")
+    with stage("row_integrals"):
         gx, gt = v_matched_grids(config.x_domain, config.nystrom_n)
         cross = {}
         integral_spectra: dict = {}
@@ -252,8 +255,8 @@ def run_chain(config: RunConfig) -> dict:
                                   max_nodes=max(4096, config.nystrom_n))
             op_h = nystrom_hankel(b_specs[i], gx,
                                   max_nodes=max(4096, config.nystrom_n))
-            sm = _nystrom_spectrum(op_m.matrix, config.solver)
-            sh = _nystrom_spectrum(op_h.matrix, config.solver)
+            sm = solve(op_m.map, config.solver)
+            sh = solve(op_h.map, config.solver)
             integral_spectra[(i, "helson")] = sm
             integral_spectra[(i, "hankel")] = sh
             _write_spectrum(sm, out_dir, f"row{i}_integral_helson", artifacts)
@@ -268,17 +271,11 @@ def run_chain(config: RunConfig) -> dict:
             "lambda_min": -lam_min_neg,
             "ok": bool(lam_min_neg <= 1e-10 * max(lam_max, 1e-300)),
         }
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError(name, str(exc)) from exc
 
-    try:
-        name = stage("combined_matrix")
+    with stage("combined_matrix"):
         combined: dict = {}
         for size in matrix_sizes:
-            spec = _matrix_spectrum(build_helson(full_spec, size),
-                                    config.solver)
+            spec = solve(build_helson(full_spec, size), config.solver)
             combined[size] = spec
             _write_spectrum(spec, out_dir, f"combined_matrix_N{size}",
                             artifacts)
@@ -296,13 +293,8 @@ def run_chain(config: RunConfig) -> dict:
             spec_sum.singular[:m] - spec_asm.singular[:m]))) / top if m else 0.0
         report["additivity"] = {"size": check_size, "max_rel_diff": add_diff,
                                 "ok": bool(add_diff <= 1e-12)}
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError(name, str(exc)) from exc
 
-    try:
-        name = stage("fit")
+    with stage("fit"):
         fits = {}
         # headline: the smooth additive kernel in log coordinates at the
         # top ladder size, the one object whose tail corrections shrink
@@ -311,16 +303,9 @@ def run_chain(config: RunConfig) -> dict:
         n_top = config.sizes[-1]
         if not config.weight_zero:
             window = config.fit_window or (20, 200)
-            sec = log_window_smooth_section(alpha, n_top,
-                                            materialize=n_top <= _DENSE_LIMIT)
-            if n_top <= _DENSE_LIMIT:
-                sp_head = dense_eig_oracle(sec.dense())
-            else:
-                k = min(n_top - 1, window[1] + 16)
-                sp_head = lanczos_extreme(sec.map, k, which="largest",
-                                          tol=config.solver["tol"],
-                                          max_iter=config.solver["max_iter"],
-                                          seed=config.solver["seed"])
+            sec = log_window_smooth_section(alpha, n_top)
+            sp_head = solve(sec.map, config.solver, k=window[1] + 16,
+                            which="largest")
             _write_spectrum(sp_head, out_dir, f"headline_section_n{n_top}",
                             artifacts)
             lam = sp_head.lambda_plus
@@ -362,23 +347,17 @@ def run_chain(config: RunConfig) -> dict:
         fit_path = out_dir / "fit_report.json"
         fit_path.write_text(json.dumps(fits, indent=1, sort_keys=True))
         artifacts.append(str(fit_path))
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError(name, str(exc)) from exc
 
-    try:
-        name = stage("negativity")
+    with stage("negativity"):
         neg_size = min(config.negativity_size, matrix_sizes[-1])
         spec_full = (combined[neg_size] if neg_size in combined else
-                     _matrix_spectrum(build_helson(full_spec, neg_size),
-                                      config.solver))
+                     solve(build_helson(full_spec, neg_size), config.solver))
         spec_a1 = (row_spectra[(1, neg_size)]
                    if (1, neg_size) in row_spectra else
-                   _matrix_spectrum(row_map(1, neg_size), config.solver))
+                   solve(row_map(1, neg_size), config.solver))
         spec_a0 = (row_spectra[(0, neg_size)]
                    if (0, neg_size) in row_spectra else
-                   _matrix_spectrum(row_map(0, neg_size), config.solver))
+                   solve(row_map(0, neg_size), config.solver))
         dom = negative_part_domination(spec_full, spec_a1, spec_a0)
         # the ratio is only meaningful over resolved positive eigenvalues
         # past the head: index 1 carries the symbol's divergence at the
@@ -402,10 +381,6 @@ def run_chain(config: RunConfig) -> dict:
                                     window=[n0, n1],
                                     resolved_count=m_res,
                                     max_neg_to_pos=ratio)
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError(name, str(exc)) from exc
 
     report_path = out_dir / "run_report.json"
     report_path.write_text(json.dumps(report, indent=1, sort_keys=True))

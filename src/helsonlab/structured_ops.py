@@ -25,13 +25,18 @@ _BLOCK_BUDGET = 1 << 18
 
 @dataclass(frozen=True)
 class LinearMap:
-    """Matrix-free linear operator with explicit shape and symmetry flag."""
+    """Matrix-free linear operator with explicit shape and symmetry flag.
+
+    dense, when set, returns the explicit matrix from entries the
+    constructor already holds, so densifying costs no matvecs.
+    """
 
     rows: int
     cols: int
     symmetric: bool
     matvec: Callable
     description: str = ""
+    dense: Optional[Callable] = None
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
@@ -53,9 +58,16 @@ class LinearMap:
 
 
 def dense_matrix(lm: LinearMap, max_size: int = 4096) -> np.ndarray:
-    """Materialize the map column-by-column (test oracle / export path)."""
+    """Explicit matrix of the map, the input of the dense eigensolver.
+
+    Uses lm.dense when the constructor set it (the result may be the
+    map's own storage: do not modify it) and otherwise applies the map
+    to each unit vector in turn.
+    """
     if max(lm.rows, lm.cols) > max_size:
         raise ValueError(f"refusing to densify beyond {max_size}")
+    if lm.dense is not None:
+        return lm.dense()
     probe = lm.apply(np.zeros(lm.cols))
     out = np.zeros((lm.rows, lm.cols), dtype=probe.dtype)
     e = np.zeros(lm.cols)
@@ -173,7 +185,8 @@ def build_hankel(b) -> LinearMap:
     H._fft_plan()
     return LinearMap(rows=H.N, cols=H.N, symmetric=True,
                      matvec=lambda u: hankel_matvec_fft(H, u),
-                     description=f"hankel section N={H.N} (fft matvec)")
+                     description=f"hankel section N={H.N} (fft matvec)",
+                     dense=H.dense)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +270,8 @@ def build_helson(a, N: int) -> LinearMap:
     """Symmetric N x N map entry(j,k) = a(jk), streaming O(N^2) matvec."""
     T = HelsonTruncation(a, N)
     return LinearMap(rows=N, cols=N, symmetric=True, matvec=T.matvec,
-                     description=f"multiplicative section N={N} (streamed matvec)")
+                     description=f"multiplicative section N={N} (streamed matvec)",
+                     dense=T.dense)
 
 
 def build_smooth_helson(spec: SymbolSpec, N: int, Q: int = 2000) -> LinearMap:
@@ -287,7 +301,8 @@ def build_smooth_helson(spec: SymbolSpec, N: int, Q: int = 2000) -> LinearMap:
 
     return LinearMap(rows=N, cols=N, symmetric=True, matvec=mv,
                      description=f"smooth multiplicative section N={N} "
-                                 f"(Gram factor, {lam.size} nodes)")
+                                 f"(Gram factor, {lam.size} nodes)",
+                     dense=lambda: E @ E.T)
 
 
 # ---------------------------------------------------------------------------

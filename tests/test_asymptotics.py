@@ -7,7 +7,7 @@ import pytest
 
 from helsonlab.asymptotics import (
     DecaySpec, FitResult, decay_order, decay_report_csv, default_fit_window,
-    fit_power_tail, gamma_fn, gamma_ln, kappa, laplace_I, laplace_ratio,
+    fit_power_tail, kappa, laplace_I, laplace_ratio,
     make_decay_spec, negative_part_domination, stability_compare,
     verify_kernel_decay,
 )
@@ -21,30 +21,6 @@ RATIO_0_1_1E6 = 0.96700050499177164657
 RATIO_2_1_1E9 = 1.0476414095554109632
 RATIO_1_HALF_1E3 = 1.0377677435587107827
 I_0_1_1E6 = 6.999383055259739166514e-8
-
-
-class TestGamma:
-    def test_special_values(self):
-        assert abs(gamma_fn(0.5) - math.sqrt(math.pi)) < 1e-15
-        assert abs(gamma_fn(1.0) - 1.0) < 1e-15
-        assert abs(gamma_fn(5.0) - 24.0) < 1e-13
-
-    def test_reflection_identity(self):
-        for z in (0.1, 0.23, 0.45, 0.62, 0.77, 0.9):
-            lhs = gamma_fn(z) * gamma_fn(1.0 - z)
-            rhs = math.pi / math.sin(math.pi * z)
-            assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
-
-    def test_log_form_matches(self):
-        for z in (0.2, 1.0, 3.7, 20.0, 101.5):
-            assert abs(gamma_ln(z) - math.log(gamma_fn(z))) < 1e-11 if z < 100 \
-                else gamma_ln(z) > 0
-
-    def test_pole_rejected(self):
-        with pytest.raises(ValueError):
-            gamma_fn(0.0)
-        with pytest.raises(ValueError):
-            gamma_fn(-3.0)
 
 
 class TestKappa:

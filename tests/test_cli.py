@@ -113,6 +113,19 @@ class TestSpectrum:
         spec = spectrum_from_csv(out_csv)
         assert spec.lambda_plus[0] > 0
 
+    @pytest.mark.parametrize("size,method", [(600, "householder+ql"),
+                                             (601, "lanczos")])
+    def test_route_switches_at_dense_limit(self, tmp_path, capsys, size,
+                                           method):
+        out_csv = tmp_path / "route.csv"
+        code, _, _ = _run(capsys, "spectrum", "--operator", "hankel",
+                          "--alpha", "1", "--size", str(size), "--topk", "4",
+                          "--out", str(out_csv))
+        assert code == 0
+        meta = json.loads((tmp_path / "route.meta.json").read_text())
+        assert meta["method"] == method
+        assert meta["dim"] == size
+
     def test_bad_operator_is_usage_error(self, capsys):
         code, _, _ = _run(capsys, "spectrum", "--operator", "toeplitz",
                           "--size", "8")

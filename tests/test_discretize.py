@@ -11,6 +11,7 @@ from helsonlab.discretize import (
     nystrom_hankel, nystrom_helson, v_matched_grids, weighted_operator,
 )
 from helsonlab.eigen import dense_eig_oracle, lanczos_extreme
+from helsonlab.structured_ops import dense_matrix
 from helsonlab.symbols import SymbolSpec, _weight_values, kernel_fn, zeta1
 
 RNG = np.random.default_rng(7)
@@ -337,7 +338,7 @@ class TestWeightedOperator:
 
 class TestLogWindowSection:
     def test_fft_matvec_matches_materialized(self):
-        op = log_window_smooth_section(1.0, 160, materialize=True)
+        op = log_window_smooth_section(1.0, 160)
         M = op.dense()
         assert np.array_equal(M, M.T)
         for _ in range(3):
@@ -347,7 +348,7 @@ class TestLogWindowSection:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_materialized_section_is_psd(self):
-        op = log_window_smooth_section(0.5, 128, materialize=True)
+        op = log_window_smooth_section(0.5, 128)
         vals = np.linalg.eigvalsh(op.dense())
         assert vals.min() >= -1e-13 * vals.max()
 
@@ -368,9 +369,13 @@ class TestLogWindowSection:
         assert abs(a - b) <= 1e-3 * b
 
     def test_dense_refused_when_not_materialized(self):
-        op = log_window_smooth_section(1.0, 64)
-        with pytest.raises(ValueError):
+        # n = 4096 needs n * Q > 2^24 factor entries: the explicit matrix
+        # is refused, with no fall-back to one matvec per column
+        op = log_window_smooth_section(1.0, 4096)
+        with pytest.raises(ConstructionError):
             op.dense()
+        with pytest.raises(ConstructionError):
+            dense_matrix(op.map)
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -217,6 +217,18 @@ class TestLanczos:
         spec = lanczos_extreme(map_from_dense(A), k=40, max_iter=45, seed=0)
         assert spec.meta["converged"] is False
 
+    def test_nonconvergence_reaches_sidecar(self, tmp_path):
+        rng = np.random.default_rng(31)
+        A = rng.standard_normal((300, 300))
+        A = 0.5 * (A + A.T)
+        spec = lanczos_extreme(map_from_dense(A), k=40, max_iter=45, seed=0)
+        path = tmp_path / "s.meta.json"
+        write_meta_sidecar(spec, path)
+        meta = json.loads(path.read_text())
+        assert meta["converged"] is False
+        assert meta["method"] == "lanczos"
+        assert meta["lambda_max_alg"] == spec.meta["lambda_max_alg"]
+
     def test_contract_errors(self):
         lm = map_from_dense(np.eye(3), symmetric=False)
         with pytest.raises(ValueError):

@@ -5,10 +5,15 @@ import pathlib
 import numpy as np
 import pytest
 
+import helsonlab.pipeline as pipeline
 from helsonlab.eigen import spectrum_from_csv
 from helsonlab.pipeline import (RunConfig, StageError, band_limited_symbol,
                                 cubic_bspline, restriction_ratio,
-                                restriction_schatten_experiment, run_chain)
+                                restriction_schatten_experiment, run_chain,
+                                solve)
+from helsonlab.structured_ops import LinearMap
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 class TestRunConfig:
@@ -125,6 +130,15 @@ class TestRunChain:
             worst = spec.lambda_minus[0] if spec.lambda_minus.size else 0.0
             assert worst <= 1e-10 * top
 
+    def test_sidecars_record_dense_route(self, small_run):
+        # every section of this run is at most _DENSE_LIMIT wide
+        cfg, _ = small_run
+        sidecars = sorted(pathlib.Path(cfg.out_dir).glob("*.meta.json"))
+        assert len(sidecars) == 11
+        for path in sidecars:
+            meta = json.loads(path.read_text())
+            assert meta["method"] == "householder+ql", path.name
+
     def test_determinism(self, small_run, tmp_path):
         cfg, _ = small_run
         rerun_cfg = RunConfig.from_json(cfg.to_json())
@@ -194,6 +208,39 @@ class TestStageTagging:
         assert not (tmp_path / "run_report.json").exists()
 
 
+def _identity(n: int) -> LinearMap:
+    return LinearMap(n, n, True, lambda u: u, "identity")
+
+
+class TestSolvePolicy:
+    @pytest.fixture()
+    def routes(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(pipeline, "dense_eig_oracle",
+                            lambda lm: seen.append(("dense", lm.cols)))
+        monkeypatch.setattr(
+            pipeline, "lanczos_extreme",
+            lambda lm, k, **kw: seen.append(("lanczos", lm.cols, k,
+                                             kw["which"])))
+        return seen
+
+    def test_dense_up_to_limit_lanczos_above(self, routes):
+        solver = RunConfig().solver
+        limit = pipeline._DENSE_LIMIT
+        for n in (2, limit, limit + 1):
+            solve(_identity(n), solver)
+        assert routes == [("dense", 2), ("dense", limit),
+                          ("lanczos", limit + 1, solver["k"], "both_ends")]
+
+    def test_k_and_which_pass_through_capped_by_order(self, routes):
+        solver = RunConfig().solver
+        n = pipeline._DENSE_LIMIT + 1
+        solve(_identity(n), solver, k=216, which="largest")
+        solve(_identity(n), solver, k=10 * n)
+        assert routes == [("lanczos", n, 216, "largest"),
+                          ("lanczos", n, n - 1, "both_ends")]
+
+
 class TestRestrictionExperiment:
     def test_cubic_bspline_shape(self):
         assert cubic_bspline(0.0) == pytest.approx(2.0 / 3.0)
@@ -256,6 +303,17 @@ class TestRestrictionExperiment:
         on_disk = json.loads((tmp_path / "restriction.json").read_text())
         assert on_disk["max_ratio"] == rep1["max_ratio"]
         assert len(on_disk["rows"]) == 3
+
+    def test_golden_first_symbol_replays(self):
+        blob = json.loads((GOLDEN / "restriction_family.json").read_text())
+        rep = restriction_schatten_experiment(
+            p=blob["p"], n_symbols=1, n_modes=blob["n_modes"], N=blob["N"],
+            seed=blob["seed"], grid_n=blob["grid_n"])
+        row = rep["rows"][0]
+        assert row["ratio"] == pytest.approx(blob["ratios"][0], rel=1e-12,
+                                             abs=0)
+        assert row["sensitivity"] == pytest.approx(blob["sensitivities"][0],
+                                                   rel=1e-12, abs=0)
 
     def test_experiment_rejects_large_p(self):
         with pytest.raises(ValueError):

@@ -255,7 +255,7 @@ def test_comparability_golden_bracket():
                                      n_range=tuple(blob["n_range"]),
                                      fft_size=blob["fft_size"])
         assert dec.total == pytest.approx(row["dyadic_total"], rel=1e-10)
-        spec = dense_eig_oracle(nystrom_hankel(bw, grid).matrix)
+        spec = dense_eig_oracle(nystrom_hankel(bw, grid).dense())
         s1 = float(np.sum(spec.singular))
         assert s1 == pytest.approx(row["s1"], rel=1e-9)
         assert lo * (1 - 1e-6) <= dec.total / s1 <= hi * (1 + 1e-6)

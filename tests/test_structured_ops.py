@@ -1,13 +1,17 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from helsonlab.discretize import (log_window_smooth_section, nystrom_hankel,
+                                  nystrom_helson, v_matched_grids)
+from helsonlab.pipeline import difference_section
 from helsonlab.structured_ops import (
     HankelTruncation, HelsonTruncation, LinearMap, build_hankel, build_helson,
-    dense_matrix, hankel_matvec_fft, probe_linearity, probe_symmetry,
-    rank_one_dirichlet, write_csv_matrix,
+    build_smooth_helson, dense_matrix, hankel_matvec_fft, probe_linearity,
+    probe_symmetry, rank_one_dirichlet, write_csv_matrix,
 )
 from helsonlab.symbols import DomainError, SymbolSpec, restrict
 
@@ -46,6 +50,40 @@ class TestLinearMap:
             assert probe_linearity(lm, rng) < 1e-12
         for lm in maps[:2]:
             assert probe_symmetry(lm, rng) < 1e-12
+
+
+# every constructor that knows its entries hands them to dense_matrix
+_GRIDS = v_matched_grids((0.0, 18.0), 48)
+DENSE_CONSTRUCTORS = {
+    "helson": lambda: build_helson(SymbolSpec("helson_a", alpha=1.0), 64),
+    "smooth_gram": lambda: build_smooth_helson(SymbolSpec("a0", alpha=1.0), 64),
+    "hankel": lambda: build_hankel(hilbert_b(40)),
+    "nystrom_helson": lambda: nystrom_helson(
+        SymbolSpec("helson_a", alpha=1.0), _GRIDS[1]).map,
+    "nystrom_hankel": lambda: nystrom_hankel(
+        SymbolSpec("b0", alpha=1.0), _GRIDS[0]).map,
+    "log_window": lambda: log_window_smooth_section(1.0, 96).map,
+    "row1_difference": lambda: difference_section(
+        SymbolSpec("helson_a", alpha=1.0), 64),
+}
+
+
+class TestDenseShortcut:
+    @pytest.mark.parametrize("name", sorted(DENSE_CONSTRUCTORS))
+    def test_matches_column_materialization(self, name):
+        lm = DENSE_CONSTRUCTORS[name]()
+        assert lm.dense is not None
+        by_columns = dense_matrix(dataclasses.replace(lm, dense=None))
+        got = dense_matrix(lm)
+        assert got.shape == (lm.rows, lm.cols)
+        scale = np.abs(by_columns).max()
+        assert scale > 0
+        assert np.abs(got - by_columns).max() <= 1e-14 * scale
+
+    def test_size_cap_applies_before_shortcut(self):
+        lm = build_hankel(hilbert_b(40))
+        with pytest.raises(ValueError):
+            dense_matrix(lm, max_size=39)
 
 
 class TestHankel:

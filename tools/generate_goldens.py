@@ -39,10 +39,10 @@ def peller_comparability():
         t0 = time.time()
         dec = dyadic_peller_estimate(bw, 1.0, n_range=(-5, 17), fft_size=4096)
         op = nystrom_hankel(bw, grid)
-        spec = dense_eig_oracle(op.matrix)
+        spec = dense_eig_oracle(op.dense())
         s1 = float(np.sum(spec.singular))
         trace_quad = float(np.sum(grid.weights * bw(2.0 * grid.nodes)))
-        trace_mat = float(np.trace(op.matrix))
+        trace_mat = float(np.trace(op.dense()))
         rows.append({"gamma": g, "dyadic_total": dec.total, "s1": s1,
                      "ratio": dec.total / s1,
                      "unresolved": dec.unresolved,
