@@ -310,8 +310,12 @@ def negative_part_domination(full_spec: Spectrum, a1_spec: Spectrum,
     """Check lambda_n^-(full) <= lambda_n^-(residual part) + tol for all n.
 
     Valid only when the smooth part is positive semidefinite, so a
-    certified spectrum of its truncation is required; shorter negative
-    lists are padded with zeros (a truncation has finitely many negative
+    certified spectrum of its truncation is required.  Negative
+    eigenvalues below 1e-8 times the larger lambda_1^+ of the two
+    spectra (the solver noise floor of the pipeline's resolved counts)
+    count as zero on both sides, so
+    n_checked is the number of genuine negatives; the shorter list is
+    padded with zeros (a truncation has finitely many negative
     eigenvalues and the rest are zero).
     """
     lam_max = a0_spec.lambda_plus[0] if a0_spec.lambda_plus.size else 0.0
@@ -321,8 +325,10 @@ def negative_part_domination(full_spec: Spectrum, a1_spec: Spectrum,
     if neg < -1e-10 * max(lam_max, 1e-300):
         raise ValueError("smooth-part truncation is not certified PSD: "
                          f"min eigenvalue {neg:g} vs top {lam_max:g}")
-    nf = full_spec.lambda_minus
-    na = a1_spec.lambda_minus
+    top = max(float(sp.lambda_plus[0]) if sp.lambda_plus.size else 0.0
+              for sp in (full_spec, a1_spec))
+    nf = full_spec.lambda_minus[full_spec.lambda_minus >= 1e-8 * top]
+    na = a1_spec.lambda_minus[a1_spec.lambda_minus >= 1e-8 * top]
     m = max(nf.size, na.size)
     nf = np.pad(nf, (0, m - nf.size))
     na = np.pad(na, (0, m - na.size))

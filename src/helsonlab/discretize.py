@@ -20,7 +20,7 @@ import numpy as np
 from helsonlab.structured_ops import LinearMap
 from helsonlab.symbols import (
     SymbolSpec, _weight_of, _weight_rule, _weight_support, _weight_values,
-    kernel_fn, special_kernels, zeta1,
+    chi_cutoff, kernel_fn, special_kernels, zeta1,
 )
 
 SPACINGS = ("uniform", "geometric", "gauss")
@@ -382,15 +382,15 @@ def log_window_smooth_section(alpha: float, n: int, step: float = 0.135,
         raise ValueError("bad window parameters")
     h = float(step)
     u = u_lo + h * np.arange(n)
-    w_spec = SymbolSpec("weight_w", alpha=alpha, t0=t0,
-                        chi_lo=chi_lo, chi_hi=chi_hi)
     # W(mu) = w(e^-mu) vanishes for mu <= -log(chi_hi); align mu to step h
     mu_lo = -math.log(chi_hi) + 1e-12
     mu_hi = u[-1] + pad
     Q = int(math.ceil((mu_hi - mu_lo) / h)) + 1
     mu = mu_lo + h * np.arange(Q)
-    W = np.atleast_1d(_weight_values(w_spec, np.exp(-mu)))
-    s = h * np.sqrt(np.clip(W, 0.0, None))
+    # evaluated in mu as mu^-alpha chi(e^-mu): w(e^-mu) itself reads 0 once
+    # e^-mu underflows (mu > ~745), which would stop the window growing
+    W = mu ** -alpha * chi_cutoff(np.exp(-mu), chi_lo, chi_hi)
+    s = h * np.sqrt(W)
 
     # T[k] = g(delta + k h), k in [-(Q-1), n-1]
     k = np.arange(-(Q - 1), n)

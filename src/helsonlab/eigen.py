@@ -227,7 +227,8 @@ def dense_eig_oracle(target: Union[LinearMap, np.ndarray],
                     singular=np.sort(np.abs(vals))[::-1],
                     residuals=np.zeros(vals.size),
                     meta={"dim": int(M.shape[0]), "iterations": int(M.shape[0]),
-                          "seed": None, "tol": 1e-10, "method": "householder+ql"})
+                          "seed": None, "tol": 1e-10, "method": "householder+ql",
+                          "converged": True})
 
 
 # ---------------------------------------------------------------------------

@@ -231,7 +231,9 @@ def run_chain(config: RunConfig) -> dict:
                    1: (lambda n: sequence_values(full_spec, n))}
 
         def row_map(i: int, size: int) -> LinearMap:
-            return build_helson(row_seq[i], size)
+            # row 1 is built from the spec, as the combined section is,
+            # so both take the same factored path
+            return build_helson(full_spec if i == 1 else row_seq[0], size)
 
     matrix_sizes = [s for s in config.sizes if s <= config.helson_cap]
     if not matrix_sizes:

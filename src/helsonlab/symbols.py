@@ -11,7 +11,8 @@ smooth/rough decomposition:
 
 with b0, b1 the additive-variable counterparts under x = log t,
 b(x) = e^(x/2) a(e^x).  Everything here is a pure function of its
-inputs; quadrature rules are cached per weight.
+inputs; quadrature rules are cached per weight, and the full symbol's
+exponential-sum rule per alpha.
 """
 
 from __future__ import annotations
@@ -161,6 +162,9 @@ def _weight_of(spec: SymbolSpec) -> SymbolSpec:
 
 _RULE_CACHE: dict = {}
 
+# bytes of the points x nodes exponential a Laplace sum holds at once
+_LAPLACE_BLOCK_BYTES = 32 << 20
+
 
 def _weight_rule(spec_w: SymbolSpec, Q: int):
     """Composite Gauss-Legendre rule on supp w, panels refined toward 0.
@@ -199,6 +203,64 @@ def _weight_rule(spec_w: SymbolSpec, Q: int):
     return x, om
 
 
+def _laplace_sum(x, nodes, om):
+    """sum_q om_q e^(-x nodes_q) at every point x, any shape.
+
+    Walks the points in blocks so the points x nodes exponential never
+    exceeds _LAPLACE_BLOCK_BYTES, however many points are asked for.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    out = np.empty(flat.size)
+    step = max(1, _LAPLACE_BLOCK_BYTES // (8 * nodes.size))
+    for lo in range(0, flat.size, step):
+        out[lo:lo + step] = np.exp(-np.multiply.outer(flat[lo:lo + step],
+                                                      nodes)) @ om
+    return out.reshape(x.shape)
+
+
+def _exponential_sum_rule(alpha: float):
+    """Positive exponential sum for F(x) = 1/(x (log x)^alpha), x > 1.
+
+    Returns (s, log_c) with F(x) = sum_q c_q e^(-s_q x), every c_q > 0,
+    so that the full symbol factors as a(jk) = sum_q c_q
+    j^(-1/2-s_q) k^(-1/2-s_q) for jk >= 3 (x = log jk > 1).  F is completely
+    monotone, F(x) = integral of e^(-s x) rho(s) ds with
+
+        rho(s) = Gamma(alpha)^-1 integral of u^(alpha-1) s^u / Gamma(1+u) du,
+
+    and the rule is the trapezoid rule in log s, step 0.25, from s = 1e-12
+    to just past s = 700 (138 nodes).  log rho is integrated in y = log u
+    with a log-sum-exp, since c_q reaches about e^750.  For alpha in
+    {0.5, 1, 2} the sum matches the closed form to 8e-12 relative from
+    jk = 3 up to jk = 2^36, the error growing slowly with jk from the
+    mass below the first node.  Built on first use and cached per alpha.
+    """
+    key = ("exponential_sum", float(alpha))
+    hit = _RULE_CACHE.get(key)
+    if hit is not None:
+        return hit
+    h = 0.25
+    R = int(math.ceil(math.log(700.0 / 1e-12) / h)) + 1
+    log_s = math.log(1e-12) + h * np.arange(R)
+    # u = e^y: the integrand e^(alpha y) s^u / Gamma(1+u) is e^(alpha y)
+    # below the peak and dies superexponentially past u ~ s_max ~ 750;
+    # dy = 0.01 resolves the peak width ~ s^(-1/2) of the largest nodes
+    dy = 0.01
+    y = np.arange(-40.0 / alpha - 5.0, 8.0, dy)
+    u = np.exp(y)
+    base = alpha * y - np.array([math.lgamma(1.0 + v) for v in u])
+    log_rho = np.empty(R)
+    for q in range(R):
+        e = base + u * log_s[q]
+        top = e.max()
+        log_rho[q] = top + math.log(dy * np.exp(e - top).sum())
+    log_rho -= math.lgamma(alpha)
+    rule = (np.exp(log_s), math.log(h) + log_s + log_rho)
+    _RULE_CACHE[key] = rule
+    return rule
+
+
 def a0_quadrature(spec_w: SymbolSpec, t, Q: int = 2000, full_output: bool = False):
     """Integral of t^(-1/2-l) w(l) dl by the fixed composite rule.
 
@@ -210,11 +272,11 @@ def a0_quadrature(spec_w: SymbolSpec, t, Q: int = 2000, full_output: bool = Fals
         raise DomainError("a0 integral is evaluated for t >= 1")
     x, om = _weight_rule(spec_w, Q)
     logt = np.log(t_arr)
-    val = np.sqrt(1.0 / t_arr) * (np.exp(-np.multiply.outer(logt, x)) @ om)
+    val = np.sqrt(1.0 / t_arr) * _laplace_sum(logt, x, om)
     if not full_output:
         return val if val.ndim else float(val)
     xh, omh = _weight_rule(spec_w, max(16, Q // 2))
-    val_h = np.sqrt(1.0 / t_arr) * (np.exp(-np.multiply.outer(logt, xh)) @ omh)
+    val_h = np.sqrt(1.0 / t_arr) * _laplace_sum(logt, xh, omh)
     err = np.abs(val - val_h)
     scale = np.maximum(np.abs(val), 1.0)
     if np.any(err > 1e-6 * scale):
@@ -230,7 +292,7 @@ def b0_quadrature(spec_w: SymbolSpec, x, Q: int = 2000):
     if np.any(x_arr <= 0.0):
         raise DomainError("Laplace transform evaluated for x > 0")
     xs, om = _weight_rule(spec_w, Q)
-    val = np.exp(-np.multiply.outer(x_arr, xs)) @ om
+    val = _laplace_sum(x_arr, xs, om)
     return val if val.ndim else float(val)
 
 
@@ -387,7 +449,7 @@ def kernel_fn(spec: SymbolSpec, Q: int = 2000) -> Callable:
 
         def f(t, nodes=nodes, om=om):
             t = np.asarray(t, dtype=float)
-            return np.sqrt(1.0 / t) * (np.exp(-np.multiply.outer(np.log(t), nodes)) @ om)
+            return np.sqrt(1.0 / t) * _laplace_sum(np.log(t), nodes, om)
         return f
     if k == "b0":
         w = _weight_of(spec)
@@ -395,7 +457,7 @@ def kernel_fn(spec: SymbolSpec, Q: int = 2000) -> Callable:
 
         def f(x, nodes=nodes, om=om):
             x = np.asarray(x, dtype=float)
-            return np.exp(-np.multiply.outer(x, nodes)) @ om
+            return _laplace_sum(x, nodes, om)
         return f
     if k == "a1":
         fa = kernel_fn(SymbolSpec("helson_a", spec.alpha, spec.t0,

@@ -291,6 +291,21 @@ class TestNegativePartDomination:
         assert not rep["ok"]
         assert rep["max_excess"] == pytest.approx(0.4)
 
+    def test_noise_negatives_not_counted(self):
+        # negatives under 1e-8 * lambda_1^+ are rounding noise: neither
+        # counted nor compared, on either side
+        full = _spec_from([1e3, 1.0], [2.0, 1e-6])
+        a1 = _spec_from([1.0], [2.0, 2e-7])
+        rep = negative_part_domination(full, a1, _spec_from([1e3], []))
+        assert rep["n_checked"] == 1
+        assert rep["ok"] and rep["max_excess"] == 0.0
+        # the same negatives against lambda_1^+ = 1 are genuine
+        full = _spec_from([1.0], [2.0, 1e-6])
+        rep = negative_part_domination(full, a1, _spec_from([1.0], []))
+        assert rep["n_checked"] == 2
+        assert not rep["ok"]
+        assert rep["max_excess"] == pytest.approx(1e-6 - 2e-7)
+
     def test_uncertified_smooth_part_rejected(self):
         full = _spec_from([1.0], [])
         a1 = _spec_from([], [])

@@ -368,6 +368,19 @@ class TestLogWindowSection:
         a, b = l1.lambda_plus[0], l2.lambda_plus[0]
         assert abs(a - b) <= 1e-3 * b
 
+    def test_window_keeps_growing_past_exp_underflow(self):
+        # the last node's diagonal entry tracks W(u_last) ~ u_last^-alpha;
+        # at n = 8192 the window reaches mu ~ 1180, where e^-mu underflows
+        # and w(e^-mu) would read 0
+        diag = {}
+        for n in (4096, 8192):
+            op = log_window_smooth_section(1.0, n)
+            e = np.zeros(n)
+            e[-1] = 1.0
+            diag[n] = (op.map.apply(e)[-1], op.grid.nodes[-1])
+        (d4, u4), (d8, u8) = diag[4096], diag[8192]
+        assert d8 == pytest.approx(d4 * (u4 / u8), rel=0.01)
+
     def test_dense_refused_when_not_materialized(self):
         # n = 4096 needs n * Q > 2^24 factor entries: the explicit matrix
         # is refused, with no fall-back to one matvec per column

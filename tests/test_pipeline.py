@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -206,6 +209,36 @@ class TestStageTagging:
         assert err.value.stage == "row_integrals"
         assert (tmp_path / "row0_matrix_N24.csv").exists()
         assert not (tmp_path / "run_report.json").exists()
+
+
+_DEFAULT_RUN = """
+import resource, sys
+cap = 5 * 2**30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from helsonlab.pipeline import RunConfig, run_chain
+run_chain(RunConfig(out_dir=sys.argv[1]))
+"""
+
+
+def test_shipped_defaults_finish_under_memory_cap(tmp_path):
+    # RunConfig() as shipped: sizes up to 8192, Lanczos on every matrix
+    # section above 600, and the additivity check at N = 512, all under a
+    # 5 GiB address-space cap
+    out = tmp_path / "defaults"
+    src = str(pathlib.Path(pipeline.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _DEFAULT_RUN, str(out)],
+                          env=env, capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    report = json.loads((out / "run_report.json").read_text())
+    assert report["additivity"]["ok"]
+    sidecars = sorted(out.glob("*.meta.json"))
+    assert sidecars
+    for path in sidecars:
+        assert json.loads(path.read_text())["converged"] is True, path.name
 
 
 def _identity(n: int) -> LinearMap:

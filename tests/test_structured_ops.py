@@ -13,7 +13,8 @@ from helsonlab.structured_ops import (
     build_smooth_helson, dense_matrix, hankel_matvec_fft, probe_linearity,
     probe_symmetry, rank_one_dirichlet, write_csv_matrix,
 )
-from helsonlab.symbols import DomainError, SymbolSpec, restrict
+from helsonlab.symbols import (DomainError, SymbolSpec, restrict,
+                               sequence_values)
 
 
 def hilbert_b(N):
@@ -205,6 +206,43 @@ class TestHelson:
         assert T.entry(1, 1) == 0.0
         with pytest.raises(IndexError):
             T.entry(0, 1)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_factor_matches_streamed_oracle(self, alpha):
+        N = 1024
+        spec = SymbolSpec("helson_a", alpha=alpha)
+        got = build_helson(spec, N).dense()
+        want = HelsonTruncation(spec, N).dense()
+        nz = want != 0
+        assert np.array_equal(got[~nz], want[~nz])
+        assert np.max(np.abs(got[nz] / want[nz] - 1.0)) <= 1e-10
+        ev_got = np.linalg.eigvalsh(got)
+        ev_want = np.linalg.eigvalsh(want)
+        lam1 = ev_want[-1]
+        assert np.max(np.abs(ev_got[-20:] - ev_want[-20:])) <= 1e-9 * lam1
+        assert np.max(np.abs(ev_got[:20] - ev_want[:20])) <= 1e-9 * lam1
+
+    @pytest.mark.parametrize("N", [256, 1024])
+    def test_factor_has_one_negative_eigenvalue(self, N):
+        # on {x_1 = 0} the quadratic form is the Gram matrix E E^T >= 0,
+        # so interlacing leaves room for one negative eigenvalue at most
+        ev = np.linalg.eigvalsh(
+            build_helson(SymbolSpec("helson_a", alpha=1.0), N).dense())
+        assert np.sum(ev < -1e-11 * ev[-1]) <= 1
+
+    def test_factor_columns_at_large_order(self):
+        N = 1 << 16
+        spec = SymbolSpec("helson_a", alpha=1.0)
+        lm = build_helson(spec, N)
+        j = np.arange(1, N + 1)
+        for k in (2, 3, 1000, N):
+            e = np.zeros(N)
+            e[k - 1] = 1.0
+            got = lm.apply(e)
+            want = sequence_values(spec, j * k)
+            nz = want != 0
+            assert np.array_equal(got[~nz], want[~nz])
+            assert np.max(np.abs(got[nz] / want[nz] - 1.0)) <= 1e-10
 
     def test_domain_error_carries_index_context(self):
         def bad(n):
