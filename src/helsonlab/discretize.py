@@ -6,13 +6,16 @@ sqrt(w) K sqrt(w) so the result feeds the symmetric eigensolver directly.
 The smooth kernels (Laplace transforms of a weight) get an exact Gram
 fast path: the section is formed as E E^T over the shared quadrature
 rule of the weight, which makes positive semidefiniteness a property of
-the construction rather than a numerical accident.
+the construction rather than a numerical accident.  The difference
+kernels a1 = a - a0 and b1 = b - b0 reuse that factor: their section is
+the closed-form full kernel, assembled entrywise, minus the same E E^T,
+so no entry is ever a quadrature sum of its own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Union
 
 import numpy as np
@@ -25,9 +28,18 @@ from helsonlab.symbols import (
 
 SPACINGS = ("uniform", "geometric", "gauss")
 
-# element budget per evaluation block during dense assembly; kept small
-# because quadrature-closure kernels expand each element by their rule size
+# element budget per evaluation block during dense assembly.  Every chain
+# kernel that reaches _assemble is closed form (smooth and difference
+# parts go through _GRAM_KINDS); a quadrature closure passed in as a
+# callable, such as kernel_fn of a0, expands each element by its rule
+# size, and _laplace_sum blocks that expansion itself
 _ASSEMBLY_BUDGET = 1 << 13
+
+# spec kinds whose section comes from the weight's Gram factor E E^T, per
+# combine rule: the smooth parts are E E^T itself, the difference parts
+# are the named closed-form full kernel assembled entrywise minus E E^T
+_GRAM_KINDS = {("product", "a0"): None, ("product", "a1"): "helson_a",
+               ("sum", "b0"): None, ("sum", "b1"): "hankel_b"}
 
 # kernels with a 1/x-type singularity at the origin need lo > 0
 _SINGULAR_AT_ZERO = ("carleman", "zeta1", "h_beta")
@@ -235,6 +247,19 @@ def _gram_fast_path(spec: SymbolSpec, grid: Grid, combine: str,
     return E @ E.T
 
 
+def _section(kernel, grid: Grid, combine: str) -> np.ndarray:
+    """Dense symmetric section of a spec or callable kernel on the grid."""
+    key = (combine, kernel.kind if isinstance(kernel, SymbolSpec) else None)
+    if key not in _GRAM_KINDS:
+        return _assemble(_kernel_callable(kernel), grid, combine)
+    gram = _gram_fast_path(kernel, grid, combine)
+    full = _GRAM_KINDS[key]
+    if full is None:
+        return gram
+    closed = _assemble(kernel_fn(replace(kernel, kind=full)), grid, combine)
+    return closed - gram
+
+
 def _wrap_operator(matrix: np.ndarray, grid: Grid, kernel,
                    what: str) -> NystromOperator:
     lm = LinearMap(rows=grid.n, cols=grid.n, symmetric=True,
@@ -247,28 +272,30 @@ def _wrap_operator(matrix: np.ndarray, grid: Grid, kernel,
 
 
 def nystrom_hankel(b, grid: Grid, max_nodes: int = 4096) -> NystromOperator:
-    """Section of the additive kernel: entries sqrt(w_m) b(x_m+x_n) sqrt(w_n)."""
+    """Section of the additive kernel: entries sqrt(w_m) b(x_m+x_n) sqrt(w_n).
+
+    b0 is the Gram factor E E^T of its weight rule; b1 is the closed-form
+    hankel_b section minus that same E E^T.
+    """
     if grid.n > max_nodes:
         raise ConstructionError(f"dense assembly capped at {max_nodes} nodes")
     _check_singularity(b, grid, "sum")
-    if isinstance(b, SymbolSpec) and b.kind == "b0":
-        M = _gram_fast_path(b, grid, "sum")
-    else:
-        M = _assemble(_kernel_callable(b), grid, "sum")
-    return _wrap_operator(M, grid, b, "additive-kernel")
+    return _wrap_operator(_section(b, grid, "sum"), grid, b,
+                          "additive-kernel")
 
 
 def nystrom_helson(a, grid: Grid, max_nodes: int = 4096) -> NystromOperator:
-    """Section of the multiplicative kernel: sqrt(w_m) a(t_m t_n) sqrt(w_n)."""
+    """Section of the multiplicative kernel: sqrt(w_m) a(t_m t_n) sqrt(w_n).
+
+    a0 is the Gram factor E E^T of its weight rule; a1 is the closed-form
+    helson_a section minus that same E E^T.
+    """
     if grid.domain[0] < 1.0:
         raise ConstructionError("multiplicative sections need lo >= 1")
     if grid.n > max_nodes:
         raise ConstructionError(f"dense assembly capped at {max_nodes} nodes")
-    if isinstance(a, SymbolSpec) and a.kind == "a0":
-        M = _gram_fast_path(a, grid, "product")
-    else:
-        M = _assemble(_kernel_callable(a), grid, "product")
-    return _wrap_operator(M, grid, a, "multiplicative-kernel")
+    return _wrap_operator(_section(a, grid, "product"), grid, a,
+                          "multiplicative-kernel")
 
 
 # ---------------------------------------------------------------------------
@@ -303,19 +330,6 @@ def factor_N_dense(w_spec: SymbolSpec, J: int, grid: Grid) -> np.ndarray:
     F = np.exp(np.multiply.outer(-np.log(j), x + 0.5))
     F *= np.sqrt(wvals * grid.weights)[None, :]
     return F
-
-
-def factor_N_matrix(w_spec: SymbolSpec, J: int, grid: Grid) -> LinearMap:
-    F = factor_N_dense(w_spec, J, grid)
-    return LinearMap(rows=J, cols=grid.n, symmetric=False,
-                     matvec=lambda u: F @ u,
-                     description=f"integer-side factor J={J}, Q={grid.n}")
-
-
-def factor_products(w_spec: SymbolSpec, J: int, grid: Grid):
-    """(F F^T, F^T F): integer-side and quadrature-side Gram matrices."""
-    F = factor_N_dense(w_spec, J, grid)
-    return F @ F.T, F.T @ F
 
 
 def weighted_operator(kind: str, w_spec: SymbolSpec, grid: Grid) -> NystromOperator:

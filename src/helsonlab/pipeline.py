@@ -20,7 +20,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from helsonlab._svg import loglog_figure
-from helsonlab.asymptotics import (default_fit_window, fit_power_tail, kappa,
+# default_fit_window is unused here but stays importable from this module:
+# perfbench/spans.py wraps pipeline.default_fit_window by name
+from helsonlab.asymptotics import (default_fit_window,  # noqa: F401
+                                   fit_power_tail, kappa,
                                    negative_part_domination)
 from helsonlab.discretize import (log_window_smooth_section, make_grid,
                                   nystrom_hankel, nystrom_helson,
@@ -37,6 +40,9 @@ from helsonlab.symbols import (SymbolSpec, difference_part_sequence,
 # solve() gives sections at or below this order the full dense spectrum;
 # above it the solver reports solver["k"] certified extreme pairs instead
 _DENSE_LIMIT = 600
+
+# fewest resolved eigenvalues the matrix trend fit runs on
+_MIN_RESOLVED_FIT = 10
 
 
 class StageError(RuntimeError):
@@ -151,11 +157,15 @@ def difference_section(spec: SymbolSpec, N: int) -> LinearMap:
 
 
 def _write_spectrum(spec: Spectrum, out_dir: pathlib.Path, name: str,
-                    artifacts: list) -> None:
+                    report: dict) -> None:
+    """CSV and sidecar of one spectrum; a non-converged solve is listed
+    by name in report["unconverged"]."""
     csv_path = out_dir / f"{name}.csv"
     spectrum_to_csv(spec, csv_path)
     write_meta_sidecar(spec, out_dir / f"{name}.meta.json")
-    artifacts.append(str(csv_path))
+    report["artifacts"].append(str(csv_path))
+    if not spec.meta.get("converged", True):
+        report["unconverged"].append(name)
 
 
 def _top_agreement(sa: Spectrum, sb: Spectrum, count: int = 20,
@@ -187,7 +197,7 @@ def run_chain(config: RunConfig) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts: list = []
     report: dict = {"config": config.to_json(), "stages": [],
-                    "artifacts": artifacts}
+                    "artifacts": artifacts, "unconverged": []}
     alpha = config.alpha
 
     @contextlib.contextmanager
@@ -246,7 +256,7 @@ def run_chain(config: RunConfig) -> dict:
                 spec = solve(row_map(i, size), config.solver)
                 row_spectra[(i, size)] = spec
                 _write_spectrum(spec, out_dir, f"row{i}_matrix_N{size}",
-                                artifacts)
+                                report)
 
     with stage("row_integrals"):
         gx, gt = v_matched_grids(config.x_domain, config.nystrom_n)
@@ -261,8 +271,8 @@ def run_chain(config: RunConfig) -> dict:
             sh = solve(op_h.map, config.solver)
             integral_spectra[(i, "helson")] = sm
             integral_spectra[(i, "hankel")] = sh
-            _write_spectrum(sm, out_dir, f"row{i}_integral_helson", artifacts)
-            _write_spectrum(sh, out_dir, f"row{i}_integral_hankel", artifacts)
+            _write_spectrum(sm, out_dir, f"row{i}_integral_helson", report)
+            _write_spectrum(sh, out_dir, f"row{i}_integral_hankel", report)
             cross[f"row{i}"] = _top_agreement(sm, sh)
         report["cross_row"] = cross
         h0 = integral_spectra[(0, "hankel")]
@@ -280,7 +290,7 @@ def run_chain(config: RunConfig) -> dict:
             spec = solve(build_helson(full_spec, size), config.solver)
             combined[size] = spec
             _write_spectrum(spec, out_dir, f"combined_matrix_N{size}",
-                            artifacts)
+                            report)
         # additivity: assembled symbol vs entrywise sum of the two parts,
         # each row re-integrated independently (not the factored maps)
         check_size = min(matrix_sizes[0], _DENSE_LIMIT)
@@ -309,7 +319,7 @@ def run_chain(config: RunConfig) -> dict:
             sp_head = solve(sec.map, config.solver, k=window[1] + 16,
                             which="largest")
             _write_spectrum(sp_head, out_dir, f"headline_section_n{n_top}",
-                            artifacts)
+                            report)
             lam = sp_head.lambda_plus
             n0 = min(window[0], max(1, lam.size // 2))
             n1 = min(window[1], lam.size)
@@ -332,19 +342,21 @@ def run_chain(config: RunConfig) -> dict:
         # matrix truncations resolve only O(log N) tail eigenvalues before
         # the solver floor (the multiplicative section is near rank-one,
         # unfolding logarithmically), so the trend fit runs over the
-        # resolved range when it is long enough and says so either way
+        # resolved range when it is long enough and is refused otherwise
         big = combined[matrix_sizes[-1]]
-        if big.lambda_plus.size >= 12:
-            m_res = _resolved_count(big.lambda_plus)
-            if m_res >= 10:
-                win_m = (max(2, m_res // 20), m_res)
-            else:
-                win_m = default_fit_window(big.lambda_plus.size)
+        m_res = _resolved_count(big.lambda_plus)
+        if m_res >= _MIN_RESOLVED_FIT:
+            win_m = (max(2, m_res // 20), m_res)
             fit = fit_power_tail(big.lambda_plus, win_m)
             fits["matrix_trend"] = dict(fit.to_json(),
                                         object="combined_matrix",
                                         resolved_count=m_res,
                                         window=list(win_m))
+        else:
+            fits["matrix_trend"] = {
+                "object": "combined_matrix", "resolved_count": m_res,
+                "refused": f"{m_res} resolved eigenvalues, a fit needs "
+                           f"at least {_MIN_RESOLVED_FIT}"}
         report["fits"] = fits
         fit_path = out_dir / "fit_report.json"
         fit_path.write_text(json.dumps(fits, indent=1, sort_keys=True))

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import helsonlab.symbols as symbols
 from helsonlab.discretize import (
     ConstructionError, Grid, change_of_variable, factor_N_dense,
-    factor_N_matrix, factor_products, log_window_smooth_section, make_grid,
-    nystrom_hankel, nystrom_helson, v_matched_grids, weighted_operator,
+    log_window_smooth_section, make_grid, nystrom_hankel, nystrom_helson,
+    v_matched_grids, weighted_operator,
 )
 from helsonlab.eigen import dense_eig_oracle, lanczos_extreme
 from helsonlab.structured_ops import dense_matrix
@@ -224,6 +225,42 @@ class TestNystromHelson:
         assert np.abs(top_a - top_b).max() <= 1e-10 * top_a[0]
 
 
+class TestDifferenceKernels:
+    # a1 = a - a0 and b1 = b - b0 are sectioned as the closed-form full
+    # kernel minus the Gram factor of the smooth part
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_gram_difference_matches_direct(self, alpha):
+        gx, gt = v_matched_grids((0.0, 30.0), 160)
+        sections = {}
+        for kind, build, g in (("a1", nystrom_helson, gt),
+                               ("b1", nystrom_hankel, gx)):
+            spec = SymbolSpec(kind, alpha=alpha)
+            M = build(spec, g).dense()
+            # a callable kernel takes the entrywise quadrature path
+            direct = build(kernel_fn(spec), g).dense()
+            scale = np.abs(direct).max()
+            assert np.abs(M - direct).max() <= 1e-13 * scale, kind
+            assert np.array_equal(M, M.T), kind
+            sections[kind] = M
+        scale = np.abs(sections["b1"]).max()
+        assert np.abs(sections["a1"] - sections["b1"]).max() <= 1e-12 * scale
+
+    def test_no_per_entry_laplace_sums(self, monkeypatch):
+        calls = []
+        orig = symbols._laplace_sum
+
+        def counted(*args):
+            calls.append(1)
+            return orig(*args)
+
+        monkeypatch.setattr(symbols, "_laplace_sum", counted)
+        gx, gt = v_matched_grids((0.0, 30.0), 600)
+        nystrom_helson(SymbolSpec("a1", alpha=0.5), gt)
+        nystrom_hankel(SymbolSpec("b1", alpha=0.5), gx)
+        assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # factorization of the smooth part
 
@@ -239,7 +276,8 @@ class TestFactorMatrix:
         # entry (j,k) = (jk)^(-1/2) * (1 - 1/(jk)) / log(jk), and 1 at (1,1)
         g = make_grid((0.0, 1.0), 256, "gauss")
         J = 16
-        P, _ = factor_products(_unit_weight(), J, g)
+        F = factor_N_dense(_unit_weight(), J, g)
+        P = F @ F.T
         jj = np.arange(1, J + 1, dtype=float)
         pr = np.outer(jj, jj)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -252,18 +290,11 @@ class TestFactorMatrix:
         # nonzero eigenvalue
         g = make_grid((0.0, 1.0), 200, "gauss")
         J = 24
-        P, Q = factor_products(_unit_weight(), J, g)
+        F = factor_N_dense(_unit_weight(), J, g)
+        P, Q = F @ F.T, F.T @ F
         ep = np.linalg.eigvalsh(P)[::-1][:J]
         eq = np.linalg.eigvalsh(Q)[::-1][:J]
         assert np.abs(ep - eq).max() <= 1e-12 * max(ep[0], 1.0)
-
-    def test_linear_map_matches_dense(self):
-        g = make_grid((0.0, 1.0), 64, "gauss")
-        lm = factor_N_matrix(_unit_weight(), 12, g)
-        F = factor_N_dense(_unit_weight(), 12, g)
-        u = RNG.standard_normal(64)
-        assert np.allclose(lm.apply(u), F @ u, rtol=1e-14)
-        assert lm.rows == 12 and lm.cols == 64 and not lm.symmetric
 
     def test_support_coverage_enforced(self):
         with pytest.raises(ConstructionError):
@@ -283,7 +314,8 @@ class TestFactorMatrix:
         Z = weighted_operator("zeta1", w, g).dense()
         errs = []
         for J in (2048, 4096, 8192):
-            _, Q = factor_products(w, J, g)
+            F = factor_N_dense(w, J, g)
+            Q = F.T @ F
             errs.append(np.abs(Q - Z).max())
         assert errs[-1] <= 1e-5
         assert 1.6 <= errs[0] / errs[1] <= 2.4

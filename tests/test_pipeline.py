@@ -105,11 +105,22 @@ class TestRunChain:
 
     def test_fit_fields_populated(self, small_run):
         _, rep = small_run
-        for key in ("headline", "matrix_trend"):
-            fit = rep["fits"][key]
-            assert math.isfinite(fit["alpha_hat"])
-            assert fit["kappa_hat"] > 0
-        assert rep["fits"]["headline"]["kappa_ref"] == pytest.approx(0.5)
+        head = rep["fits"]["headline"]
+        assert math.isfinite(head["alpha_hat"]) and head["kappa_hat"] > 0
+        assert head["kappa_ref"] == pytest.approx(0.5)
+        # the trend fit runs over ten or more resolved indices, or is refused
+        trend = rep["fits"]["matrix_trend"]
+        if "refused" in trend:
+            assert trend["resolved_count"] < 10
+            assert "alpha_hat" not in trend and "kappa_hat" not in trend
+        else:
+            assert 10 <= trend["window"][1] <= trend["resolved_count"]
+            assert math.isfinite(trend["alpha_hat"])
+            assert trend["kappa_hat"] > 0
+
+    def test_all_solves_converged(self, small_run):
+        _, rep = small_run
+        assert rep["unconverged"] == []
 
     def test_artifacts_exist_and_parse(self, small_run):
         cfg, rep = small_run
@@ -157,6 +168,19 @@ class TestRunChain:
         fa = (pathlib.Path(cfg.out_dir) / "fit_report.json").read_bytes()
         fb = (pathlib.Path(rerun_cfg.out_dir) / "fit_report.json").read_bytes()
         assert fa == fb
+
+
+def test_unconverged_solve_listed_in_report(tmp_path):
+    # the headline at n = 1024 takes the Lanczos route with k = 24 + 16 = 40
+    # pairs and at most 45 iterations, which cannot converge
+    cfg = RunConfig(alpha=1.0, sizes=(24, 1024), helson_cap=24,
+                    x_domain=(0.0, 18.0), nystrom_n=48,
+                    solver={"k": 12, "max_iter": 45}, fit_window=(4, 24),
+                    out_dir=str(tmp_path))
+    rep = run_chain(cfg)
+    assert rep["unconverged"] == ["headline_section_n1024"]
+    on_disk = json.loads((tmp_path / "run_report.json").read_text())
+    assert on_disk["unconverged"] == rep["unconverged"]
 
 
 @pytest.fixture(scope="module")
