@@ -1,11 +1,11 @@
-"""Symmetric eigensolvers: matrix-free Lanczos and a dense in-repo oracle.
+"""Symmetric eigensolvers: matrix-free Lanczos and dense LAPACK spectra.
 
-The Lanczos path runs with full reorthogonalization (the operators here
-have clustered, slowly decaying spectra where ghost copies are the main
+The Lanczos path keeps a full orthonormal basis (the operators here have
+clustered, slowly decaying spectra where ghost copies are the main
 failure mode) and certifies every reported Ritz pair by its residual
-|beta_m| |last eigenvector component|.  The dense oracle is classical
-Householder tridiagonalization followed by implicit-shift QL, so small
-truncations can be checked without trusting any external solver.
+|beta_m| |last eigenvector component|.  Dense spectra, and the Ritz
+values of the Lanczos tridiagonal, come from LAPACK through
+``np.linalg.eigvalsh`` / ``np.linalg.eigh``.
 """
 
 from __future__ import annotations
@@ -91,11 +91,15 @@ def write_meta_sidecar(spec: Spectrum, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# dense oracle: Householder + implicit-shift QL, in-repo
+# dense spectra
 
 
 def householder_tridiagonalize(A: np.ndarray):
-    """Orthogonal reduction of a symmetric matrix to tridiagonal (d, e)."""
+    """Orthogonal reduction of a symmetric matrix to tridiagonal (d, e).
+
+    No solve path calls this any more; it is kept only because
+    perfbench/spans.py wraps it by name.
+    """
     A = np.array(A, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n):
@@ -124,74 +128,21 @@ def householder_tridiagonalize(A: np.ndarray):
 
 
 def tridiag_eigenvalues(d, e, last_row: bool = False):
-    """Implicit-shift QL on a symmetric tridiagonal.
+    """Eigenvalues of the symmetric tridiagonal with diagonal d, off-diagonal e.
 
-    Returns ascending eigenvalues; with last_row=True also the last row
-    of the (orthogonal) eigenvector matrix, which is all Lanczos needs
-    for residual certificates.
+    Returns ascending eigenvalues (LAPACK through numpy); with
+    last_row=True also the last row of the orthogonal eigenvector
+    matrix, which is all Lanczos needs for residual certificates.
     """
-    n = len(d)
-    d = list(map(float, d))
-    e = list(map(float, e)) + [0.0]
-    if len(e) != n:
+    d = np.asarray(d, dtype=float)
+    e = np.asarray(e, dtype=float)
+    if e.size + 1 != d.size:
         raise ValueError("subdiagonal must have length n-1")
-    z = [0.0] * n
-    if n:
-        z[n - 1] = 1.0
-    # absolute deflation floor an order below the unit-roundoff backward
-    # error of the reduction itself; without it the relative test churns
-    # forever on numerically rank-deficient inputs whose trailing d and e
-    # are all noise of comparable size
-    floor = 2.3e-17 * (max(map(abs, d), default=0.0) +
-                       max(map(abs, e), default=0.0))
-    for l in range(n):
-        for it in range(80):
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= 2.3e-16 * dd + floor:
-                    break
-                m += 1
-            if m == l:
-                break
-            if it == 79:
-                raise RuntimeError("QL iteration failed to converge")
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                if last_row:
-                    zi, zi1 = z[i], z[i + 1]
-                    z[i + 1] = s * zi + c * zi1
-                    z[i] = c * zi - s * zi1
-            if not underflow:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
-    vals = np.array(d)
-    order = np.argsort(vals, kind="stable")
+    T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     if last_row:
-        return vals[order], np.array(z)[order]
-    return vals[order]
+        vals, V = np.linalg.eigh(T)
+        return vals, V[-1]
+    return np.linalg.eigvalsh(T)
 
 
 def _split_signs(vals_desc: np.ndarray):
@@ -203,7 +154,11 @@ def _split_signs(vals_desc: np.ndarray):
 
 def dense_eig_oracle(target: Union[LinearMap, np.ndarray],
                      max_size: int = 4096) -> Spectrum:
-    """Full spectrum of a real symmetric map by in-repo Householder + QL."""
+    """Full spectrum of a real symmetric map or matrix (LAPACK eigvalsh).
+
+    The input must be square, real and symmetric to 1e-12 of its largest
+    entry, and at most max_size wide; it is symmetrized before the solve.
+    """
     if isinstance(target, LinearMap):
         if not target.symmetric:
             raise ValueError("dense oracle requires a symmetric map")
@@ -220,19 +175,23 @@ def dense_eig_oracle(target: Union[LinearMap, np.ndarray],
     if scale > 0 and float(np.max(np.abs(M - M.T))) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
     M = 0.5 * (M + M.T)
-    d, e = householder_tridiagonalize(M)
-    vals = tridiag_eigenvalues(d, e)[::-1]
+    vals = np.linalg.eigvalsh(M)[::-1]
     plus, minus = _split_signs(vals)
     return Spectrum(lambda_plus=plus, lambda_minus=minus,
                     singular=np.sort(np.abs(vals))[::-1],
                     residuals=np.zeros(vals.size),
                     meta={"dim": int(M.shape[0]), "iterations": int(M.shape[0]),
-                          "seed": None, "tol": 1e-10, "method": "householder+ql",
+                          "seed": None, "tol": 1e-10, "method": "dense",
                           "converged": True})
 
 
 # ---------------------------------------------------------------------------
 # Lanczos with full reorthogonalization
+
+# a Gram-Schmidt pass that keeps less than this fraction of the norm has
+# cancelled enough to lose orthogonality and is repeated once (Daniel,
+# Gragg, Kaufman & Stewart, Math. Comp. 30 (1976); ARPACK's dsaitr)
+_DGKS = 1.0 / math.sqrt(2.0)
 
 
 def _lanczos_sweep(lm: LinearMap, k: int, tol: float, max_iter: int,
@@ -255,11 +214,15 @@ def _lanczos_sweep(lm: LinearMap, k: int, tol: float, max_iter: int,
         v -= a * q
         if m > 0:
             v -= betas[m - 1] * basis[m - 1]
-        # full reorthogonalization, twice for numerical safety
-        for _ in range(2):
-            v -= basis[:m + 1].T @ (basis[:m + 1] @ v)
-        alphas[m] = a
+        # full reorthogonalization against the whole basis
+        B = basis[:m + 1]
+        before = float(np.linalg.norm(v))
+        v -= B.T @ (B @ v)
         b = float(np.linalg.norm(v))
+        if b < _DGKS * before:
+            v -= B.T @ (B @ v)
+            b = float(np.linalg.norm(v))
+        alphas[m] = a
         m += 1
         if b <= 1e-14 * max(1.0, float(np.max(np.abs(alphas[:m])))):
             if m >= n:
@@ -362,7 +325,8 @@ def singular_values(lm: LinearMap, k: int, tol: float = 1e-10,
 
     Real symmetric maps go through two-sided Lanczos (singular values
     are the merged absolute eigenvalues); anything else is densified and
-    run through the in-repo oracle on the Gram matrix of its smaller side.
+    its (possibly complex Hermitian) Gram matrix on the smaller side goes
+    to LAPACK eigvalsh.
     """
     if k < 1 or k > min(lm.rows, lm.cols):
         raise ValueError("need 1 <= k <= min(rows, cols)")
@@ -376,13 +340,7 @@ def singular_values(lm: LinearMap, k: int, tol: float = 1e-10,
         G = M.conj().T @ M
     else:
         G = M @ M.conj().T
-    if np.iscomplexobj(G):
-        # embed the Hermitian Gram into a real symmetric double cover;
-        # every eigenvalue appears twice, adjacent after sorting
-        R = np.block([[G.real, -G.imag], [G.imag, G.real]])
-        vals = dense_eig_oracle(R, max_size=2 * max_size).singular[::2]
-    else:
-        vals = dense_eig_oracle(G, max_size=max_size).singular
+    vals = np.linalg.eigvalsh(G)[::-1]
     if vals.size and vals[0] > 0:
         # Gram eigenvalues below squaring roundoff are exact zeros
         vals = np.where(vals < 1e-13 * vals[0], 0.0, vals)

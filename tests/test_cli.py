@@ -113,7 +113,7 @@ class TestSpectrum:
         spec = spectrum_from_csv(out_csv)
         assert spec.lambda_plus[0] > 0
 
-    @pytest.mark.parametrize("size,method", [(600, "householder+ql"),
+    @pytest.mark.parametrize("size,method", [(600, "dense"),
                                              (601, "lanczos")])
     def test_route_switches_at_dense_limit(self, tmp_path, capsys, size,
                                            method):

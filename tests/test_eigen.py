@@ -10,7 +10,8 @@ from helsonlab.eigen import (
     write_meta_sidecar,
 )
 from helsonlab.structured_ops import (
-    HelsonTruncation, LinearMap, build_helson, rank_one_dirichlet,
+    HelsonTruncation, LinearMap, build_helson, build_smooth_helson,
+    rank_one_dirichlet,
 )
 from helsonlab.symbols import SymbolSpec
 
@@ -195,6 +196,24 @@ class TestLanczos:
         lz = lanczos_extreme(lm, k=6, seed=3)
         dn = dense_eig_oracle(HelsonTruncation(spec_sym, 128).dense())
         assert np.allclose(lz.lambda_plus[:6], dn.lambda_plus[:6], rtol=1e-8)
+
+    def test_numerically_low_rank_section(self):
+        # the row-0 Gram section resolves only a handful of eigenvalues;
+        # later Lanczos vectors are mostly cancelled by the first
+        # Gram-Schmidt pass, which is where the second pass must run
+        lm = build_smooth_helson(SymbolSpec("helson_a"), 1024)
+        spec = lanczos_extreme(lm, k=20, which="both_ends", seed=0)
+        want = np.linalg.eigvalsh(lm.dense())
+        top = want[-1]
+        plus = spec.lambda_plus[spec.lambda_plus > 1e-8 * top]
+        minus = spec.lambda_minus[spec.lambda_minus > 1e-8 * top]
+        assert plus.size > 0
+        # elementwise against the exact ordered spectrum: a ghost copy
+        # would shift every later value off its partner
+        assert np.allclose(plus, want[::-1][:plus.size], rtol=0,
+                           atol=1e-10 * top)
+        assert np.allclose(minus, -want[:minus.size], rtol=0,
+                           atol=1e-10 * top)
 
     def test_psd_gram_bottom(self):
         rng = np.random.default_rng(30)
