@@ -365,11 +365,35 @@ def weighted_operator(kind: str, w_spec: SymbolSpec, grid: Grid) -> NystromOpera
 # wide-window section of the smooth additive kernel in log coordinates
 
 
+def _fft_length(L: int) -> int:
+    """Smallest 5-smooth length 2^a 3^b 5^c >= L."""
+    best = 1 << (L - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # smallest p35 * 2^a >= L
+            best = min(best, p35 << (-(-L // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _toeplitz_plans(tvals: np.ndarray, n_rows: int, n_cols: int):
-    """FFT plan for y_m = sum_q T[m-q] v_q with T[k] = tvals[k + n_cols - 1]."""
+    """FFT plan for y_m = sum_q T[m-q] v_q with T[k] = tvals[k + n_cols - 1].
+
+    Returns the transform length M and the transform of tvals at M.  Both
+    convolutions of the section's matvec read only outputs that do not
+    wrap at any M >= L = n_rows + n_cols - 1, the length of tvals: the
+    linear convolution of tvals with a vector of length p has outputs
+    0..L+p-2 and the matvec reads indices p-1..L-1, so output i takes its
+    alias i + M >= p-1+L, which lies past the last linear output.  M is
+    the smallest 5-smooth length at or above L (n = 16384: 33,750 points,
+    where the power of two above L + max(n_rows, n_cols) - 1 was 65,536).
+    """
     L = tvals.size
     assert L == n_rows + n_cols - 1
-    M = 1 << int(math.ceil(math.log2(L + max(n_rows, n_cols) - 1)))
+    M = _fft_length(L)
     return M, np.fft.rfft(tvals, n=M)
 
 
@@ -383,7 +407,9 @@ def log_window_smooth_section(alpha: float, n: int, step: float = 0.135,
     K(u,v) = integral of g(u-mu) g(v-mu) W(mu) dmu with g(d) = e^(d/2-e^d)
     and W(mu) = w(e^-mu), so the section over a uniform u-grid is E E^T
     for a Toeplitz-structured E; the matvec runs through two FFT
-    convolutions without materializing anything n x n.  map.dense forms
+    convolutions without materializing anything n x n, each at the
+    smallest 5-smooth length n + Q - 1 or above, where neither reads a
+    wrapped output (_toeplitz_plans).  map.dense forms
     E E^T explicitly and refuses windows with n * Q > 2^24 factor
     entries (Q quadrature nodes in mu).  Keeping the step
     fixed while n grows widens the window, which is the actual accuracy

@@ -81,10 +81,12 @@ def spectrum_from_csv(path) -> Spectrum:
 
 
 def write_meta_sidecar(spec: Spectrum, path) -> None:
-    """Solver metadata next to a spectrum CSV, convergence flag included."""
+    """Solver metadata next to a spectrum CSV: convergence flag, route, and
+    the noise floor and resolved count when the spectrum carries them."""
     keep = {k: spec.meta[k] for k in ("dim", "iterations", "seed", "tol",
                                       "converged", "method", "lambda_max_alg",
-                                      "lambda_min_alg")
+                                      "lambda_min_alg", "noise_floor",
+                                      "resolved")
             if k in spec.meta}
     with open(path, "w") as fh:
         json.dump(keep, fh)

@@ -14,7 +14,7 @@ import contextlib
 import json
 import math
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,6 +43,9 @@ _DENSE_LIMIT = 600
 
 # fewest resolved eigenvalues the matrix trend fit runs on
 _MIN_RESOLVED_FIT = 10
+
+# eigenvalues below this fraction of lambda_1^+ are solver noise
+_NOISE_FLOOR = 1e-8
 
 
 class StageError(RuntimeError):
@@ -123,11 +126,27 @@ def _zero_symbol(x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
-def _resolved_count(lam: np.ndarray, floor: float = 1e-8) -> int:
+def _resolved_count(lam: np.ndarray, floor: float = _NOISE_FLOOR) -> int:
     """Positive eigenvalues above floor * lambda_1 (solver noise cut)."""
     if lam.size == 0 or lam[0] <= 0:
         return 0
     return int(np.sum(lam >= floor * lam[0]))
+
+
+def _neg_to_pos_ratio(spec: Spectrum, n0: int, n1: int) -> float:
+    """Largest lambda_n^- / lambda_n^+ over n0 <= n <= n1 (1-based).
+
+    Negatives below _NOISE_FLOOR * lambda_1^+ count as zero, as in
+    negative_part_domination: past the resolved head a dense spectrum's
+    lambda_n^- are rounding noise, and their ratio reads the solver.
+    """
+    hi = min(n1, spec.lambda_minus.size)
+    if hi < n0:
+        return 0.0
+    neg = spec.lambda_minus[n0 - 1:hi]
+    pos = spec.lambda_plus[n0 - 1:hi]
+    keep = neg >= _NOISE_FLOOR * spec.lambda_plus[0]
+    return float(np.max(neg[keep] / pos[keep], initial=0.0))
 
 
 def solve(lm: LinearMap, solver: dict, k: Optional[int] = None,
@@ -159,7 +178,16 @@ def difference_section(spec: SymbolSpec, N: int) -> LinearMap:
 def _write_spectrum(spec: Spectrum, out_dir: pathlib.Path, name: str,
                     report: dict) -> None:
     """CSV and sidecar of one spectrum; a non-converged solve is listed
-    by name in report["unconverged"]."""
+    by name in report["unconverged"].
+
+    The CSV lists every eigenvalue the solver returned; the sidecar marks
+    which are resolved: noise_floor is _NOISE_FLOOR * lambda_1^+ and
+    resolved the count of positive eigenvalues at or above it.
+    """
+    lam1 = float(spec.lambda_plus[0]) if spec.lambda_plus.size else 0.0
+    spec = replace(spec, meta=dict(spec.meta,
+                                   noise_floor=_NOISE_FLOOR * max(lam1, 0.0),
+                                   resolved=_resolved_count(spec.lambda_plus)))
     csv_path = out_dir / f"{name}.csv"
     spectrum_to_csv(spec, csv_path)
     write_meta_sidecar(spec, out_dir / f"{name}.meta.json")
@@ -169,7 +197,7 @@ def _write_spectrum(spec: Spectrum, out_dir: pathlib.Path, name: str,
 
 
 def _top_agreement(sa: Spectrum, sb: Spectrum, count: int = 20,
-                   floor: float = 1e-8) -> dict:
+                   floor: float = _NOISE_FLOOR) -> dict:
     """Relative agreement of the leading positive eigenvalues.
 
     Entries below floor * lambda_1 on either side are excluded: matched
@@ -385,16 +413,9 @@ def run_chain(config: RunConfig) -> dict:
         else:
             n0 = max(2, m_res // 20)
             n1 = m_res
-        ratio = 0.0
-        m = spec_full.lambda_minus.size
-        for n in range(n0, n1 + 1):
-            if n <= m:
-                ratio = max(ratio, float(spec_full.lambda_minus[n - 1]
-                                         / spec_full.lambda_plus[n - 1]))
-        report["negativity"] = dict(dom, size=neg_size,
-                                    window=[n0, n1],
-                                    resolved_count=m_res,
-                                    max_neg_to_pos=ratio)
+        report["negativity"] = dict(
+            dom, size=neg_size, window=[n0, n1], resolved_count=m_res,
+            max_neg_to_pos=_neg_to_pos_ratio(spec_full, n0, n1))
 
     report_path = out_dir / "run_report.json"
     report_path.write_text(json.dumps(report, indent=1, sort_keys=True))

@@ -206,16 +206,26 @@ def _weight_rule(spec_w: SymbolSpec, Q: int):
 def _laplace_sum(x, nodes, om):
     """sum_q om_q e^(-x nodes_q) at every point x, any shape.
 
-    Walks the points in blocks so the points x nodes exponential never
-    exceeds _LAPLACE_BLOCK_BYTES, however many points are asked for.
+    Walks the points in blocks of at most _LAPLACE_BLOCK_BYTES of
+    exponentials, however many points are asked for.  Every block is
+    written into one reused points x nodes buffer: the exponent goes in
+    with multiply.outer(x, -nodes, out=) and exp overwrites it in place,
+    so the sum holds one block and its output, never a second temporary.
+    x * (-nodes) is the same float as -(x * nodes), so the values do not
+    depend on the buffering.
     """
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
     out = np.empty(flat.size)
     step = max(1, _LAPLACE_BLOCK_BYTES // (8 * nodes.size))
+    buf = np.empty((min(step, flat.size), nodes.size))
+    neg = -nodes
     for lo in range(0, flat.size, step):
-        out[lo:lo + step] = np.exp(-np.multiply.outer(flat[lo:lo + step],
-                                                      nodes)) @ om
+        hi = min(lo + step, flat.size)
+        blk = buf[:hi - lo]
+        np.multiply.outer(flat[lo:hi], neg, out=blk)
+        np.exp(blk, out=blk)
+        out[lo:hi] = blk @ om
     return out.reshape(x.shape)
 
 
@@ -537,12 +547,18 @@ def smooth_part_sequence(spec: SymbolSpec, n):
     jk = 1; zeroing the head is a rank-two dent that makes the section
     indefinite.  Multiplicative sections meant to be positive must be
     built from this flavor.
+
+    a0_quadrature runs once per distinct integer of n and the values are
+    scattered back: a product table j*k repeats most of its entries (the
+    N = 256 table has 17,412 distinct products above N among 64,070), and
+    each value is a sum over the whole weight rule.
     """
     n_arr = np.asarray(n)
     if np.any(n_arr < 1):
         raise DomainError("sequence indices start at 1")
-    vals = a0_quadrature(_weight_of(spec), np.asarray(n_arr, dtype=float))
-    return np.asarray(vals, dtype=float)
+    uniq, inv = np.unique(n_arr, return_inverse=True)
+    vals = a0_quadrature(_weight_of(spec), uniq.astype(float))
+    return vals[inv].reshape(n_arr.shape)
 
 
 def difference_part_sequence(spec: SymbolSpec, n):
@@ -552,7 +568,9 @@ def difference_part_sequence(spec: SymbolSpec, n):
     equals sequence_values of the full symbol entry by entry; under this
     flavor the head entries are -a0(1) and -a0(2) rather than 0, and a
     section of the full restricted symbol splits exactly into a positive
-    smooth section plus this difference section.
+    smooth section plus this difference section.  The smooth part comes
+    from smooth_part_sequence, one quadrature per distinct integer, and
+    is integrated afresh on every call.
     """
     full = SymbolSpec(kind="helson_a", alpha=spec.alpha, t0=spec.t0,
                       chi_lo=spec.chi_lo, chi_hi=spec.chi_hi, beta=spec.beta)

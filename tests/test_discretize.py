@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import helsonlab.discretize as discretize
 import helsonlab.symbols as symbols
 from helsonlab.discretize import (
     ConstructionError, Grid, change_of_variable, factor_N_dense,
@@ -16,6 +17,13 @@ from helsonlab.structured_ops import dense_matrix
 from helsonlab.symbols import SymbolSpec, _weight_values, kernel_fn, zeta1
 
 RNG = np.random.default_rng(7)
+
+
+def _is_5_smooth(m: int) -> bool:
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
 
 
 # ---------------------------------------------------------------------------
@@ -370,14 +378,36 @@ class TestWeightedOperator:
 
 class TestLogWindowSection:
     def test_fft_matvec_matches_materialized(self):
-        op = log_window_smooth_section(1.0, 160)
-        M = op.dense()
-        assert np.array_equal(M, M.T)
-        for _ in range(3):
-            u = RNG.standard_normal(160)
-            want = M @ u
-            got = op.map.apply(u)
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        for n in (160, 1000, 2048):
+            op = log_window_smooth_section(1.0, n)
+            M = op.dense()
+            assert np.array_equal(M, M.T)
+            for _ in range(3):
+                u = RNG.standard_normal(n)
+                want = M @ u
+                got = op.map.apply(u)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [160, 1000, 2048, 8192, 16384])
+    def test_transform_length_is_alias_free_and_5_smooth(self, monkeypatch,
+                                                         n):
+        plans = []
+        orig = discretize._toeplitz_plans
+
+        def recorded(tvals, n_rows, n_cols):
+            M, F = orig(tvals, n_rows, n_cols)
+            plans.append((n_rows, n_cols, M))
+            return M, F
+
+        monkeypatch.setattr(discretize, "_toeplitz_plans", recorded)
+        log_window_smooth_section(1.0, n)
+        [(rows, Q, M)] = plans
+        assert rows == n
+        # the smallest 5-smooth length that holds both convolutions
+        # without wrap-around, and never above the old power of two
+        assert _is_5_smooth(M) and M >= n + Q - 1
+        assert not any(_is_5_smooth(m) for m in range(n + Q - 1, M))
+        assert M <= 1 << (n + 2 * Q - 3).bit_length()
 
     def test_materialized_section_is_psd(self):
         op = log_window_smooth_section(0.5, 128)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import helsonlab.pipeline as pipeline
-from helsonlab.eigen import spectrum_from_csv
+from helsonlab.eigen import Spectrum, spectrum_from_csv
 from helsonlab.pipeline import (RunConfig, StageError, band_limited_symbol,
                                 cubic_bspline, restriction_ratio,
                                 restriction_schatten_experiment, run_chain,
@@ -153,6 +153,18 @@ class TestRunChain:
             meta = json.loads(path.read_text())
             assert meta["method"] == "dense", path.name
 
+    def test_sidecars_mark_resolved_entries(self, small_run):
+        cfg, _ = small_run
+        sidecars = sorted(pathlib.Path(cfg.out_dir).glob("*.meta.json"))
+        assert sidecars
+        for path in sidecars:
+            meta = json.loads(path.read_text())
+            spec = spectrum_from_csv(
+                path.with_name(path.name.replace(".meta.json", ".csv")))
+            assert meta["noise_floor"] == 1e-8 * spec.lambda_plus[0], path.name
+            assert meta["resolved"] == int(np.sum(
+                spec.lambda_plus >= meta["noise_floor"])), path.name
+
     def test_determinism(self, small_run, tmp_path):
         cfg, _ = small_run
         rerun_cfg = RunConfig.from_json(cfg.to_json())
@@ -168,6 +180,24 @@ class TestRunChain:
         fa = (pathlib.Path(cfg.out_dir) / "fit_report.json").read_bytes()
         fb = (pathlib.Path(rerun_cfg.out_dir) / "fit_report.json").read_bytes()
         assert fa == fb
+
+
+class TestNegToPosRatio:
+    @staticmethod
+    def _spectrum(minus):
+        plus = 1.0 / np.arange(1, 21)
+        return Spectrum(lambda_plus=plus, lambda_minus=np.asarray(minus),
+                        singular=np.array([]), residuals=np.array([]))
+
+    def test_noise_negatives_read_zero(self):
+        spec = self._spectrum(np.full(20, 1e-12))
+        assert pipeline._neg_to_pos_ratio(spec, 2, 20) == 0.0
+
+    def test_genuine_negative_counts(self):
+        # lambda_2^- = 1e-3 lambda_1 against lambda_2^+ = lambda_1 / 2
+        spec = self._spectrum(np.array([0.5, 1e-3] + [1e-12] * 18))
+        assert pipeline._neg_to_pos_ratio(spec, 2, 20) == pytest.approx(2e-3)
+        assert pipeline._neg_to_pos_ratio(spec, 3, 20) == 0.0
 
 
 def test_unconverged_solve_listed_in_report(tmp_path):

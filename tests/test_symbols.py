@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import helsonlab.symbols as symbols
 from helsonlab.symbols import (
     DomainError, SequenceSpec, SymbolSpec, a0_quadrature, a1_residual,
     b0_quadrature, chi_cutoff, difference_part_sequence, eval_symbol,
@@ -196,6 +198,32 @@ class TestRestrict:
         assert np.linalg.eigvalsh(A_r)[0] < -1e-3 * ev[-1]
 
 
+    def test_smooth_part_integrates_each_distinct_product_once(
+            self, monkeypatch):
+        # the N = 64 product table has 4096 entries: the 64 values up to N
+        # and 1,199 distinct products above it
+        spec = SymbolSpec("helson_a")
+        n = np.arange(1, 65)
+        prod = np.multiply.outer(n, n)
+        orig = symbols.a0_quadrature
+        seen = []
+
+        def counted(spec_w, t, *args, **kwargs):
+            seen.append(np.array(t, dtype=float).ravel())
+            return orig(spec_w, t, *args, **kwargs)
+
+        monkeypatch.setattr(symbols, "a0_quadrature", counted)
+        got = smooth_part_sequence(spec, prod)
+        points = np.concatenate(seen)
+        assert points.size == 1199 + 64
+        assert np.array_equal(np.sort(points), np.unique(prod).astype(float))
+        assert got.shape == prod.shape
+        w = symbols._weight_of(spec)
+        per_point = {v: orig(w, float(v)) for v in np.unique(prod)}
+        want = np.vectorize(per_point.get)(prod)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
 def _weight_values_for_test(w: SymbolSpec, lam: np.ndarray) -> np.ndarray:
     # direct re-evaluation of the parametric weight, bypassing the
     # package quadrature machinery
@@ -269,6 +297,28 @@ class TestA0Quadrature:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             a0_quadrature(SymbolSpec("weight_w"), 0.5)
+
+
+class TestLaplaceSum:
+    def test_holds_one_block_and_matches_one_shot_formula(self):
+        # 20k points x 2,000 nodes is 320 MB of exponentials; the sum may
+        # hold one _LAPLACE_BLOCK_BYTES buffer and its output at a time
+        x = np.linspace(0.0, 40.0, 20000)
+        nodes, om = symbols._weight_rule(SymbolSpec("weight_w"), 2000)
+        assert nodes.size == 2000
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = symbols._laplace_sum(x, nodes, om)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # 1 MB of slack covers the ufunc's own iteration buffers (~128 kB)
+        assert peak <= symbols._LAPLACE_BLOCK_BYTES + got.nbytes + (1 << 20)
+        # one-shot formula on every 7th point, which reaches every block
+        sub = slice(None, None, 7)
+        want = np.exp(-np.multiply.outer(x[sub], nodes)) @ om
+        np.testing.assert_allclose(got[sub], want, rtol=1e-15, atol=0.0)
 
 
 class TestB0Quadrature:
