@@ -17,6 +17,11 @@ import numpy as np
 from helsonlab.eigen import Spectrum
 from helsonlab.symbols import QuadratureError
 
+# eigenvalues below this fraction of lambda_1^+ are solver noise: the
+# pipeline's resolved counts, sidecars and cross-row checks and the
+# negative-part checks here all cut at it
+NOISE_FLOOR = 1e-8
+
 
 def kappa(alpha: float) -> float:
     """Tail constant: 2^-a pi^(1-2a) Beta(1/(2a), 1/2)^a.
@@ -311,12 +316,11 @@ def negative_part_domination(full_spec: Spectrum, a1_spec: Spectrum,
 
     Valid only when the smooth part is positive semidefinite, so a
     certified spectrum of its truncation is required.  Negative
-    eigenvalues below 1e-8 times the larger lambda_1^+ of the two
-    spectra (the solver noise floor of the pipeline's resolved counts)
-    count as zero on both sides, so
-    n_checked is the number of genuine negatives; the shorter list is
-    padded with zeros (a truncation has finitely many negative
-    eigenvalues and the rest are zero).
+    eigenvalues below NOISE_FLOOR times the larger lambda_1^+ of the
+    two spectra count as zero on both sides, so n_checked is the number
+    of genuine negatives; the shorter list is padded with zeros (a
+    truncation has finitely many negative eigenvalues and the rest are
+    zero).
     """
     lam_max = a0_spec.lambda_plus[0] if a0_spec.lambda_plus.size else 0.0
     neg = a0_spec.meta.get("lambda_min_alg")
@@ -327,8 +331,8 @@ def negative_part_domination(full_spec: Spectrum, a1_spec: Spectrum,
                          f"min eigenvalue {neg:g} vs top {lam_max:g}")
     top = max(float(sp.lambda_plus[0]) if sp.lambda_plus.size else 0.0
               for sp in (full_spec, a1_spec))
-    nf = full_spec.lambda_minus[full_spec.lambda_minus >= 1e-8 * top]
-    na = a1_spec.lambda_minus[a1_spec.lambda_minus >= 1e-8 * top]
+    nf = full_spec.lambda_minus[full_spec.lambda_minus >= NOISE_FLOOR * top]
+    na = a1_spec.lambda_minus[a1_spec.lambda_minus >= NOISE_FLOOR * top]
     m = max(nf.size, na.size)
     nf = np.pad(nf, (0, m - nf.size))
     na = np.pad(na, (0, m - na.size))

@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from helsonlab.asymptotics import default_fit_window, fit_power_tail, kappa
+from helsonlab.asymptotics import (NOISE_FLOOR, default_fit_window,
+                                   fit_power_tail, kappa)
 from helsonlab.discretize import (ConstructionError, factor_N_dense,
                                   make_grid, nystrom_hankel, nystrom_helson,
                                   v_matched_grids, weighted_operator)
@@ -257,7 +258,7 @@ def _suite_factorization(seed: int):
                    matvec=lambda u: F.T @ (F @ u),
                    description="quadrature-side gram")
     big = lanczos_extreme(lm, k=10, which="largest", seed=seed).lambda_plus
-    keep = small >= 1e-8 * small[0]
+    keep = small >= NOISE_FLOOR * small[0]
     m = min(int(keep.sum()), big.size)
     rel = float(np.max(np.abs(small[:m] - big[:m]) / small[:m]))
     checks.append((rel <= 1e-8,

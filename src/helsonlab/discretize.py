@@ -388,8 +388,7 @@ def _toeplitz_plans(tvals: np.ndarray, n_rows: int, n_cols: int):
     linear convolution of tvals with a vector of length p has outputs
     0..L+p-2 and the matvec reads indices p-1..L-1, so output i takes its
     alias i + M >= p-1+L, which lies past the last linear output.  M is
-    the smallest 5-smooth length at or above L (n = 16384: 33,750 points,
-    where the power of two above L + max(n_rows, n_cols) - 1 was 65,536).
+    the smallest 5-smooth length at or above L.
     """
     L = tvals.size
     assert L == n_rows + n_cols - 1

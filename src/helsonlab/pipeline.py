@@ -22,7 +22,8 @@ import numpy as np
 from helsonlab._svg import loglog_figure
 # default_fit_window is unused here but stays importable from this module:
 # perfbench/spans.py wraps pipeline.default_fit_window by name
-from helsonlab.asymptotics import (default_fit_window,  # noqa: F401
+from helsonlab.asymptotics import (NOISE_FLOOR,
+                                   default_fit_window,  # noqa: F401
                                    fit_power_tail, kappa,
                                    negative_part_domination)
 from helsonlab.discretize import (log_window_smooth_section, make_grid,
@@ -43,9 +44,6 @@ _DENSE_LIMIT = 600
 
 # fewest resolved eigenvalues the matrix trend fit runs on
 _MIN_RESOLVED_FIT = 10
-
-# eigenvalues below this fraction of lambda_1^+ are solver noise
-_NOISE_FLOOR = 1e-8
 
 
 class StageError(RuntimeError):
@@ -126,17 +124,17 @@ def _zero_symbol(x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
-def _resolved_count(lam: np.ndarray, floor: float = _NOISE_FLOOR) -> int:
-    """Positive eigenvalues above floor * lambda_1 (solver noise cut)."""
+def _resolved_count(lam: np.ndarray) -> int:
+    """Positive eigenvalues at or above NOISE_FLOOR * lambda_1."""
     if lam.size == 0 or lam[0] <= 0:
         return 0
-    return int(np.sum(lam >= floor * lam[0]))
+    return int(np.sum(lam >= NOISE_FLOOR * lam[0]))
 
 
 def _neg_to_pos_ratio(spec: Spectrum, n0: int, n1: int) -> float:
     """Largest lambda_n^- / lambda_n^+ over n0 <= n <= n1 (1-based).
 
-    Negatives below _NOISE_FLOOR * lambda_1^+ count as zero, as in
+    Negatives below NOISE_FLOOR * lambda_1^+ count as zero, as in
     negative_part_domination: past the resolved head a dense spectrum's
     lambda_n^- are rounding noise, and their ratio reads the solver.
     """
@@ -145,7 +143,7 @@ def _neg_to_pos_ratio(spec: Spectrum, n0: int, n1: int) -> float:
         return 0.0
     neg = spec.lambda_minus[n0 - 1:hi]
     pos = spec.lambda_plus[n0 - 1:hi]
-    keep = neg >= _NOISE_FLOOR * spec.lambda_plus[0]
+    keep = neg >= NOISE_FLOOR * spec.lambda_plus[0]
     return float(np.max(neg[keep] / pos[keep], initial=0.0))
 
 
@@ -181,12 +179,12 @@ def _write_spectrum(spec: Spectrum, out_dir: pathlib.Path, name: str,
     by name in report["unconverged"].
 
     The CSV lists every eigenvalue the solver returned; the sidecar marks
-    which are resolved: noise_floor is _NOISE_FLOOR * lambda_1^+ and
+    which are resolved: noise_floor is NOISE_FLOOR * lambda_1^+ and
     resolved the count of positive eigenvalues at or above it.
     """
     lam1 = float(spec.lambda_plus[0]) if spec.lambda_plus.size else 0.0
     spec = replace(spec, meta=dict(spec.meta,
-                                   noise_floor=_NOISE_FLOOR * max(lam1, 0.0),
+                                   noise_floor=NOISE_FLOOR * max(lam1, 0.0),
                                    resolved=_resolved_count(spec.lambda_plus)))
     csv_path = out_dir / f"{name}.csv"
     spectrum_to_csv(spec, csv_path)
@@ -196,27 +194,26 @@ def _write_spectrum(spec: Spectrum, out_dir: pathlib.Path, name: str,
         report["unconverged"].append(name)
 
 
-def _top_agreement(sa: Spectrum, sb: Spectrum, count: int = 20,
-                   floor: float = _NOISE_FLOOR) -> dict:
+def _top_agreement(sa: Spectrum, sb: Spectrum, count: int = 20) -> dict:
     """Relative agreement of the leading positive eigenvalues.
 
-    Entries below floor * lambda_1 on either side are excluded: matched
+    Entries below NOISE_FLOOR * lambda_1 on either side are excluded: matched
     discretizations agree entrywise to rounding, so eigenvalues under
     the solver's absolute noise floor carry no information and their
     relative differences are meaningless.
     """
     m = min(sa.lambda_plus.size, sb.lambda_plus.size, count)
     if m == 0:
-        return {"compared": 0, "max_rel_diff": 0.0, "floor": floor}
+        return {"compared": 0, "max_rel_diff": 0.0, "floor": NOISE_FLOOR}
     a = sa.lambda_plus[:m]
     b = sb.lambda_plus[:m]
     top = max(float(a[0]), float(b[0]), 1e-300)
-    keep = (a >= floor * top) & (b >= floor * top)
+    keep = (a >= NOISE_FLOOR * top) & (b >= NOISE_FLOOR * top)
     if not np.any(keep):
-        return {"compared": 0, "max_rel_diff": 0.0, "floor": floor}
+        return {"compared": 0, "max_rel_diff": 0.0, "floor": NOISE_FLOOR}
     rel = np.abs(a[keep] - b[keep]) / np.abs(a[keep])
     return {"compared": int(np.count_nonzero(keep)),
-            "max_rel_diff": float(np.max(rel)), "floor": floor}
+            "max_rel_diff": float(np.max(rel)), "floor": NOISE_FLOOR}
 
 
 def run_chain(config: RunConfig) -> dict:

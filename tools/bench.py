@@ -7,10 +7,12 @@ Run from the repository root:
 The parent's committed files are unpacked into .bench_build/ with
 ``git archive``; the working tree is the change. For every workload that
 BENCHMARK.json declares, each tree runs its own, unchanged benchmark
-command (perfbench/run.py) in --pairs alternating pairs with --trace 0
-and BENCHMARK.json's run_seconds: pair i gives both sides the seed
---seed + i, and the parent runs first in even pairs, the change in odd
-ones. Then each side runs once with --trace 1 for the layer split.
+command (perfbench/run.py) in PAIRS = 10 alternating pairs with
+--trace 0 and BENCHMARK.json's run_seconds: pair i gives both sides the
+seed SEED + i (SEED = 1), and the parent runs first in even pairs, the
+change in odd ones. Then each side runs once with --trace 1 and seed
+SEED + PAIRS for the layer split. Both are fixed so that every BENCH
+file follows the same protocol.
 
 The output file holds the environment, every sample (one run.py result
 per side and pair), each side's median, q1 and q3 of every end-to-end
@@ -37,6 +39,8 @@ import tarfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 BUILD = ROOT / ".bench_build"
+PAIRS = 10
+SEED = 1
 
 
 def git(*args: str) -> str:
@@ -134,8 +138,6 @@ def main(argv=None) -> int:
                         help="git revision of the parent side")
     parser.add_argument("--out", required=True, type=pathlib.Path,
                         help="BENCH_<n>.json to write")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     command = [sys.executable if c in ("python", "python3") else c
@@ -144,7 +146,7 @@ def main(argv=None) -> int:
     sha, parent_tree = unpack_parent(args.parent)
     trees = {"parent": parent_tree, "change": ROOT}
     doc = {"environment": environment(sha), "command": bench["command"],
-           "run_seconds": seconds, "pairs_per_workload": args.pairs,
+           "run_seconds": seconds, "pairs_per_workload": PAIRS,
            "workloads": {}}
 
     def save():
@@ -153,8 +155,8 @@ def main(argv=None) -> int:
     for wl in (w["name"] for w in bench["workloads"]):
         rec = {"pairs": [], "traced": {}}
         doc["workloads"][wl] = rec
-        for i in range(args.pairs):
-            seed = args.seed + i
+        for i in range(PAIRS):
+            seed = SEED + i
             order = ("parent", "change") if i % 2 == 0 else ("change",
                                                               "parent")
             pair = {"seed": seed, "first": order[0]}
@@ -169,7 +171,7 @@ def main(argv=None) -> int:
             save()
         for side in ("parent", "change"):
             rec["traced"][side] = run_once(command, trees[side], wl,
-                                           args.seed + args.pairs,
+                                           SEED + PAIRS,
                                            seconds, 1)
             print(f"{wl} traced {side} done", file=sys.stderr, flush=True)
             save()
