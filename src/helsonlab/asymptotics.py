@@ -7,7 +7,6 @@ assembly.  The tail constant takes Gamma from the standard library
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -150,12 +149,6 @@ def laplace_I(ell: int, alpha: float, c: float, x: float,
     raise QuadratureError("laplace_I refinement did not converge")
 
 
-def laplace_ratio(ell: int, alpha: float, c: float, x: float) -> float:
-    """laplace_I scaled by its leading asymptote ell! x^-(1+ell) (log x)^-alpha."""
-    val = laplace_I(ell, alpha, c, x)
-    return val * x ** (1 + ell) * math.log(x) ** alpha / math.factorial(ell)
-
-
 # ---------------------------------------------------------------------------
 # kernel decay certification
 
@@ -269,45 +262,6 @@ def verify_kernel_decay(b: Callable, gamma: float, spec: DecaySpec,
                      "inconclusive": inconclusive})
     return {"gamma": gamma, "m": spec.m, "rows": rows,
             "pass": all(r["pass"] for r in rows)}
-
-
-def decay_report_csv(report: dict, path) -> None:
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["ell", "sup_ratio_end0", "sup_ratio_end_inf", "pass"])
-        for r in report["rows"]:
-            wr.writerow([r["ell"], "%.17g" % r["sup_ratio_end0"],
-                         "%.17g" % r["sup_ratio_end_inf"],
-                         int(r["pass"])])
-
-
-# ---------------------------------------------------------------------------
-# spectral comparisons
-
-
-def stability_compare(spec_a: Spectrum, spec_b: Spectrum, gamma: float) -> dict:
-    """Trailing-window proxies for limsup/liminf of n^gamma lambda_n.
-
-    True limits are not observable from finite data; the proxies are the
-    max/min of n^gamma lambda_n over the trailing third of the common
-    index window, reported for both inputs with their gaps.  The report
-    is label-symmetric.
-    """
-    la = spec_a.lambda_plus
-    lb = spec_b.lambda_plus
-    m = min(la.size, lb.size)
-    if m < 9:
-        raise ValueError("common window too short")
-    n = np.arange(1, m + 1, dtype=float)
-    third = m - m // 3
-    ra = n[third:] ** gamma * la[third:m]
-    rb = n[third:] ** gamma * lb[third:m]
-    out = {"window": (third + 1, m), "gamma": gamma,
-           "limsup_a": float(ra.max()), "liminf_a": float(ra.min()),
-           "limsup_b": float(rb.max()), "liminf_b": float(rb.min())}
-    out["gap_limsup"] = abs(out["limsup_a"] - out["limsup_b"])
-    out["gap_liminf"] = abs(out["liminf_a"] - out["liminf_b"])
-    return out
 
 
 def negative_part_domination(full_spec: Spectrum, a1_spec: Spectrum,

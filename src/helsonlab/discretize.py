@@ -3,13 +3,16 @@
 Additive kernels K(x+y) live on half-line grids, multiplicative kernels
 K(ts) on grids in (1, inf); both are assembled in the symmetric form
 sqrt(w) K sqrt(w) so the result feeds the symmetric eigensolver directly.
-The smooth kernels (Laplace transforms of a weight) get an exact Gram
-fast path: the section is formed as E E^T over the shared quadrature
-rule of the weight, which makes positive semidefiniteness a property of
-the construction rather than a numerical accident.  The difference
-kernels a1 = a - a0 and b1 = b - b0 reuse that factor: their section is
-the closed-form full kernel, assembled entrywise, minus the same E E^T,
-so no entry is ever a quadrature sum of its own.
+The matched grid pair of v_matched_grids carries one onto the other
+under t = e^x.  The smooth kernels (Laplace transforms of a weight) get
+an exact Gram fast path: the section is formed as E E^T over the shared
+quadrature rule of the weight, which makes positive semidefiniteness a
+property of the construction rather than a numerical accident; on the
+multiplicative side E is the Dirichlet-exponential factor of
+structured_ops, as is the integer-side factor of factor_N_dense.  The
+difference kernels a1 = a - a0 and b1 = b - b0 reuse that factor: their
+section is the closed-form full kernel, assembled entrywise, minus the
+same E E^T, so no entry is ever a quadrature sum of its own.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from helsonlab.structured_ops import LinearMap
+from helsonlab.structured_ops import LinearMap, _dirichlet_factor
 from helsonlab.symbols import (
     SymbolSpec, _weight_of, _weight_rule, _weight_support, _weight_values,
     chi_cutoff, kernel_fn, special_kernels, zeta1,
@@ -139,7 +142,8 @@ def v_matched_grids(x_domain, n: int):
 
     The pair discretizes the change of variable that carries additive
     sections onto multiplicative ones; entries of matched Nystrom
-    matrices coincide to rounding.
+    matrices coincide to rounding.  The weights match exactly,
+    w_t = w_x * t, so (Vf)(t) = t^(-1/2) f(log t) keeps discrete norms.
     """
     gx = make_grid(x_domain, n, "uniform")
     if x_domain[1] > 700.0:
@@ -152,23 +156,6 @@ def v_matched_grids(x_domain, n: int):
     gt = Grid(nodes=t, weights=wt, spacing="geometric",
               domain=(float(t[0]), float(t[-1])))
     return gx, gt
-
-
-def change_of_variable(f, uniform_grid: Grid, geometric_grid: Grid):
-    """(Vf)(t) = t^(-1/2) f(log t) on the matched grid pair.
-
-    Discrete norms match exactly: the 1/t from |Vf|^2 cancels the t in
-    the geometric weights.
-    """
-    f = np.asarray(f, dtype=float)
-    if f.shape != uniform_grid.nodes.shape:
-        raise ValueError("f must live on the uniform grid")
-    t = geometric_grid.nodes
-    if t.shape != uniform_grid.nodes.shape or not np.allclose(
-            t, np.exp(uniform_grid.nodes), rtol=1e-12, atol=0):
-        raise ValueError("geometric grid is not the exponential image "
-                         "of the uniform grid")
-    return f / np.sqrt(t)
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +182,11 @@ def _kernel_callable(kernel) -> Callable:
     raise TypeError("kernel must be a SymbolSpec or a callable")
 
 
-def _check_singularity(kernel, grid: Grid, combine: str) -> None:
-    if isinstance(kernel, SymbolSpec) and kernel.kind in _SINGULAR_AT_ZERO:
-        lo = grid.domain[0]
-        if (combine == "sum" and lo <= 0) or (combine == "product" and lo <= 0):
-            raise ConstructionError(
-                f"{kernel.kind} kernel is singular at 0: need lo > 0")
+def _check_singularity(kernel, grid: Grid) -> None:
+    if isinstance(kernel, SymbolSpec) and kernel.kind in _SINGULAR_AT_ZERO \
+            and grid.domain[0] <= 0:
+        raise ConstructionError(
+            f"{kernel.kind} kernel is singular at 0: need lo > 0")
 
 
 def _assemble(fn: Callable, grid: Grid, combine: str) -> np.ndarray:
@@ -232,17 +218,18 @@ def _gram_fast_path(spec: SymbolSpec, grid: Grid, combine: str,
     The section sqrt(w_m) K sqrt(w_n) with K the transform of a weight
     rho is E E^T for E_mq = sqrt(w_m) phi(x_m, l_q) sqrt(rho_q), using
     the same cached rule as the scalar quadrature, so the two agree to
-    rounding and the section is PSD by construction.
+    rounding and the section is PSD by construction.  On the product
+    side phi(t, l) sqrt(rho) is the Dirichlet-exponential factor.
     """
     lam, rho = _weight_rule(_weight_of(spec), Q)
     if np.any(rho < 0):
         raise ConstructionError("weight rule produced negative masses")
     x = grid.nodes
     if combine == "sum":
-        expo = -np.multiply.outer(x, lam)
+        E = np.exp(-np.multiply.outer(x, lam)) * np.sqrt(rho)[None, :]
     else:
-        expo = -np.multiply.outer(np.log(x), lam) - 0.5 * np.log(x)[:, None]
-    E = np.exp(expo) * np.sqrt(rho)[None, :]
+        with np.errstate(divide="ignore"):
+            E = _dirichlet_factor(x, lam, np.log(rho))
     E *= np.sqrt(grid.weights)[:, None]
     return E @ E.T
 
@@ -279,7 +266,7 @@ def nystrom_hankel(b, grid: Grid, max_nodes: int = 4096) -> NystromOperator:
     """
     if grid.n > max_nodes:
         raise ConstructionError(f"dense assembly capped at {max_nodes} nodes")
-    _check_singularity(b, grid, "sum")
+    _check_singularity(b, grid)
     return _wrap_operator(_section(b, grid, "sum"), grid, b,
                           "additive-kernel")
 
@@ -322,14 +309,12 @@ def factor_N_dense(w_spec: SymbolSpec, J: int, grid: Grid) -> np.ndarray:
     if J < 1:
         raise ValueError("J must be positive")
     _coverage_check(w_spec, grid)
-    x = grid.nodes
-    wvals = np.atleast_1d(_weight_values(w_spec, x))
+    wvals = np.atleast_1d(_weight_values(w_spec, grid.nodes))
     if np.any(wvals < 0):
         raise ConstructionError("weight takes negative values on the grid")
-    j = np.arange(1, J + 1, dtype=float)
-    F = np.exp(np.multiply.outer(-np.log(j), x + 0.5))
-    F *= np.sqrt(wvals * grid.weights)[None, :]
-    return F
+    with np.errstate(divide="ignore"):
+        return _dirichlet_factor(np.arange(1, J + 1, dtype=float),
+                                 grid.nodes, np.log(wvals * grid.weights))
 
 
 def weighted_operator(kind: str, w_spec: SymbolSpec, grid: Grid) -> NystromOperator:

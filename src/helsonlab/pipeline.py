@@ -34,6 +34,7 @@ from helsonlab.eigen import (Spectrum, dense_eig_oracle, lanczos_extreme,
                              write_meta_sidecar)
 from helsonlab.schatten import schatten_norm
 from helsonlab.structured_ops import (HelsonTruncation, LinearMap,
+                                      _helson_gram, _smooth_nodes,
                                       build_helson, build_smooth_helson)
 from helsonlab.symbols import (SymbolSpec, difference_part_sequence,
                                sequence_values, smooth_part_sequence)
@@ -41,9 +42,6 @@ from helsonlab.symbols import (SymbolSpec, difference_part_sequence,
 # solve() gives sections at or below this order the full dense spectrum;
 # above it the solver reports solver["k"] certified extreme pairs instead
 _DENSE_LIMIT = 600
-
-# fewest resolved eigenvalues the matrix trend fit runs on
-_MIN_RESOLVED_FIT = 10
 
 
 class StageError(RuntimeError):
@@ -103,18 +101,18 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, blob: dict) -> "RunConfig":
+        """Inverse of to_json; a missing key keeps the field's default."""
+        kwargs = {k: blob[k] for k in ("alpha", "sizes", "helson_cap",
+                                       "solver", "weight_zero",
+                                       "negativity_size") if k in blob}
         grids = blob.get("grids", {})
-        kwargs = {
-            "alpha": blob.get("alpha", 1.0),
-            "sizes": tuple(blob.get("sizes", (512, 1024, 2048, 4096, 8192))),
-            "helson_cap": blob.get("helson_cap", 4096),
-            "x_domain": (grids.get("x_lo", 0.0), grids.get("x_hi", 30.0)),
-            "nystrom_n": grids.get("n", 220),
-            "solver": blob.get("solver", {}),
-            "out_dir": blob.get("outputs", {}).get("dir", "chain_out"),
-            "weight_zero": blob.get("weight_zero", False),
-            "negativity_size": blob.get("negativity_size", 512),
-        }
+        if "x_lo" in grids or "x_hi" in grids:
+            lo, hi = cls.x_domain
+            kwargs["x_domain"] = (grids.get("x_lo", lo), grids.get("x_hi", hi))
+        if "n" in grids:
+            kwargs["nystrom_n"] = grids["n"]
+        if "dir" in blob.get("outputs", {}):
+            kwargs["out_dir"] = blob["outputs"]["dir"]
         if blob.get("fit_window"):
             kwargs["fit_window"] = tuple(blob["fit_window"])
         return cls(**kwargs)
@@ -163,14 +161,13 @@ def solve(lm: LinearMap, solver: dict, k: Optional[int] = None,
 
 
 def difference_section(spec: SymbolSpec, N: int) -> LinearMap:
-    """Row-1 matrix section: the full symbol minus its factored smooth part."""
-    m_full = build_helson(spec, N)
-    m0 = build_smooth_helson(spec, N)
-    return LinearMap(
-        rows=N, cols=N, symmetric=True,
-        matvec=lambda u: m_full.matvec(u) - m0.matvec(u),
-        description=f"difference multiplicative section N={N}",
-        dense=lambda: m_full.dense() - m0.dense())
+    """Row-1 matrix section a(jk) - a0(jk) as one signed Gram section.
+
+    The full symbol's exponential-sum factor (sign +) and the smooth
+    part's weight-rule factor (sign -) sit side by side in one factor,
+    with the exact a(k) as row and column 1, as in build_helson.
+    """
+    return _helson_gram(spec, N, *_smooth_nodes(spec))
 
 
 def _write_spectrum(spec: Spectrum, out_dir: pathlib.Path, name: str,
@@ -335,8 +332,9 @@ def run_chain(config: RunConfig) -> dict:
         fits = {}
         # headline: the smooth additive kernel in log coordinates at the
         # top ladder size, the one object whose tail corrections shrink
-        # fast enough to observe the power law at desk scale.  The
-        # combined matrix only gets a trend check.
+        # fast enough to observe the power law at desk scale.  Matrix
+        # sections get no fit: they resolve only 8-9 eigenvalues above
+        # the noise floor, in geometric rather than power-law decay.
         n_top = config.sizes[-1]
         if not config.weight_zero:
             window = config.fit_window or (20, 200)
@@ -364,24 +362,6 @@ def run_chain(config: RunConfig) -> dict:
                     title=f"tail fit, alpha={alpha:g}",
                     x_label="n", y_label="lambda_n")
                 artifacts.append(str(out_dir / "fit_figure.svg"))
-        # matrix truncations resolve only O(log N) tail eigenvalues before
-        # the solver floor (the multiplicative section is near rank-one,
-        # unfolding logarithmically), so the trend fit runs over the
-        # resolved range when it is long enough and is refused otherwise
-        big = combined[matrix_sizes[-1]]
-        m_res = _resolved_count(big.lambda_plus)
-        if m_res >= _MIN_RESOLVED_FIT:
-            win_m = (max(2, m_res // 20), m_res)
-            fit = fit_power_tail(big.lambda_plus, win_m)
-            fits["matrix_trend"] = dict(fit.to_json(),
-                                        object="combined_matrix",
-                                        resolved_count=m_res,
-                                        window=list(win_m))
-        else:
-            fits["matrix_trend"] = {
-                "object": "combined_matrix", "resolved_count": m_res,
-                "refused": f"{m_res} resolved eigenvalues, a fit needs "
-                           f"at least {_MIN_RESOLVED_FIT}"}
         report["fits"] = fits
         fit_path = out_dir / "fit_report.json"
         fit_path.write_text(json.dumps(fits, indent=1, sort_keys=True))

@@ -1,22 +1,17 @@
-"""Schatten functionals, the dyadic trace-class estimator, sampling checks.
+"""Schatten functionals and the band-limited sampling check.
 
 Singular-value functionals are computed exactly from their defining
-sums.  The dyadic estimator realizes the window as a difference of
-shifted smoothstep ramps in log2, which makes the partition of unity
-telescope to 1 exactly instead of relying on numerical normalization.
+sums; the p = 2 sampling identity is checked against an exact B-spline
+Gram form rather than by quadrature.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
-
-from helsonlab.structured_ops import LinearMap, dense_matrix, rank_one_dirichlet
-from helsonlab.symbols import smoothstep
 
 
 def _check_singular(s) -> np.ndarray:
@@ -93,123 +88,6 @@ def schatten_report(s, p: float, q: Optional[float] = None) -> SchattenReport:
                 tail = math.inf
     return SchattenReport(p=p, q=q_eff, value=value, n_used=int(m),
                           tail_estimate=tail)
-
-
-# ---------------------------------------------------------------------------
-# dyadic window and the trace-class estimator
-
-
-def dyadic_window(y) -> np.ndarray:
-    """Smooth bump supported on (1/2, 2) whose dyadic dilates sum to 1.
-
-    w(2^u) = r(u) - r(u-1) for the smoothstep ramp r on [-1, 0]; the sum
-    over n of w(x/2^n) telescopes to 1 exactly for every x > 0.
-    """
-    y_in = np.asarray(y, dtype=float)
-    y_arr = np.atleast_1d(y_in)
-    out = np.zeros_like(y_arr)
-    pos = y_arr > 0
-    u = np.log2(y_arr[pos])
-    out[pos] = smoothstep(u + 1.0) - smoothstep(u)
-    return out if y_in.ndim else float(out[0])
-
-
-def dyadic_cutoff(y, n_lo: int, n_hi: int) -> np.ndarray:
-    """Partial sum of dyadic windows: 1 on [2^n_lo, 2^n_hi], smooth edges.
-
-    Telescopes to a difference of two ramps, so it never accumulates
-    rounding from summing the individual windows.
-    """
-    y_in = np.asarray(y, dtype=float)
-    y_arr = np.atleast_1d(y_in)
-    out = np.zeros_like(y_arr)
-    pos = y_arr > 0
-    u = np.log2(y_arr[pos])
-    out[pos] = smoothstep(u - n_lo + 1.0) - smoothstep(u - n_hi)
-    return out if y_in.ndim else float(out[0])
-
-
-@dataclass
-class DyadicDecomposition:
-    p: float
-    n_range: tuple
-    pieces: list = field(repr=False)
-    piece_norms: np.ndarray = field(repr=False)
-    error_estimates: np.ndarray = field(repr=False)
-    unresolved: list = field(repr=False)
-    total: float = 0.0
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["n", "piece_norm", "error_estimate"])
-            for n, v, e in zip(range(self.n_range[0], self.n_range[1] + 1),
-                               self.piece_norms, self.error_estimates):
-                wr.writerow([n, "%.17g" % v, "%.17g" % e])
-
-
-def _piece_fn(b: Callable, n: int) -> Callable:
-    lo, hi = 2.0 ** (n - 1), 2.0 ** (n + 1)
-
-    def piece(x):
-        x_in = np.asarray(x, dtype=float)
-        x_arr = np.atleast_1d(x_in)
-        out = np.zeros_like(x_arr)
-        m = (x_arr > lo) & (x_arr < hi)
-        if m.any():
-            xm = x_arr[m]
-            out[m] = np.asarray(b(xm), dtype=float) * dyadic_window(xm / 2.0**n)
-        return out if x_in.ndim else float(out[0])
-    return piece
-
-
-def _fourier_lp_norm_p(piece: Callable, n: int, p: float, m_samples: int) -> float:
-    """Riemann-sum ||piece-hat||_p^p from midpoint samples and a padded FFT."""
-    lo, hi = 2.0 ** (n - 1), 2.0 ** (n + 1)
-    step = (hi - lo) / m_samples
-    x = lo + (np.arange(m_samples) + 0.5) * step
-    vals = piece(x)
-    pad = 4 * m_samples
-    spec = np.abs(np.fft.fft(vals, n=pad)) * step
-    dxi = 1.0 / (pad * step)
-    return float(np.sum(spec**p) * dxi)
-
-
-def dyadic_peller_estimate(b: Callable, p: float, n_range=(-8, 24),
-                           fft_size: int = 4096) -> DyadicDecomposition:
-    """Sum over scales of 2^n ||b_n hat||_p^p for the windowed pieces b_n.
-
-    Each piece is sampled on its own support, transformed with the
-    convention f-hat(xi) = integral f(x) e^(-2 pi i x xi) dx, and its
-    L^p norm taken as a Riemann sum; the per-piece error estimate is the
-    relative change under doubled sampling resolution, and pieces whose
-    estimate exceeds 10% are listed as unresolved.
-    """
-    if not 0 < p <= 1:
-        raise ValueError("the estimator targets p in (0, 1]")
-    n_lo, n_hi = int(n_range[0]), int(n_range[1])
-    if n_hi < n_lo:
-        raise ValueError("empty n_range")
-    if fft_size < 16 or fft_size & (fft_size - 1):
-        raise ValueError("fft_size must be a power of two >= 16")
-    pieces, norms, errs, unresolved = [], [], [], []
-    for n in range(n_lo, n_hi + 1):
-        piece = _piece_fn(b, n)
-        coarse = _fourier_lp_norm_p(piece, n, p, fft_size)
-        fine = _fourier_lp_norm_p(piece, n, p, 2 * fft_size)
-        scale = 2.0 ** n
-        norms.append(scale * fine)
-        err = abs(fine - coarse) / fine if fine > 0 else 0.0
-        errs.append(scale * abs(fine - coarse))
-        if err > 0.10:
-            unresolved.append(n)
-        pieces.append(piece)
-    norms = np.array(norms)
-    return DyadicDecomposition(p=p, n_range=(n_lo, n_hi), pieces=pieces,
-                               piece_norms=norms,
-                               error_estimates=np.array(errs),
-                               unresolved=unresolved,
-                               total=float(norms.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -302,32 +180,3 @@ def sampling_check(v, N: float, p: float, sigma: Optional[float] = None,
         raise AssertionError(
             f"sampling Parseval identity violated: ratio {ratio!r}")
     return {"lhs": lhs, "rhs_norm": rhs, "ratio": ratio}
-
-
-# ---------------------------------------------------------------------------
-# rank-one expansion of a band-limited multiplicative symbol
-
-
-def rank_one_expansion(v, N: float, J: int) -> LinearMap:
-    """Truncation of the multiplicative matrix with symbol synthesized
-    from frequency samples: (1/N) sum_m v_m (jk)^(-1/2 + 2 pi i m/N).
-
-    The sum over the given m-samples is exact (no truncation flag needed
-    for finite input); entries reproduce the direct kernel evaluation.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("need 1-d nonempty samples")
-    if J < 1:
-        raise ValueError("J must be positive")
-    if not N > 0:
-        raise ValueError("N must be positive")
-    M = np.zeros((J, J), dtype=complex)
-    for m, vm in enumerate(v):
-        if vm == 0.0:
-            continue
-        M += (vm / N) * dense_matrix(rank_one_dirichlet(J, m / N))
-    return LinearMap(rows=J, cols=J, symmetric=False,
-                     matvec=lambda u: M @ u,
-                     description=f"band-limited expansion J={J}, "
-                                 f"{v.size} frequency samples")

@@ -2,14 +2,17 @@
 
 A Hankel section {b(j+k)} multiplies a vector in O(N log N) through a
 circulant embedding.  A multiplicative section {a(jk)} whose symbol is a
-positive exponential sum in log n, a(n) = sum_q c_q n^(-1/2-s_q), is a
-Gram matrix E E^T with an N x R factor E_jq = sqrt(c_q) j^(-1/2-s_q), so
-it multiplies in O(N R): the smooth part (build_smooth_helson) and the
-full symbol (build_helson, away from row and column 1) both are.  Any
-other multiplicative symbol streams rows through HelsonTruncation in
-O(N^2) time with O(N) memory; that path also serves as the entrywise
-oracle of the factored ones.  All are wrapped in the same LinearMap so
-the eigensolver does not care which one it is driving.
+sum of Dirichlet exponentials, a(n) = sum_q m_q n^(-1/2-s_q), is a Gram
+matrix E E^T with the N x R factor E_jq = sqrt(m_q) j^(-1/2-s_q) of
+_dirichlet_factor, so it multiplies in O(N R).  One signed Gram map,
+_gram_section, serves every such section: the smooth part
+(build_smooth_helson), the full symbol (build_helson, with an exact row
+and column 1) and the full symbol minus its smooth part (the row-1
+section, the two factors side by side with signs + and -).  Any other
+multiplicative symbol streams rows through HelsonTruncation in O(N^2)
+time with O(N) memory; that path also serves as the entrywise oracle of
+the factored ones.  All are wrapped in the same LinearMap so the
+eigensolver does not care which one it is driving.
 """
 
 from __future__ import annotations
@@ -85,43 +88,6 @@ def dense_matrix(lm: LinearMap, max_size: int = 4096) -> np.ndarray:
         out[:, k] = col
         e[k] = 0.0
     return out
-
-
-def write_csv_matrix(M, path) -> None:
-    """Row-major CSV dump at full double precision."""
-    M = np.asarray(M)
-    if np.iscomplexobj(M):
-        raise TypeError("CSV export is defined for real matrices")
-    np.savetxt(path, np.atleast_2d(M), fmt="%.17g", delimiter=",")
-
-
-def probe_linearity(lm: LinearMap, rng, n_probes: int = 3) -> float:
-    """Max relative defect of matvec(au+bv) - a matvec(u) - b matvec(v)."""
-    worst = 0.0
-    for _ in range(n_probes):
-        u = rng.standard_normal(lm.cols)
-        v = rng.standard_normal(lm.cols)
-        a, b = rng.standard_normal(2)
-        lhs = lm.apply(a * u + b * v)
-        rhs = a * lm.apply(u) + b * lm.apply(v)
-        scale = max(float(np.linalg.norm(lhs)), 1e-300)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)) / scale)
-    return worst
-
-
-def probe_symmetry(lm: LinearMap, rng, n_probes: int = 3) -> float:
-    """Max relative defect of <Au, v> - <u, Av> on random real probes."""
-    if lm.rows != lm.cols:
-        raise ValueError("symmetry probe needs a square map")
-    worst = 0.0
-    for _ in range(n_probes):
-        u = rng.standard_normal(lm.cols)
-        v = rng.standard_normal(lm.cols)
-        lhs = float(lm.apply(u) @ v)
-        rhs = float(u @ lm.apply(v))
-        scale = max(abs(lhs), abs(rhs), 1e-300)
-        worst = max(worst, abs(lhs - rhs) / scale)
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -294,40 +260,84 @@ def build_helson(a, N: int) -> LinearMap:
                      dense=T.dense)
 
 
-def _helson_gram(spec: SymbolSpec, N: int) -> LinearMap:
-    """Exact first row and column plus the Gram factor on indices 2..N."""
-    if N < 1:
-        raise ValueError("N must be positive")
-    head = sequence_values(spec, np.arange(1, N + 1))
-    s, log_c = _exponential_sum_rule(spec.alpha)
-    # log E_jq = log c_q / 2 - (1/2 + s_q) log j: c_q reaches ~e^750, so
-    # E is formed in log space; entries below the normal range are
-    # flushed to 0 rather than left subnormal in every GEMV
-    E = np.multiply.outer(np.log(np.arange(2, N + 1, dtype=float)), -(0.5 + s))
-    E += 0.5 * log_c
+def _dirichlet_factor(x, s, log_m) -> np.ndarray:
+    """len(x) x len(s) factor E_jq = m_q^(1/2) x_j^(-1/2-s_q).
+
+    Formed in log space, 0.5 log m_q - (1/2 + s_q) log x_j, because the
+    exponential-sum masses reach ~e^750; a zero mass (log_m = -inf) gives
+    a zero column.  Entries below the normal range are flushed to 0
+    rather than left subnormal in every GEMV.
+    """
+    E = np.multiply.outer(np.log(x), -(0.5 + s))
+    E += 0.5 * log_m
     np.exp(E, out=E)
     E[E < np.finfo(float).tiny] = 0.0
+    return E
+
+
+def _gram_section(F: np.ndarray, n_plus: int, head, what: str) -> LinearMap:
+    """Symmetric map F diag(sign) F^T, plus head as exact row and column 1.
+
+    sign is +1 on the first n_plus columns of F and -1 on the rest, so
+    dense() is two symmetric rank-k products.  head, when given, is
+    added to row 1 and to column 1 (entry (1,1) once) on top of the Gram
+    part.
+    """
+    N = F.shape[0]
 
     def mv(u):
         u = np.asarray(u)
         if u.shape != (N,):
             raise ValueError(f"expected a length-{N} vector, got {u.shape}")
-        out = np.empty(N, dtype=np.result_type(float, u.dtype))
-        out[0] = head @ u
-        out[1:] = head[1:] * u[0] + E @ (E.T @ u[1:])
+        y = F.T @ u
+        y[n_plus:] *= -1.0
+        out = F @ y
+        if head is not None:
+            out[0] += head @ u
+            out[1:] += head[1:] * u[0]
         return out
 
     def dense():
-        M = np.empty((N, N))
-        M[0] = head
-        M[:, 0] = head
-        M[1:, 1:] = E @ E.T
+        plus, minus = F[:, :n_plus], F[:, n_plus:]
+        M = plus @ plus.T
+        M -= minus @ minus.T
+        if head is not None:
+            M[0] += head
+            M[1:, 0] += head[1:]
         return M
 
     return LinearMap(rows=N, cols=N, symmetric=True, matvec=mv,
-                     description=f"multiplicative section N={N} "
-                                 f"(exponential-sum Gram factor, {s.size} nodes)",
+                     description=f"{what} N={N} (Gram factor, "
+                                 f"{F.shape[1]} nodes)",
                      dense=dense)
+
+
+def _smooth_nodes(spec: SymbolSpec, Q: int = 2000):
+    """Nodes and log masses of the smooth part's cached weight rule."""
+    lam, rho = _weight_rule(_weight_of(spec), Q)
+    if np.any(rho < 0):
+        raise ValueError("weight rule produced negative masses")
+    with np.errstate(divide="ignore"):
+        return lam, np.log(rho)
+
+
+def _helson_gram(spec: SymbolSpec, N: int, lam=(), log_rho=()) -> LinearMap:
+    """Exact row and column 1 plus a signed Gram part on indices 2..N.
+
+    The factor's first columns are the full symbol's exponential-sum
+    terms with row 1 set to 0 (sign +); the smooth-part nodes lam with
+    log masses log_rho, when given, follow with sign -, so their rows
+    1..N are subtracted everywhere, row and column 1 included.
+    """
+    if N < 1:
+        raise ValueError("N must be positive")
+    s, log_c = _exponential_sum_rule(spec.alpha)
+    F = _dirichlet_factor(np.arange(1, N + 1, dtype=float),
+                          np.concatenate([s, lam]),
+                          np.concatenate([log_c, log_rho]))
+    F[0, :s.size] = 0.0
+    head = sequence_values(spec, np.arange(1, N + 1))
+    return _gram_section(F, s.size, head, "multiplicative section")
 
 
 def build_smooth_helson(spec: SymbolSpec, N: int, Q: int = 2000) -> LinearMap:
@@ -342,45 +352,6 @@ def build_smooth_helson(spec: SymbolSpec, N: int, Q: int = 2000) -> LinearMap:
     """
     if N < 1:
         raise ValueError("N must be positive")
-    lam, rho = _weight_rule(_weight_of(spec), Q)
-    if np.any(rho < 0):
-        raise ValueError("weight rule produced negative masses")
-    j = np.arange(1, N + 1, dtype=float)
-    E = np.exp(np.multiply.outer(-np.log(j), lam))
-    E *= (np.sqrt(rho)[None, :] / np.sqrt(j)[:, None])
-
-    def mv(u):
-        u = np.asarray(u)
-        if u.shape != (N,):
-            raise ValueError(f"expected a length-{N} vector, got {u.shape}")
-        return E @ (E.T @ u)
-
-    return LinearMap(rows=N, cols=N, symmetric=True, matvec=mv,
-                     description=f"smooth multiplicative section N={N} "
-                                 f"(Gram factor, {lam.size} nodes)",
-                     dense=lambda: E @ E.T)
-
-
-# ---------------------------------------------------------------------------
-
-
-def rank_one_dirichlet(N: int, xi: float) -> LinearMap:
-    """Rank-one map with entries (jk)^(-1/2 + 2 pi i xi).
-
-    The outer product is bilinear (v v^T, no conjugate), matching the
-    entrywise power law; its only nonzero singular value is the harmonic
-    sum of 1/j over j <= N regardless of xi.
-    """
-    if N < 1:
-        raise ValueError("N must be positive")
-    j = np.arange(1, N + 1, dtype=float)
-    v = j ** -0.5 * np.exp(2j * np.pi * xi * np.log(j))
-
-    def mv(u):
-        u = np.asarray(u)
-        if u.shape != (N,):
-            raise ValueError(f"expected a length-{N} vector, got {u.shape}")
-        return v * (v @ u)
-
-    return LinearMap(rows=N, cols=N, symmetric=False, matvec=mv,
-                     description=f"rank-one dirichlet section N={N} xi={xi:g}")
+    lam, log_rho = _smooth_nodes(spec, Q)
+    F = _dirichlet_factor(np.arange(1, N + 1, dtype=float), lam, log_rho)
+    return _gram_section(F, lam.size, None, "smooth multiplicative section")

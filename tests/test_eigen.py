@@ -11,7 +11,6 @@ from helsonlab.eigen import (
 )
 from helsonlab.structured_ops import (
     HelsonTruncation, LinearMap, build_helson, build_smooth_helson,
-    rank_one_dirichlet,
 )
 from helsonlab.symbols import SymbolSpec
 
@@ -19,6 +18,14 @@ from helsonlab.symbols import SymbolSpec
 def map_from_dense(M, symmetric=True):
     M = np.asarray(M, dtype=float)
     return LinearMap(M.shape[0], M.shape[1], symmetric, lambda u: M @ u, "test")
+
+
+def rank_one_dirichlet(N, xi):
+    # bilinear v v^T with v_j = j^(-1/2 + 2 pi i xi): entries
+    # (jk)^(-1/2 + 2 pi i xi), one singular value, the harmonic sum H_N
+    j = np.arange(1, N + 1, dtype=float)
+    v = j ** -0.5 * np.exp(2j * np.pi * xi * np.log(j))
+    return LinearMap(N, N, False, lambda u: v * (v @ u), "rank one")
 
 
 HILBERT2 = np.array([[1.0, 0.5], [0.5, 1.0 / 3.0]])

@@ -59,6 +59,14 @@ class TestRunConfig:
         assert back.weight_zero is True
         assert back.negativity_size == 64
 
+    def test_from_json_defaults_come_from_the_fields(self):
+        assert RunConfig.from_json({}).to_json() == RunConfig().to_json()
+        partial = {"alpha": 2.0, "grids": {"x_hi": 12.0},
+                   "solver": {"k": 5}, "outputs": {"dir": "elsewhere"}}
+        want = RunConfig(alpha=2.0, x_domain=(0.0, 12.0), solver={"k": 5},
+                         out_dir="elsewhere")
+        assert RunConfig.from_json(partial).to_json() == want.to_json()
+
 
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
@@ -108,15 +116,8 @@ class TestRunChain:
         head = rep["fits"]["headline"]
         assert math.isfinite(head["alpha_hat"]) and head["kappa_hat"] > 0
         assert head["kappa_ref"] == pytest.approx(0.5)
-        # the trend fit runs over ten or more resolved indices, or is refused
-        trend = rep["fits"]["matrix_trend"]
-        if "refused" in trend:
-            assert trend["resolved_count"] < 10
-            assert "alpha_hat" not in trend and "kappa_hat" not in trend
-        else:
-            assert 10 <= trend["window"][1] <= trend["resolved_count"]
-            assert math.isfinite(trend["alpha_hat"])
-            assert trend["kappa_hat"] > 0
+        # matrix sections get no fit of their own
+        assert set(rep["fits"]) == {"headline"}
 
     def test_all_solves_converged(self, small_run):
         _, rep = small_run
@@ -242,8 +243,7 @@ class TestWeightZero:
     def test_report_shape(self, zero_run):
         _, rep = zero_run
         assert rep["additivity"]["ok"]
-        assert "headline" not in rep["fits"]
-        assert "matrix_trend" in rep["fits"]
+        assert rep["fits"] == {}
 
 
 class TestStageTagging:

@@ -12,56 +12,9 @@ import time
 
 import numpy as np
 
-from helsonlab.discretize import make_grid, nystrom_hankel
-from helsonlab.eigen import dense_eig_oracle
-from helsonlab.schatten import (dyadic_cutoff, dyadic_peller_estimate,
-                                sampling_check)
-from helsonlab.symbols import SymbolSpec, kernel_fn
+from helsonlab.schatten import sampling_check
 
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden"
-GOLDEN.mkdir(parents=True, exist_ok=True)
-
-
-def windowed_kernel(gamma: float):
-    base = kernel_fn(SymbolSpec(kind="hankel_b", alpha=gamma))
-
-    def bw(x):
-        return np.asarray(base(x)) * dyadic_cutoff(x, -4, 16)
-    return bw
-
-
-def peller_comparability():
-    gammas = [1.5, 2.0, 2.5, 3.0, 4.0]
-    grid = make_grid((1e-3, 2.0**17), 512, spacing="geometric")
-    rows = []
-    for g in gammas:
-        bw = windowed_kernel(g)
-        t0 = time.time()
-        dec = dyadic_peller_estimate(bw, 1.0, n_range=(-5, 17), fft_size=4096)
-        op = nystrom_hankel(bw, grid)
-        spec = dense_eig_oracle(op.dense())
-        s1 = float(np.sum(spec.singular))
-        trace_quad = float(np.sum(grid.weights * bw(2.0 * grid.nodes)))
-        trace_mat = float(np.trace(op.dense()))
-        rows.append({"gamma": g, "dyadic_total": dec.total, "s1": s1,
-                     "ratio": dec.total / s1,
-                     "unresolved": dec.unresolved,
-                     "trace_quad": trace_quad, "trace_mat": trace_mat,
-                     "seconds": round(time.time() - t0, 2)})
-        print(rows[-1])
-    ratios = [r["ratio"] for r in rows]
-    out = {
-        "p": 1.0,
-        "window": [-4, 16],
-        "n_range": [-5, 17],
-        "fft_size": 4096,
-        "grid": {"lo": 1e-3, "hi": 2.0**17, "n": 512, "spacing": "geometric"},
-        "rows": rows,
-        "bracket": [min(ratios), max(ratios)],
-    }
-    (GOLDEN / "peller_ratio.json").write_text(json.dumps(out, indent=1))
-    print("bracket:", out["bracket"],
-          "spread:", max(ratios) / min(ratios) - 1.0)
 
 
 def sampling_bound():
@@ -106,6 +59,6 @@ def restriction_family():
 
 
 if __name__ == "__main__":
-    peller_comparability()
+    GOLDEN.mkdir(parents=True, exist_ok=True)
     sampling_bound()
     restriction_family()
