@@ -39,7 +39,6 @@ class TestLinearMap:
                        "description": lm.description}
 
 
-
 # every constructor that knows its entries hands them to dense_matrix
 _GRIDS = v_matched_grids((0.0, 18.0), 48)
 DENSE_CONSTRUCTORS = {
