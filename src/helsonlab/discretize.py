@@ -23,10 +23,11 @@ from typing import Callable, Union
 
 import numpy as np
 
-from helsonlab.structured_ops import LinearMap, _dirichlet_factor
+from helsonlab.structured_ops import (LinearMap, _dirichlet_factor,
+                                      _smooth_nodes)
 from helsonlab.symbols import (
-    SymbolSpec, _weight_of, _weight_rule, _weight_support, _weight_values,
-    chi_cutoff, kernel_fn, special_kernels, zeta1,
+    SymbolSpec, _weight_support, _weight_values, chi_cutoff, kernel_fn,
+    special_kernels, zeta1,
 )
 
 SPACINGS = ("uniform", "geometric", "gauss")
@@ -221,15 +222,12 @@ def _gram_fast_path(spec: SymbolSpec, grid: Grid, combine: str,
     rounding and the section is PSD by construction.  On the product
     side phi(t, l) sqrt(rho) is the Dirichlet-exponential factor.
     """
-    lam, rho = _weight_rule(_weight_of(spec), Q)
-    if np.any(rho < 0):
-        raise ConstructionError("weight rule produced negative masses")
+    lam, log_rho = _smooth_nodes(spec, Q)
     x = grid.nodes
     if combine == "sum":
-        E = np.exp(-np.multiply.outer(x, lam)) * np.sqrt(rho)[None, :]
+        E = np.exp(-np.multiply.outer(x, lam)) * np.exp(0.5 * log_rho)
     else:
-        with np.errstate(divide="ignore"):
-            E = _dirichlet_factor(x, lam, np.log(rho))
+        E = _dirichlet_factor(x, lam, log_rho)
     E *= np.sqrt(grid.weights)[:, None]
     return E @ E.T
 

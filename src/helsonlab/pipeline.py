@@ -34,8 +34,8 @@ from helsonlab.eigen import (Spectrum, dense_eig_oracle, lanczos_extreme,
                              write_meta_sidecar)
 from helsonlab.schatten import schatten_norm
 from helsonlab.structured_ops import (HelsonTruncation, LinearMap,
-                                      _helson_gram, _smooth_nodes,
-                                      build_helson, build_smooth_helson)
+                                      build_helson, build_smooth_helson,
+                                      difference_section)
 from helsonlab.symbols import (SymbolSpec, difference_part_sequence,
                                sequence_values, smooth_part_sequence)
 
@@ -160,16 +160,6 @@ def solve(lm: LinearMap, solver: dict, k: Optional[int] = None,
                            max_iter=solver["max_iter"], seed=solver["seed"])
 
 
-def difference_section(spec: SymbolSpec, N: int) -> LinearMap:
-    """Row-1 matrix section a(jk) - a0(jk) as one signed Gram section.
-
-    The full symbol's exponential-sum factor (sign +) and the smooth
-    part's weight-rule factor (sign -) sit side by side in one factor,
-    with the exact a(k) as row and column 1, as in build_helson.
-    """
-    return _helson_gram(spec, N, *_smooth_nodes(spec))
-
-
 def _write_spectrum(spec: Spectrum, out_dir: pathlib.Path, name: str,
                     report: dict) -> None:
     """CSV and sidecar of one spectrum; a non-converged solve is listed
@@ -251,7 +241,8 @@ def run_chain(config: RunConfig) -> dict:
         # use row_seq, which re-integrates every product independently
         if i == 0:
             return build_smooth_helson(full_spec, size)
-        return difference_section(full_spec, size)
+        return difference_section(build_helson(full_spec, size),
+                                  build_smooth_helson(full_spec, size))
 
     if config.weight_zero:
         # zero weight: the smooth part vanishes identically and the

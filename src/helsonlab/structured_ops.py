@@ -5,10 +5,11 @@ circulant embedding.  A multiplicative section {a(jk)} whose symbol is a
 sum of Dirichlet exponentials, a(n) = sum_q m_q n^(-1/2-s_q), is a Gram
 matrix E E^T with the N x R factor E_jq = sqrt(m_q) j^(-1/2-s_q) of
 _dirichlet_factor, so it multiplies in O(N R).  One signed Gram map,
-_gram_section, serves every such section: the smooth part
+GramSection, serves every such section: the smooth part
 (build_smooth_helson), the full symbol (build_helson, with an exact row
-and column 1) and the full symbol minus its smooth part (the row-1
-section, the two factors side by side with signs + and -).  Any other
+and column 1) and the full symbol minus its smooth part
+(difference_section, the two sections' factors side by side with signs
++ and -).  Any other
 multiplicative symbol streams rows through HelsonTruncation in O(N^2)
 time with O(N) memory; that path also serves as the entrywise oracle of
 the factored ones.  All are wrapped in the same LinearMap so the
@@ -111,12 +112,6 @@ class HankelTruncation:
     def N(self) -> int:
         return (self.b_values.size + 1) // 2
 
-    def entry(self, j: int, k: int) -> float:
-        N = self.N
-        if not (0 <= j < N and 0 <= k < N):
-            raise IndexError("entry index out of range")
-        return float(self.b_values[j + k])
-
     def dense(self) -> np.ndarray:
         N = self.N
         idx = np.arange(N)
@@ -213,14 +208,6 @@ class HelsonTruncation:
                 ) from exc
         return out
 
-    def entry(self, j: int, k: int) -> float:
-        if not (1 <= j <= self.N and 1 <= k <= self.N):
-            raise IndexError("entry index out of range (1-based)")
-        n = j * k
-        if n <= self.N:
-            return float(self._head[n - 1])
-        return float(self._fetch(np.array([n]))[0])
-
     def dense(self, max_size: int = 4096) -> np.ndarray:
         if self.N > max_size:
             raise ValueError(f"refusing to densify beyond {max_size}")
@@ -275,14 +262,23 @@ def _dirichlet_factor(x, s, log_m) -> np.ndarray:
     return E
 
 
-def _gram_section(F: np.ndarray, n_plus: int, head, what: str) -> LinearMap:
-    """Symmetric map F diag(sign) F^T, plus head as exact row and column 1.
+@dataclass(frozen=True)
+class GramSection(LinearMap):
+    """LinearMap F diag(sign) F^T, plus head as exact row and column 1.
 
-    sign is +1 on the first n_plus columns of F and -1 on the rest, so
-    dense() is two symmetric rank-k products.  head, when given, is
-    added to row 1 and to column 1 (entry (1,1) once) on top of the Gram
-    part.
+    sign is +1 on the first n_plus columns of factor and -1 on the rest.
+    The factor stays on the map so difference_section can set two
+    sections' factors side by side.
     """
+
+    factor: Optional[np.ndarray] = None
+    n_plus: int = 0
+    head: Optional[np.ndarray] = None
+
+
+def _gram_section(F: np.ndarray, n_plus: int, head, what: str) -> GramSection:
+    """Symmetric GramSection of factor F; head, when given, is added to
+    row 1 and to column 1 (entry (1,1) once) on top of the Gram part."""
     N = F.shape[0]
 
     def mv(u):
@@ -298,18 +294,20 @@ def _gram_section(F: np.ndarray, n_plus: int, head, what: str) -> LinearMap:
         return out
 
     def dense():
-        plus, minus = F[:, :n_plus], F[:, n_plus:]
+        plus = F[:, :n_plus]
         M = plus @ plus.T
-        M -= minus @ minus.T
+        if n_plus < F.shape[1]:
+            minus = F[:, n_plus:]
+            M -= minus @ minus.T
         if head is not None:
             M[0] += head
             M[1:, 0] += head[1:]
         return M
 
-    return LinearMap(rows=N, cols=N, symmetric=True, matvec=mv,
-                     description=f"{what} N={N} (Gram factor, "
-                                 f"{F.shape[1]} nodes)",
-                     dense=dense)
+    return GramSection(rows=N, cols=N, symmetric=True, matvec=mv,
+                       description=f"{what} N={N} (Gram factor, "
+                                   f"{F.shape[1]} nodes)",
+                       dense=dense, factor=F, n_plus=n_plus, head=head)
 
 
 def _smooth_nodes(spec: SymbolSpec, Q: int = 2000):
@@ -321,26 +319,38 @@ def _smooth_nodes(spec: SymbolSpec, Q: int = 2000):
         return lam, np.log(rho)
 
 
-def _helson_gram(spec: SymbolSpec, N: int, lam=(), log_rho=()) -> LinearMap:
-    """Exact row and column 1 plus a signed Gram part on indices 2..N.
-
-    The factor's first columns are the full symbol's exponential-sum
-    terms with row 1 set to 0 (sign +); the smooth-part nodes lam with
-    log masses log_rho, when given, follow with sign -, so their rows
-    1..N are subtracted everywhere, row and column 1 included.
-    """
+def _helson_gram(spec: SymbolSpec, N: int) -> GramSection:
+    """Exact row and column 1 plus E E^T on indices 2..N: the full
+    symbol's exponential-sum factor with its row 1 set to 0."""
     if N < 1:
         raise ValueError("N must be positive")
     s, log_c = _exponential_sum_rule(spec.alpha)
-    F = _dirichlet_factor(np.arange(1, N + 1, dtype=float),
-                          np.concatenate([s, lam]),
-                          np.concatenate([log_c, log_rho]))
-    F[0, :s.size] = 0.0
+    F = _dirichlet_factor(np.arange(1, N + 1, dtype=float), s, log_c)
+    F[0] = 0.0
     head = sequence_values(spec, np.arange(1, N + 1))
     return _gram_section(F, s.size, head, "multiplicative section")
 
 
-def build_smooth_helson(spec: SymbolSpec, N: int, Q: int = 2000) -> LinearMap:
+def difference_section(full: GramSection, smooth: GramSection) -> GramSection:
+    """The row-1 section full - smooth as one signed Gram section.
+
+    full is build_helson's section of the full symbol, smooth is
+    build_smooth_helson's section of its smooth part.  Their factors sit
+    side by side, full's with sign + and smooth's with sign -, and
+    full's exact row and column 1 stay, so the smooth part is
+    subtracted on every row, row 1 included.
+    """
+    if not (isinstance(full, GramSection) and isinstance(smooth, GramSection)):
+        raise TypeError("difference_section takes two factored sections")
+    if full.n_plus < full.factor.shape[1] or \
+            smooth.n_plus < smooth.factor.shape[1] or smooth.head is not None:
+        raise ValueError("difference_section takes two positive Gram "
+                         "sections, the second without a head")
+    return _gram_section(np.hstack([full.factor, smooth.factor]), full.n_plus,
+                         full.head, "difference multiplicative section")
+
+
+def build_smooth_helson(spec: SymbolSpec, N: int, Q: int = 2000) -> GramSection:
     """Matrix-free Gram section of the smooth part: entry(j,k) = a0(jk).
 
     Holds the factored form E E^T with E_jq = j^(-1/2-l_q) sqrt(rho_q)

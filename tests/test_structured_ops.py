@@ -6,10 +6,9 @@ import pytest
 
 from helsonlab.discretize import (log_window_smooth_section, nystrom_hankel,
                                   nystrom_helson, v_matched_grids)
-from helsonlab.pipeline import difference_section
 from helsonlab.structured_ops import (
     HankelTruncation, HelsonTruncation, LinearMap, build_hankel, build_helson,
-    build_smooth_helson, dense_matrix, hankel_matvec_fft,
+    build_smooth_helson, dense_matrix, difference_section, hankel_matvec_fft,
 )
 from helsonlab.symbols import (DomainError, SymbolSpec, restrict,
                                sequence_values)
@@ -51,7 +50,8 @@ DENSE_CONSTRUCTORS = {
         SymbolSpec("b0", alpha=1.0), _GRIDS[0]).map,
     "log_window": lambda: log_window_smooth_section(1.0, 96).map,
     "row1_difference": lambda: difference_section(
-        SymbolSpec("helson_a", alpha=1.0), 64),
+        build_helson(SymbolSpec("helson_a", alpha=1.0), 64),
+        build_smooth_helson(SymbolSpec("helson_a", alpha=1.0), 64)),
 }
 
 
@@ -91,11 +91,8 @@ class TestHankel:
 
     def test_antidiagonal_constancy(self):
         rng = np.random.default_rng(3)
-        H = HankelTruncation(rng.standard_normal(127))
-        N = H.N
-        for j in range(N - 1):
-            for k in range(N - 1):
-                assert H.entry(j + 1, k) == H.entry(j, k + 1)
+        M = HankelTruncation(rng.standard_normal(127)).dense()
+        assert np.array_equal(M[1:, :-1], M[:-1, 1:])
 
     def test_even_length_rejected(self):
         with pytest.raises(ValueError):
@@ -191,12 +188,10 @@ class TestHelson:
 
     def test_entry_accessor(self):
         spec = SymbolSpec("helson_a", alpha=1.0)
-        T = HelsonTruncation(spec, 20)
+        M = HelsonTruncation(spec, 20).dense()
         seq = restrict(spec, 400)
-        assert T.entry(13, 17) == seq.values[13 * 17 - 1]
-        assert T.entry(1, 1) == 0.0
-        with pytest.raises(IndexError):
-            T.entry(0, 1)
+        assert M[12, 16] == seq.values[13 * 17 - 1]
+        assert M[0, 0] == 0.0
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_factor_matches_streamed_oracle(self, alpha):
@@ -245,6 +240,31 @@ class TestHelson:
         lm = build_helson(bad, 4)
         with pytest.raises(DomainError, match="rows"):
             lm.apply(np.ones(4))
+
+
+class TestDifferenceSection:
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_matches_difference_of_the_two_sections(self, alpha):
+        N = 64
+        spec = SymbolSpec("helson_a", alpha=alpha)
+        full, smooth = build_helson(spec, N), build_smooth_helson(spec, N)
+        lm = difference_section(full, smooth)
+        want = full.dense() - smooth.dense()
+        scale = np.abs(want).max()
+        assert np.abs(lm.dense() - want).max() <= 1e-14 * scale
+        u = np.random.default_rng(11).standard_normal(N)
+        want_u = full.apply(u) - smooth.apply(u)
+        assert np.abs(lm.apply(u) - want_u).max() <= 1e-14 * np.abs(want_u).max()
+
+    def test_unsupported_sections_rejected(self):
+        spec = SymbolSpec("helson_a", alpha=1.0)
+        full, smooth = build_helson(spec, 8), build_smooth_helson(spec, 8)
+        with pytest.raises(TypeError):
+            difference_section(build_helson(lambda n: 1.0 / n, 8), smooth)
+        with pytest.raises(ValueError):
+            difference_section(smooth, full)
+        with pytest.raises(ValueError):
+            difference_section(difference_section(full, smooth), smooth)
 
 
 class TestInterlacing:
