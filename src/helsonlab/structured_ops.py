@@ -8,12 +8,12 @@ _dirichlet_factor, so it multiplies in O(N R).  One signed Gram map,
 GramSection, serves every such section: the smooth part
 (build_smooth_helson), the full symbol (build_helson, with an exact row
 and column 1) and the full symbol minus its smooth part
-(difference_section, the two sections' factors side by side with signs
-+ and -).  Any other
-multiplicative symbol streams rows through HelsonTruncation in O(N^2)
-time with O(N) memory; that path also serves as the entrywise oracle of
-the factored ones.  All are wrapped in the same LinearMap so the
-eigensolver does not care which one it is driving.
+(difference_section, the factor of the first with sign + and that of
+the second with sign -).  Any other multiplicative symbol streams rows
+through HelsonTruncation in O(N^2) time with O(N) memory; that path
+also serves as the entrywise oracle of the factored ones.  All are
+wrapped in the same LinearMap so the eigensolver does not care which
+one it is driving.
 """
 
 from __future__ import annotations
@@ -264,50 +264,48 @@ def _dirichlet_factor(x, s, log_m) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GramSection(LinearMap):
-    """LinearMap F diag(sign) F^T, plus head as exact row and column 1.
+    """LinearMap P P^T - M M^T, plus head as exact row and column 1.
 
-    sign is +1 on the first n_plus columns of factor and -1 on the rest.
-    The factor stays on the map so difference_section can set two
-    sections' factors side by side.
+    plus (P) and minus (M, absent when None) stay on the map so that
+    difference_section can reuse two sections' factors without copying.
     """
 
-    factor: Optional[np.ndarray] = None
-    n_plus: int = 0
+    plus: Optional[np.ndarray] = None
+    minus: Optional[np.ndarray] = None
     head: Optional[np.ndarray] = None
 
 
-def _gram_section(F: np.ndarray, n_plus: int, head, what: str) -> GramSection:
-    """Symmetric GramSection of factor F; head, when given, is added to
-    row 1 and to column 1 (entry (1,1) once) on top of the Gram part."""
-    N = F.shape[0]
+def _gram_section(plus: np.ndarray, minus, head, what: str) -> GramSection:
+    """Symmetric GramSection; head, when given, is added to row 1 and to
+    column 1 (entry (1,1) once) on top of the Gram part."""
+    N = plus.shape[0]
 
     def mv(u):
         u = np.asarray(u)
         if u.shape != (N,):
             raise ValueError(f"expected a length-{N} vector, got {u.shape}")
-        y = F.T @ u
-        y[n_plus:] *= -1.0
-        out = F @ y
+        out = plus @ (plus.T @ u)
+        if minus is not None:
+            out -= minus @ (minus.T @ u)
         if head is not None:
             out[0] += head @ u
             out[1:] += head[1:] * u[0]
         return out
 
     def dense():
-        plus = F[:, :n_plus]
         M = plus @ plus.T
-        if n_plus < F.shape[1]:
-            minus = F[:, n_plus:]
+        if minus is not None:
             M -= minus @ minus.T
         if head is not None:
             M[0] += head
             M[1:, 0] += head[1:]
         return M
 
+    nodes = plus.shape[1] + (0 if minus is None else minus.shape[1])
     return GramSection(rows=N, cols=N, symmetric=True, matvec=mv,
                        description=f"{what} N={N} (Gram factor, "
-                                   f"{F.shape[1]} nodes)",
-                       dense=dense, factor=F, n_plus=n_plus, head=head)
+                                   f"{nodes} nodes)",
+                       dense=dense, plus=plus, minus=minus, head=head)
 
 
 def _smooth_nodes(spec: SymbolSpec, Q: int = 2000):
@@ -328,26 +326,25 @@ def _helson_gram(spec: SymbolSpec, N: int) -> GramSection:
     F = _dirichlet_factor(np.arange(1, N + 1, dtype=float), s, log_c)
     F[0] = 0.0
     head = sequence_values(spec, np.arange(1, N + 1))
-    return _gram_section(F, s.size, head, "multiplicative section")
+    return _gram_section(F, None, head, "multiplicative section")
 
 
 def difference_section(full: GramSection, smooth: GramSection) -> GramSection:
     """The row-1 section full - smooth as one signed Gram section.
 
     full is build_helson's section of the full symbol, smooth is
-    build_smooth_helson's section of its smooth part.  Their factors sit
-    side by side, full's with sign + and smooth's with sign -, and
-    full's exact row and column 1 stay, so the smooth part is
-    subtracted on every row, row 1 included.
+    build_smooth_helson's section of its smooth part.  full's factor
+    and exact row and column 1 keep sign +, smooth's factor takes sign
+    -, so the smooth part is subtracted on every row, row 1 included.
     """
     if not (isinstance(full, GramSection) and isinstance(smooth, GramSection)):
         raise TypeError("difference_section takes two factored sections")
-    if full.n_plus < full.factor.shape[1] or \
-            smooth.n_plus < smooth.factor.shape[1] or smooth.head is not None:
+    if full.minus is not None or smooth.minus is not None or \
+            smooth.head is not None:
         raise ValueError("difference_section takes two positive Gram "
                          "sections, the second without a head")
-    return _gram_section(np.hstack([full.factor, smooth.factor]), full.n_plus,
-                         full.head, "difference multiplicative section")
+    return _gram_section(full.plus, smooth.plus, full.head,
+                         "difference multiplicative section")
 
 
 def build_smooth_helson(spec: SymbolSpec, N: int, Q: int = 2000) -> GramSection:
@@ -364,4 +361,4 @@ def build_smooth_helson(spec: SymbolSpec, N: int, Q: int = 2000) -> GramSection:
         raise ValueError("N must be positive")
     lam, log_rho = _smooth_nodes(spec, Q)
     F = _dirichlet_factor(np.arange(1, N + 1, dtype=float), lam, log_rho)
-    return _gram_section(F, lam.size, None, "smooth multiplicative section")
+    return _gram_section(F, None, None, "smooth multiplicative section")
