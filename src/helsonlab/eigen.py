@@ -2,10 +2,18 @@
 
 The Lanczos path keeps a full orthonormal basis (the operators here have
 clustered, slowly decaying spectra where ghost copies are the main
-failure mode) and certifies every reported Ritz pair by its residual
-|beta_m| |last eigenvector component|.  Dense spectra, and the Ritz
-values of the Lanczos tridiagonal, come from LAPACK through
-``np.linalg.eigvalsh`` / ``np.linalg.eigh``.
+failure mode).  A step whose new direction falls below 1e-14 of the
+largest Lanczos coefficient so far deflates: the basis spans an
+invariant subspace, and the sweep restarts from a random vector
+orthogonal to it, which is how repeated eigenvalues are found.  When
+such a random direction is itself mapped below that floor, the operator
+is at its noise floor on the rest of the space and the sweep stops:
+the matrix sections of this package resolve only a handful of
+eigenvalues and use up their Krylov space within a few dozen steps.
+Every reported Ritz pair carries its residual bound, |beta_m| |last
+eigenvector component| plus the couplings dropped at deflations.
+Dense spectra, and the Ritz values of the Lanczos tridiagonal, come
+from LAPACK through ``np.linalg.eigvalsh`` / ``np.linalg.eigh``.
 """
 
 from __future__ import annotations
@@ -198,7 +206,30 @@ _DGKS = 1.0 / math.sqrt(2.0)
 
 def _lanczos_sweep(lm: LinearMap, k: int, tol: float, max_iter: int,
                    rng, negate: bool = False):
-    """Top-k algebraic Ritz values of (-1)^negate * lm with residuals."""
+    """Top-k algebraic Ritz values of (-1)^negate * lm with residuals.
+
+    A step deflates when its new direction b is at most 1e-14 times the
+    largest |alpha_j| or beta_j seen so far, so the test scales with the
+    operator.  A deflation drops that coupling and restarts from a
+    random vector orthogonal to the basis.  The sweep ends at m = n,
+    at max_iter, at a residual check (every 16 steps from 2k + 16 on,
+    never right after a restart) or when the space is used up: a restart
+    direction q that deflates at its first step with |q.Aq| below the
+    same floor.  A random unit q has a component of order 1/sqrt(n - m)
+    along every eigenvector of the operator on the rest of the space, so
+    |A q| ~ floor puts every eigenvalue there within about sqrt(n) times
+    the floor of zero (unless q is, against the odds, nearly orthogonal
+    to its eigenvector): the basis already holds every eigenvalue above.
+    A restart direction that deflates with |q.Aq| above the floor lies in
+    an eigenspace of the rest (a repeated eigenvalue), and the sweep goes
+    on.
+
+    A Q - Q T is beta_last q e_m^T plus one column per dropped coupling,
+    each orthogonal to the basis, so |beta_last z_i| + sqrt(sum of the
+    dropped beta^2) bounds the residual of Ritz pair i; it is reported
+    relative to the largest |Ritz value| and is never 0 for a sweep that
+    dropped anything.
+    """
     n = lm.cols
     sign = -1.0 if negate else 1.0
     q = rng.standard_normal(n)
@@ -208,7 +239,17 @@ def _lanczos_sweep(lm: LinearMap, k: int, tol: float, max_iter: int,
     betas = np.empty(max_iter)
     m = 0
     beta_last = 0.0
-    vals = z = None
+    dropped2 = 0.0    # sum of squares of the couplings dropped at deflations
+    level = 0.0       # largest |alpha_j| or beta_j so far
+    fresh = True      # q is a random direction orthogonal to the basis
+    checked = -1
+
+    def ritz():
+        vals, z = tridiag_eigenvalues(alphas[:m], betas[:m - 1], last_row=True)
+        scale = max(float(np.max(np.abs(vals))), 1e-300)
+        res = (np.abs(beta_last * z) + math.sqrt(dropped2)) / scale
+        return vals, res, np.argsort(vals)[::-1][:k]
+
     while m < max_iter:
         basis[m] = q
         v = sign * lm.apply(q)
@@ -226,9 +267,13 @@ def _lanczos_sweep(lm: LinearMap, k: int, tol: float, max_iter: int,
             b = float(np.linalg.norm(v))
         alphas[m] = a
         m += 1
-        if b <= 1e-14 * max(1.0, float(np.max(np.abs(alphas[:m])))):
-            if m >= n:
-                beta_last = 0.0
+        level = max(level, abs(a), b)
+        floor = 1e-14 * level
+        if b <= floor:
+            betas[m - 1] = 0.0
+            beta_last = 0.0
+            dropped2 += b * b
+            if m >= n or (fresh and abs(a) <= floor):
                 break
             # invariant subspace: restart deterministically from the stream
             q = rng.standard_normal(n)
@@ -236,31 +281,23 @@ def _lanczos_sweep(lm: LinearMap, k: int, tol: float, max_iter: int,
                 q -= basis[:m].T @ (basis[:m] @ q)
             nq = float(np.linalg.norm(q))
             if nq <= 1e-14:
-                beta_last = 0.0
                 break
             q = q / nq
-            betas[m - 1] = 0.0
-            beta_last = 0.0
+            fresh = True
         else:
             betas[m - 1] = b
             q = v / b
             beta_last = b
-        check_now = (m >= min(2 * k + 16, n)) and (m % 16 == 0 or m == max_iter
-                                                   or m >= n)
-        if check_now or m >= n:
-            vals, z = tridiag_eigenvalues(alphas[:m], betas[:m - 1], last_row=True)
-            scale = max(float(np.max(np.abs(vals))), 1e-300)
-            res = np.abs(beta_last * z) / scale
-            top = np.argsort(vals)[::-1][:k]
-            # beta_last == 0 right after a deflation restart would zero
-            # every residual; only the full-space case is truly exact then
+            fresh = False
+        if m >= n or (m >= 2 * k + 16 and (m % 16 == 0 or m == max_iter)):
+            vals, res, top = ritz()
+            checked = m
+            # right after a restart the Ritz values are those of an
+            # invariant subspace, not yet the top k
             if (np.all(res[top] <= tol) and beta_last > 0.0) or m >= n:
                 break
-    if vals is None:
-        vals, z = tridiag_eigenvalues(alphas[:m], betas[:m - 1], last_row=True)
-    scale = max(float(np.max(np.abs(vals))), 1e-300)
-    res = np.abs(beta_last * z) / scale
-    top = np.argsort(vals)[::-1][:k]
+    if checked != m:
+        vals, res, top = ritz()
     converged = bool(np.all(res[top] <= tol))
     return sign * vals[top], res[top], m, converged
 
@@ -273,6 +310,10 @@ def lanczos_extreme(lm: LinearMap, k: int, which: str = "largest",
     which = largest | smallest | both_ends.  Deterministic for a fixed
     seed (start vectors from one PCG64 stream, fixed reduction order).
     Non-convergence is reported through meta["converged"], not raised.
+    An end may return fewer than k pairs: a sweep stops once its Krylov
+    space is used up, so an operator with fewer than k eigenvalues above
+    the deflation floor (1e-14 of its largest Lanczos coefficient) gives
+    only the Ritz values that space holds.
     """
     if not lm.symmetric:
         raise ValueError("lanczos_extreme requires a symmetric map")
@@ -334,7 +375,9 @@ def singular_values(lm: LinearMap, k: int, tol: float = 1e-10,
         raise ValueError("need 1 <= k <= min(rows, cols)")
     if lm.symmetric and lm.rows == lm.cols and k < lm.cols:
         spec = lanczos_extreme(lm, k, which="both_ends", tol=tol, seed=seed)
-        s = spec.singular[:k]
+        # a used-up Krylov space returns fewer than k; the rest are zeros
+        s = np.concatenate([spec.singular[:k],
+                            np.zeros(max(0, k - spec.singular.size))])
         return Spectrum(lambda_plus=spec.lambda_plus, lambda_minus=spec.lambda_minus,
                         singular=s, residuals=spec.residuals, meta=spec.meta)
     M = dense_matrix(lm, max_size=max_size)

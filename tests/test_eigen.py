@@ -221,6 +221,46 @@ class TestLanczos:
                            atol=1e-10 * top)
         assert np.allclose(minus, -want[:minus.size], rtol=0,
                            atol=1e-10 * top)
+        # each sweep stops once its Krylov space is used up, and the
+        # reported residuals are the dropped couplings, not a vacuous 0
+        assert spec.meta["iterations"] <= 64
+        assert 0.0 < spec.residuals.max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_repeated_eigenvalues_found_through_restarts(self, seed):
+        # one Krylov space holds one copy of each eigenvalue; the other
+        # two copies of 1 are reached only from restart directions, so a
+        # sweep that stops at its first deflation misses them
+        Q, _ = np.linalg.qr(np.random.default_rng(99).standard_normal((200, 200)))
+        d = np.zeros(200)
+        d[:4] = [1.0, 1.0, 1.0, 0.5]
+        lm = map_from_dense(Q @ np.diag(d) @ Q.T)
+        spec = lanczos_extreme(lm, k=5, which="both_ends", seed=seed)
+        assert np.allclose(spec.lambda_plus[:4], [1.0, 1.0, 1.0, 0.5],
+                           rtol=0, atol=1e-12)
+
+    def test_restart_in_nonzero_eigenspace_keeps_going(self):
+        # a restart direction of diag(3, 2, 1, ..., 1) deflates at once
+        # but is not mapped to zero: the rest of the space is the
+        # eigenvalue 1, and every requested copy of it is returned
+        d = np.ones(200)
+        d[:2] = [3.0, 2.0]
+        spec = lanczos_extreme(map_from_dense(np.diag(d)), k=5, seed=0)
+        assert np.allclose(spec.lambda_plus, [3.0, 2.0, 1.0, 1.0, 1.0],
+                           rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-4, 1e-8, 1e-12, 1e-16])
+    def test_deflation_test_is_scale_free(self, scale):
+        # an absolute deflation floor deflated every step of a map of
+        # norm ~1e-14 and returned values 90% off with residuals 0
+        rng = np.random.default_rng(8)
+        A = rng.standard_normal((200, 200))
+        A = scale * 0.5 * (A + A.T)
+        spec = lanczos_extreme(map_from_dense(A), k=5)
+        want = np.linalg.eigvalsh(A)[::-1][:5]
+        assert spec.meta["converged"] is True
+        assert np.allclose(spec.lambda_plus[:5], want, rtol=0,
+                           atol=1e-13 * want[0])
 
     def test_psd_gram_bottom(self):
         rng = np.random.default_rng(30)
@@ -294,6 +334,17 @@ class TestSingularValues:
         spec = singular_values(map_from_dense(M, symmetric=False), k=8)
         want = np.linalg.svd(M, compute_uv=False)[:8]
         assert np.allclose(spec.singular, want, rtol=1e-8)
+
+    def test_low_rank_symmetric_map_returns_k_values(self):
+        # the Lanczos sweeps stop after the rank's worth of steps; the
+        # values past the rank are zeros, as on the dense route
+        Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((100, 4)))
+        M = Q @ np.diag([4.0, -3.0, 2.0, -1.0]) @ Q.T
+        spec = singular_values(map_from_dense(M), k=20)
+        assert spec.singular.size == 20
+        assert np.allclose(spec.singular[:4], [4.0, 3.0, 2.0, 1.0],
+                           rtol=0, atol=1e-12)
+        assert np.all(spec.singular[4:] <= 1e-12)
 
     def test_symmetric_map_via_lanczos(self):
         rng = np.random.default_rng(45)

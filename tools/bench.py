@@ -17,7 +17,8 @@ file follows the same protocol.
 The output file holds the environment, every sample (one run.py result
 per side and pair), each side's median, q1 and q3 of every end-to-end
 metric, the pairs the change won, its median against the parent's
-with the benchmark's bound, and both traced layer splits. It is
+with the benchmark's bound, each side's attempted and failed chains,
+and both traced layer splits. It is
 rewritten after every run, so an interrupted session keeps what it
 measured. Nothing under perfbench/ is edited.
 """
@@ -94,9 +95,25 @@ def spread(values: list) -> dict:
     return {"n": len(values), "median": med, "q1": q1, "q3": q3}
 
 
+def chain_counts(runs: list) -> dict:
+    """Chains attempted and failed over one side's runs; a run that gave
+    no result counts as one failed chain."""
+    attempted = failed = 0
+    for run in runs:
+        attempted += run.get("attempted", 1)
+        failed += run.get("failed", 1)
+    return {"attempted": attempted, "failed": failed}
+
+
 def summarize(pairs: list, end_to_end: list) -> dict:
-    """Per metric: both sides' spread, change wins, median shift vs bound."""
-    out = {}
+    """Per metric: both sides' spread, change wins, median shift vs bound.
+
+    A pair enters a metric only when both sides measured it; "chains"
+    holds each side's attempted and failed chain totals, so a run that
+    failed is counted even though no median sees it.
+    """
+    out = {"chains": {side: chain_counts([p[side] for p in pairs])
+                      for side in ("parent", "change")}}
     for spec in end_to_end:
         name, lower = spec["name"], spec["better"] == "lower"
         both = [(p["parent"]["metrics"][name], p["change"]["metrics"][name])
