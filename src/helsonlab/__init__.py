@@ -1,9 +1,9 @@
 """helsonlab: spectra of multiplicative Hankel matrices and their integral kin."""
 
 from helsonlab.symbols import (  # noqa: F401
-    DomainError, QuadratureError, SequenceSpec, SymbolSpec,
-    a0_quadrature, a1_residual, b0_quadrature, chi_cutoff, eval_symbol,
-    kernel_fn, restrict, sequence_values, smoothstep, special_kernels, zeta1,
+    DomainError, QuadratureError, SymbolSpec, a0_quadrature, b0_quadrature,
+    chi_cutoff, eval_symbol, kernel_fn, sequence_values, smoothstep,
+    special_kernels, zeta1,
 )
 
 __version__ = "0.1.0"

@@ -348,7 +348,12 @@ def lanczos_extreme(lm: LinearMap, k: int, which: str = "largest",
         vals, res, it, ok = _lanczos_sweep(lm, k, tol, max_iter, rng, negate=True)
         meta["iterations"] += it
         meta["converged"] &= ok
-        meta["lambda_min_alg"] = float(vals[0])
+        # below _NEG_SNAP * lambda_1^+ it is rounding noise and reads 0,
+        # as it does in lambda_minus
+        lam_min = float(vals[0])
+        if plus.size and abs(lam_min) < _NEG_SNAP * plus[0]:
+            lam_min = 0.0
+        meta["lambda_min_alg"] = lam_min
         # vals are the smallest algebraic eigenvalues of A, ascending
         minus, _ = _split_signs(-vals)
         res_parts.append(res[:minus.size])

@@ -4,8 +4,10 @@ run_chain drives the whole reduction for one exponent: matrix sections
 of the multiplicative symbol and both of its parts, the matched pair of
 integral-operator discretizations for each part, cross-checks between
 the rows, the tail fit against the closed-form constant, and the
-negative-part domination check.  Every stage writes its artifacts
-before the next one starts, so a failure leaves a usable partial run.
+negative-part domination check.  The split is always a = a0 + a1 with
+the symbol's own weight; there is no zero-weight mode.  Every stage
+writes its artifacts before the next one starts, so a failure leaves a
+usable partial run.
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ from helsonlab.schatten import schatten_norm
 from helsonlab.structured_ops import (HelsonTruncation, LinearMap,
                                       build_helson, build_smooth_helson,
                                       difference_section)
-from helsonlab.symbols import (SymbolSpec, difference_part_sequence,
-                               sequence_values, smooth_part_sequence)
+from helsonlab.symbols import SymbolSpec
 
 # solve() gives sections at or below this order the full dense spectrum;
 # above it the solver reports solver["k"] certified extreme pairs instead
@@ -52,6 +53,12 @@ class StageError(RuntimeError):
         self.stage = stage
 
 
+def _refuse_unknown(where: str, blob: dict, known) -> None:
+    unknown = sorted(set(blob) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
+
+
 @dataclass
 class RunConfig:
     alpha: float = 1.0
@@ -62,7 +69,6 @@ class RunConfig:
     solver: dict = field(default_factory=dict)
     out_dir: str = "chain_out"
     fit_window: Optional[tuple] = None
-    weight_zero: bool = False
     negativity_size: int = 512
 
     def __post_init__(self):
@@ -79,6 +85,7 @@ class RunConfig:
         if self.nystrom_n < 8:
             raise ValueError("nystrom_n too small")
         base = {"k": 20, "tol": 1e-10, "max_iter": None, "seed": 0}
+        _refuse_unknown("solver", self.solver, base)
         base.update(self.solver)
         self.solver = base
         if self.fit_window is not None:
@@ -95,16 +102,20 @@ class RunConfig:
             "solver": self.solver,
             "outputs": {"dir": str(self.out_dir)},
             "fit_window": list(self.fit_window) if self.fit_window else None,
-            "weight_zero": self.weight_zero,
             "negativity_size": self.negativity_size,
         }
 
     @classmethod
     def from_json(cls, blob: dict) -> "RunConfig":
-        """Inverse of to_json; a missing key keeps the field's default."""
+        """Inverse of to_json; a missing key keeps the field's default and
+        a key that to_json does not write raises ValueError."""
+        known = cls().to_json()
+        _refuse_unknown("config", blob, known)
+        for part in ("grids", "outputs"):
+            _refuse_unknown(part, blob.get(part, {}), known[part])
         kwargs = {k: blob[k] for k in ("alpha", "sizes", "helson_cap",
-                                       "solver", "weight_zero",
-                                       "negativity_size") if k in blob}
+                                       "solver", "negativity_size")
+                  if k in blob}
         grids = blob.get("grids", {})
         if "x_lo" in grids or "x_hi" in grids:
             lo, hi = cls.x_domain
@@ -116,10 +127,6 @@ class RunConfig:
         if blob.get("fit_window"):
             kwargs["fit_window"] = tuple(blob["fit_window"])
         return cls(**kwargs)
-
-
-def _zero_symbol(x):
-    return np.zeros_like(np.asarray(x, dtype=float))
 
 
 def _resolved_count(lam: np.ndarray) -> int:
@@ -223,40 +230,21 @@ def run_chain(config: RunConfig) -> dict:
         except Exception as exc:
             raise StageError(name, str(exc)) from exc
 
-    # symbol table for both rows; a degenerate weight empties row 0.
-    # Matrix rows use the Gram-flavored sequence pair (genuine head for
-    # the smooth part, compensated difference part): row-0 sections stay
-    # positive and the two rows still sum to the restricted full symbol.
+    # row 0 is the smooth part a0 and row 1 the rest a - a0.  Both matrix
+    # rows are factored sections: row 0 is the positive Gram matrix over
+    # a0's weight rule, and row 1 takes the full symbol's factor and exact
+    # row and column 1 with sign + and that same smooth factor with sign -.
     full_spec = SymbolSpec(kind="helson_a", alpha=alpha)
-    a_specs: dict = {0: SymbolSpec(kind="a0", alpha=alpha),
-                     1: SymbolSpec(kind="a1", alpha=alpha)}
-    b_specs: dict = {0: SymbolSpec(kind="b0", alpha=alpha),
-                     1: SymbolSpec(kind="b1", alpha=alpha)}
-    row_seq: dict = {0: (lambda n: smooth_part_sequence(full_spec, n)),
-                     1: (lambda n: difference_part_sequence(full_spec, n))}
+    a_specs = (SymbolSpec(kind="a0", alpha=alpha),
+               SymbolSpec(kind="a1", alpha=alpha))
+    b_specs = (SymbolSpec(kind="b0", alpha=alpha),
+               SymbolSpec(kind="b1", alpha=alpha))
 
     def row_map(i: int, size: int) -> LinearMap:
-        # spectra go through the factored smooth section (exact PSD,
-        # GEMV matvec) and its complement; entry-level checks elsewhere
-        # use row_seq, which re-integrates every product independently
         if i == 0:
             return build_smooth_helson(full_spec, size)
         return difference_section(build_helson(full_spec, size),
                                   build_smooth_helson(full_spec, size))
-
-    if config.weight_zero:
-        # zero weight: the smooth part vanishes identically and the
-        # difference part carries the whole symbol on both sides
-        a_specs = {0: _zero_symbol, 1: full_spec}
-        b_specs = {0: _zero_symbol,
-                   1: SymbolSpec(kind="hankel_b", alpha=alpha)}
-        row_seq = {0: _zero_symbol,
-                   1: (lambda n: sequence_values(full_spec, n))}
-
-        def row_map(i: int, size: int) -> LinearMap:
-            # row 1 is built from the spec, as the combined section is,
-            # so both take the same factored path
-            return build_helson(full_spec if i == 1 else row_seq[0], size)
 
     matrix_sizes = [s for s in config.sizes if s <= config.helson_cap]
     if not matrix_sizes:
@@ -304,12 +292,16 @@ def run_chain(config: RunConfig) -> dict:
             combined[size] = spec
             _write_spectrum(spec, out_dir, f"combined_matrix_N{size}",
                             report)
-        # additivity: assembled symbol vs entrywise sum of the two parts,
-        # each row re-integrated independently (not the factored maps)
+        # additivity: the sum of the two row sections the chain solves
+        # against the closed-form section a(jk), streamed entry by entry.
+        # The smooth factor enters row 0 with + and row 1 with -, so it
+        # cancels in the sum: what this checks is row 1's wiring (its exact
+        # row and column 1, its minus factor) and the full symbol's
+        # exponential-sum factor against the closed form.
         check_size = min(matrix_sizes[0], _DENSE_LIMIT)
         assembled = HelsonTruncation(full_spec, check_size).dense()
-        summed = (HelsonTruncation(row_seq[0], check_size).dense() +
-                  HelsonTruncation(row_seq[1], check_size).dense())
+        summed = (row_map(0, check_size).dense() +
+                  row_map(1, check_size).dense())
         spec_sum = dense_eig_oracle(summed)
         spec_asm = dense_eig_oracle(assembled)
         m = min(spec_sum.singular.size, spec_asm.singular.size)
@@ -327,32 +319,31 @@ def run_chain(config: RunConfig) -> dict:
         # sections get no fit: they resolve only 8-9 eigenvalues above
         # the noise floor, in geometric rather than power-law decay.
         n_top = config.sizes[-1]
-        if not config.weight_zero:
-            window = config.fit_window or (20, 200)
-            sec = log_window_smooth_section(alpha, n_top)
-            sp_head = solve(sec.map, config.solver, k=window[1] + 16,
-                            which="largest")
-            _write_spectrum(sp_head, out_dir, f"headline_section_n{n_top}",
-                            report)
-            lam = sp_head.lambda_plus
-            n0 = min(window[0], max(1, lam.size // 2))
-            n1 = min(window[1], lam.size)
-            if n1 - n0 >= 8:
-                fit = fit_power_tail(lam, (n0, n1))
-                fits["headline"] = dict(fit.to_json(),
-                                        object="log_window_smooth_section",
-                                        n_nodes=n_top, window=[n0, n1],
-                                        kappa_ref=kappa(alpha))
-                ref_n = np.arange(n0, n1 + 1, dtype=float)
-                loglog_figure(
-                    out_dir / "fit_figure.svg",
-                    [("positive spectrum",
-                      np.arange(1, lam.size + 1), lam)],
-                    reference=("reference decay", ref_n,
-                               kappa(alpha) / ref_n**alpha),
-                    title=f"tail fit, alpha={alpha:g}",
-                    x_label="n", y_label="lambda_n")
-                artifacts.append(str(out_dir / "fit_figure.svg"))
+        window = config.fit_window or (20, 200)
+        sec = log_window_smooth_section(alpha, n_top)
+        sp_head = solve(sec.map, config.solver, k=window[1] + 16,
+                        which="largest")
+        _write_spectrum(sp_head, out_dir, f"headline_section_n{n_top}",
+                        report)
+        lam = sp_head.lambda_plus
+        n0 = min(window[0], max(1, lam.size // 2))
+        n1 = min(window[1], lam.size)
+        if n1 - n0 >= 8:
+            fit = fit_power_tail(lam, (n0, n1))
+            fits["headline"] = dict(fit.to_json(),
+                                    object="log_window_smooth_section",
+                                    n_nodes=n_top, window=[n0, n1],
+                                    kappa_ref=kappa(alpha))
+            ref_n = np.arange(n0, n1 + 1, dtype=float)
+            loglog_figure(
+                out_dir / "fit_figure.svg",
+                [("positive spectrum",
+                  np.arange(1, lam.size + 1), lam)],
+                reference=("reference decay", ref_n,
+                           kappa(alpha) / ref_n**alpha),
+                title=f"tail fit, alpha={alpha:g}",
+                x_label="n", y_label="lambda_n")
+            artifacts.append(str(out_dir / "fit_figure.svg"))
         report["fits"] = fits
         fit_path = out_dir / "fit_report.json"
         fit_path.write_text(json.dumps(fits, indent=1, sort_keys=True))

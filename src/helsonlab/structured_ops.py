@@ -24,7 +24,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from helsonlab.symbols import (DomainError, SequenceSpec, SymbolSpec,
+from helsonlab.symbols import (DomainError, SymbolSpec,
                                _exponential_sum_rule, _weight_of,
                                _weight_rule, sequence_values)
 
@@ -160,33 +160,31 @@ def build_hankel(b) -> LinearMap:
 # multiplicative structure: M(a) = {a(jk)}
 
 
-def _product_contract(a, N: int) -> Callable:
-    """Vectorized n -> a(n) for integer n <= N^2, from any accepted form."""
+def _product_contract(a) -> Callable:
+    """Vectorized n -> a(n) on integers, from a SymbolSpec or a callable."""
     if isinstance(a, SymbolSpec):
         return lambda n: sequence_values(a, n)
-    if isinstance(a, SequenceSpec):
-        if a.length < N * N:
-            raise ValueError(
-                f"sequence of length {a.length} cannot fill an N={N} section "
-                f"(needs {N * N} values)")
-        vals = np.asarray(a.values, dtype=float)
-        return lambda n: vals[np.asarray(n) - 1]
     if callable(a):
         return lambda n: np.asarray(a(np.asarray(n)), dtype=float)
-    raise TypeError("a must be a SymbolSpec, SequenceSpec, or callable")
+    raise TypeError("a must be a SymbolSpec or a callable")
 
 
 @dataclass(eq=False)
 class HelsonTruncation:
-    """N x N section entry(j,k) = a(jk), indices 1-based in the symbol."""
+    """N x N section entry(j,k) = a(jk), indices 1-based in the symbol.
 
-    a: Union[SymbolSpec, SequenceSpec, Callable]
+    Streams a(jk) entry by entry, so it is the closed-form oracle of the
+    factored sections: the reference of their tests and the closed-form
+    side of run_chain's additivity check.
+    """
+
+    a: Union[SymbolSpec, Callable]
     N: int
 
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("N must be positive")
-        self._fetch = _product_contract(self.a, self.N)
+        self._fetch = _product_contract(self.a)
         # spec'd memo: a(n) for n <= N, shared by every row
         self._head = np.asarray(self._fetch(np.arange(1, self.N + 1)), dtype=float)
 
@@ -236,8 +234,8 @@ def build_helson(a, N: int) -> LinearMap:
     N <= 2^18; a matvec costs O(N R) and dense() returns the factor's own
     matrix.  Index 1 stays out of the Gram part: the sum diverges at
     jk = 2, and the smallest product left, 4, is where it converges.
-    Every other input (callables, SequenceSpecs, other kinds) streams
-    rows through HelsonTruncation in O(N^2) per matvec.
+    Every other input (callables, other kinds) streams rows through
+    HelsonTruncation in O(N^2) per matvec.
     """
     if isinstance(a, SymbolSpec) and a.kind == "helson_a":
         return _helson_gram(a, N)

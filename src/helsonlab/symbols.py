@@ -13,12 +13,17 @@ with b0, b1 the additive-variable counterparts under x = log t,
 b(x) = e^(x/2) a(e^x).  Everything here is a pure function of its
 inputs; quadrature rules are cached per weight, and the full symbol's
 exponential-sum rule per alpha.
+
+sequence_values restricts one symbol to the integers.  There are no
+per-product sequences of the smooth or difference part: matrix sections
+of a0 and a - a0 are the Gram factors of structured_ops, built from
+a0's weight rule and the full symbol's exponential-sum rule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -87,21 +92,6 @@ class SymbolSpec:
     def from_json(cls, rec: dict) -> "SymbolSpec":
         return cls(kind=rec["kind"], alpha=rec["alpha"], t0=rec["t0"],
                    chi_lo=rec["chi_lo"], chi_hi=rec["chi_hi"], beta=rec["beta"])
-
-
-@dataclass(frozen=True)
-class SequenceSpec:
-    """Integer restriction r(a): values[0] corresponds to index 1 and is 0."""
-
-    source: SymbolSpec
-    length: int
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.length < 1 or len(self.values) != self.length:
-            raise ValueError("length/values mismatch")
-        if self.values[0] != 0.0:
-            raise ValueError("restriction convention requires values(1) = 0")
 
 
 def smoothstep(s):
@@ -502,10 +492,6 @@ def sequence_values(spec: SymbolSpec, n):
     Index 1 maps to 0; the full multiplicative symbol also zeroes index 2
     and applies its closed form from n = 3 (log log n is real and positive
     there); every other kind applies eval_symbol from n = 2.
-
-    The difference part follows the sequence convention of its minuend,
-    not the continuous domain: a1(2) = 0 - a0(2), so that on integers
-    a = a0 + a1 holds entry by entry including the zeroed head.
     """
     n_arr = np.asarray(n)
     if np.any(n_arr < 1):
@@ -516,77 +502,7 @@ def sequence_values(spec: SymbolSpec, n):
     if np.any(m):
         if spec.kind == "helson_a":
             values[m] = _helson_a_values(spec.alpha, n_arr[m].astype(float))
-        elif spec.kind == "a1":
-            nm = n_arr[m].astype(float)
-            full = np.zeros_like(nm)
-            mm = nm >= 3
-            full[mm] = _helson_a_values(spec.alpha, nm[mm])
-            values[m] = full - np.asarray(
-                a0_quadrature(_weight_of(spec), nm), dtype=float)
         else:
             values[m] = np.asarray(eval_symbol(spec, n_arr[m].astype(float)),
                                    dtype=float)
     return values
-
-
-def restrict(spec: SymbolSpec, N: int) -> SequenceSpec:
-    """Integer restriction r(a) of length N: values[j-1] = a(j), a(1) = 0."""
-    if N < 1:
-        raise ValueError("N must be positive")
-    values = sequence_values(spec, np.arange(1, N + 1))
-    return SequenceSpec(source=spec, length=N, values=values)
-
-
-def smooth_part_sequence(spec: SymbolSpec, n):
-    """Genuine smooth-part values on integers n >= 1, without the zeroed head.
-
-    sequence_values follows the restriction convention (index 1 -> 0),
-    the right flavor for matching the restricted full symbol entry by
-    entry.  But positivity of the smooth part's sections is a Gram
-    property and needs the true integral at every product jk, including
-    jk = 1; zeroing the head is a rank-two dent that makes the section
-    indefinite.  Multiplicative sections meant to be positive must be
-    built from this flavor.
-
-    a0_quadrature runs once per distinct integer of n and the values are
-    scattered back: a product table j*k repeats most of its entries (the
-    N = 256 table has 17,412 distinct products above N among 64,070), and
-    each value is a sum over the whole weight rule.
-    """
-    n_arr = np.asarray(n)
-    if np.any(n_arr < 1):
-        raise DomainError("sequence indices start at 1")
-    uniq, inv = np.unique(n_arr, return_inverse=True)
-    vals = a0_quadrature(_weight_of(spec), uniq.astype(float))
-    return vals[inv].reshape(n_arr.shape)
-
-
-def difference_part_sequence(spec: SymbolSpec, n):
-    """Compensating difference-part values on integers n >= 1.
-
-    Defined so that smooth_part_sequence + difference_part_sequence
-    equals sequence_values of the full symbol entry by entry; under this
-    flavor the head entries are -a0(1) and -a0(2) rather than 0, and a
-    section of the full restricted symbol splits exactly into a positive
-    smooth section plus this difference section.  The smooth part comes
-    from smooth_part_sequence, one quadrature per distinct integer, and
-    is integrated afresh on every call.
-    """
-    full = SymbolSpec(kind="helson_a", alpha=spec.alpha, t0=spec.t0,
-                      chi_lo=spec.chi_lo, chi_hi=spec.chi_hi, beta=spec.beta)
-    return sequence_values(full, n) - smooth_part_sequence(spec, n)
-
-
-def a1_residual(spec: SymbolSpec, t, Q: int = 2000, weight: Optional[SymbolSpec] = None):
-    """a(t) - a0(t) for the full symbol spec (t > e).
-
-    weight overrides the smooth part's weight (default: the one implied
-    by spec); a degenerate zero weight makes a1 coincide with a.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= E):
-        raise DomainError("a1_residual needs t > e")
-    w = _weight_of(spec) if weight is None else weight
-    val = _helson_a_values(spec.alpha, t_arr) - np.asarray(
-        a0_quadrature(w, t_arr, Q=Q), dtype=float)
-    return val if val.ndim else float(val)

@@ -358,6 +358,17 @@ class TestChainVerb:
         assert code == 1
         assert "stage" in err
 
+    def test_unknown_config_key_exits_two(self, tmp_path, capsys):
+        # a key the run would ignore is refused before any stage starts
+        cfg = {"alpha": 1.0, "sizes": [32, 64], "weight_zero": True,
+               "outputs": {"dir": str(tmp_path / "o")}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, err = _run(capsys, "chain", "--config", str(cfg_path))
+        assert code == 2
+        assert "weight_zero" in err
+        assert not (tmp_path / "o").exists()
+
     def test_report_before_chain(self, tmp_path, capsys):
         cfg = {"alpha": 1.0, "sizes": [32, 64],
                "outputs": {"dir": str(tmp_path / "never_ran")}}

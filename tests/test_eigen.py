@@ -270,6 +270,16 @@ class TestLanczos:
         assert spec.meta["lambda_min_alg"] >= -1e-10 * spec.lambda_plus[0]
         assert spec.lambda_minus.size == 0 or np.all(spec.lambda_minus == 0.0)
 
+    @pytest.mark.parametrize("seed", [1, 2, 4, 12345])
+    def test_psd_section_bottom_snaps_to_zero(self, seed):
+        # the smallest Ritz value of a PSD section with a numerically
+        # singular tail is rounding noise of order 1e-16 lambda_1; it reads
+        # 0, as lambda_minus does
+        lm = build_smooth_helson(SymbolSpec("helson_a"), 1024)
+        spec = lanczos_extreme(lm, k=20, which="both_ends", seed=seed)
+        assert spec.meta["lambda_min_alg"] == 0.0
+        assert np.all(spec.lambda_minus == 0.0)
+
     def test_interlacing_of_nested_sections(self):
         spec_sym = SymbolSpec("helson_a", alpha=1.0)
         small = dense_eig_oracle(HelsonTruncation(spec_sym, 32).dense()).lambda_plus

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 import helsonlab.symbols as symbols
+from helsonlab.structured_ops import HelsonTruncation, build_smooth_helson
 from helsonlab.symbols import (
-    DomainError, SequenceSpec, SymbolSpec, a0_quadrature, a1_residual,
-    b0_quadrature, chi_cutoff, difference_part_sequence, eval_symbol,
-    kernel_fn, restrict, sequence_values, smooth_part_sequence,
-    smoothstep, special_kernels, zeta1,
+    DomainError, SymbolSpec, a0_quadrature, b0_quadrature, chi_cutoff,
+    eval_symbol, kernel_fn, sequence_values, smoothstep, special_kernels,
+    zeta1,
 )
 
 E = math.e
@@ -131,97 +131,51 @@ class TestSmoothstep:
 
 class TestRestrict:
     def test_reciprocal_symbol(self):
-        seq = restrict(SymbolSpec("custom", fn=lambda t: 1.0 / t), 3)
-        assert np.allclose(seq.values, [0.0, 0.5, 1.0 / 3.0])
+        seq = sequence_values(SymbolSpec("custom", fn=lambda t: 1.0 / t),
+                              np.arange(1, 4))
+        assert np.allclose(seq, [0.0, 0.5, 1.0 / 3.0])
 
     def test_index_one_is_zero(self):
         for kind in ("helson_a", "hankel_b"):
-            assert restrict(SymbolSpec(kind), 8).values[0] == 0.0
+            assert sequence_values(SymbolSpec(kind), np.arange(1, 9))[0] == 0.0
 
     def test_helson_head_convention(self):
         # closed form applies from j = 3; j = 1, 2 are the zeroed head
-        seq = restrict(SymbolSpec("helson_a", alpha=1.0), 16)
-        assert seq.values[1] == 0.0
-        assert seq.values[2] > 0.0
+        seq = sequence_values(SymbolSpec("helson_a", alpha=1.0),
+                              np.arange(1, 17))
+        assert seq[1] == 0.0
+        assert seq[2] > 0.0
 
     def test_helson_a_at_16_high_precision(self):
-        seq = restrict(SymbolSpec("helson_a", alpha=1.0), 16)
-        assert seq.values[15] == pytest.approx(A16_ALPHA1, rel=1e-14)
-
-    def test_sequence_spec_guards(self):
-        spec = SymbolSpec("helson_a")
-        with pytest.raises(ValueError):
-            SequenceSpec(source=spec, length=2, values=np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            SequenceSpec(source=spec, length=3, values=np.zeros(2))
-
-    def test_difference_part_sequence_additivity(self):
-        # on integers the difference part inherits the zeroed head, so
-        # the three sequences sum exactly: a1(2) = -a0(2), not an error
-        n = np.arange(1, 41)
-        a = restrict(SymbolSpec("helson_a"), 40).values
-        a0 = restrict(SymbolSpec("a0"), 40).values
-        a1 = restrict(SymbolSpec("a1"), 40).values
-        assert np.max(np.abs(a - (a0 + a1))) <= 1e-14
-        assert a1[0] == 0.0
-        assert a1[1] == pytest.approx(-a0[1], rel=1e-15)
-        assert a1[1] < 0.0
+        seq = sequence_values(SymbolSpec("helson_a", alpha=1.0),
+                              np.arange(1, 17))
+        assert seq[15] == pytest.approx(A16_ALPHA1, rel=1e-14)
 
     def test_gram_flavor_keeps_genuine_head(self):
+        # the smooth section holds the genuine a0(jk) at every product,
+        # jk = 1 included, where a0(1) is the integral of the weight
         spec = SymbolSpec("helson_a")
-        n = np.arange(1, 41)
-        smooth = smooth_part_sequence(spec, n)
-        diff = difference_part_sequence(spec, n)
-        full = sequence_values(spec, n)
-        # exact compensation: the two flavors assemble the same symbol
-        assert np.max(np.abs(full - (smooth + diff))) <= 1e-14
-        # genuine value at 1 is the integral of the weight, so positive
+        A = build_smooth_helson(spec, 48).dense()
         w = SymbolSpec("weight_w", alpha=spec.alpha)
         lam = np.linspace(0.0, spec.chi_hi, 200001)
         want = np.trapezoid(_weight_values_for_test(w, lam), lam)
-        assert smooth[0] == pytest.approx(want, rel=1e-5)
-        assert diff[0] == pytest.approx(-smooth[0], rel=1e-15)
-        # restriction flavor still zeroes the head for every kind
+        assert A[0, 0] == pytest.approx(want, rel=1e-5)
+        n = np.arange(1, 49)
+        prod = np.multiply.outer(n, n).astype(float)
+        np.testing.assert_allclose(A, a0_quadrature(w, prod), rtol=1e-13,
+                                   atol=0.0)
+        # the restriction convention still zeroes the head for every kind
         assert sequence_values(SymbolSpec("a0"), np.array([1]))[0] == 0.0
 
     def test_gram_flavor_section_is_positive(self):
-        # the whole point of the genuine head: sections from the smooth
-        # flavor are Gram matrices, numerically PSD; the restricted
-        # flavor's are visibly indefinite
+        # the whole point of the genuine head: the smooth section is a
+        # Gram matrix, numerically PSD; the restriction-head section is
+        # visibly indefinite
         spec = SymbolSpec("helson_a")
-        n = np.arange(1, 49)
-        prod = np.multiply.outer(n, n)
-        A = smooth_part_sequence(spec, prod)
-        ev = np.linalg.eigvalsh(A)
+        ev = np.linalg.eigvalsh(build_smooth_helson(spec, 48).dense())
         assert ev[0] >= -1e-13 * ev[-1]
-        A_r = sequence_values(SymbolSpec("a0"), prod)
+        A_r = HelsonTruncation(SymbolSpec("a0"), 48).dense()
         assert np.linalg.eigvalsh(A_r)[0] < -1e-3 * ev[-1]
-
-
-    def test_smooth_part_integrates_each_distinct_product_once(
-            self, monkeypatch):
-        # the N = 64 product table has 4096 entries: the 64 values up to N
-        # and 1,199 distinct products above it
-        spec = SymbolSpec("helson_a")
-        n = np.arange(1, 65)
-        prod = np.multiply.outer(n, n)
-        orig = symbols.a0_quadrature
-        seen = []
-
-        def counted(spec_w, t, *args, **kwargs):
-            seen.append(np.array(t, dtype=float).ravel())
-            return orig(spec_w, t, *args, **kwargs)
-
-        monkeypatch.setattr(symbols, "a0_quadrature", counted)
-        got = smooth_part_sequence(spec, prod)
-        points = np.concatenate(seen)
-        assert points.size == 1199 + 64
-        assert np.array_equal(np.sort(points), np.unique(prod).astype(float))
-        assert got.shape == prod.shape
-        w = symbols._weight_of(spec)
-        per_point = {v: orig(w, float(v)) for v in np.unique(prod)}
-        want = np.vectorize(per_point.get)(prod)
-        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
 def _weight_values_for_test(w: SymbolSpec, lam: np.ndarray) -> np.ndarray:
@@ -338,32 +292,24 @@ class TestB0Quadrature:
 
 class TestA1Residual:
     def test_value_at_activation_point(self):
-        spec = SymbolSpec("helson_a", alpha=1.0)
-        got = a1_residual(spec, 16.0)
-        want = eval_symbol(spec, 16.0) - a0_quadrature(SymbolSpec("weight_w", alpha=1.0), 16.0)
+        got = eval_symbol(SymbolSpec("a1", alpha=1.0), 16.0)
+        want = (eval_symbol(SymbolSpec("helson_a", alpha=1.0), 16.0)
+                - a0_quadrature(SymbolSpec("weight_w", alpha=1.0), 16.0))
         assert got == pytest.approx(want, rel=1e-14)
         assert math.isfinite(got)
 
     def test_normalized_residual_bounded(self):
         # |a1(t)| t^{1/2} (log t)(log log t)^2 stays bounded for alpha = 1
-        spec = SymbolSpec("helson_a", alpha=1.0)
+        spec = SymbolSpec("a1", alpha=1.0)
         vals = []
         for t in (1e3, 1e6, 1e9, 1e12):
-            r = abs(a1_residual(spec, t))
+            r = abs(eval_symbol(spec, t))
             vals.append(r * math.sqrt(t) * math.log(t) * math.log(math.log(t)) ** 2)
         assert max(vals) < 10.0
 
-    def test_zero_weight_makes_a1_equal_a(self):
-        spec = SymbolSpec("helson_a", alpha=1.0)
-        wz = SymbolSpec("custom", fn=lambda l: np.zeros_like(np.asarray(l, dtype=float)),
-                        support=(0.0, 1.0))
-        t = 100.0
-        assert a1_residual(spec, t, weight=wz) == pytest.approx(
-            eval_symbol(spec, t), rel=1e-14)
-
     def test_domain_guard(self):
         with pytest.raises(DomainError):
-            a1_residual(SymbolSpec("helson_a"), 2.0)
+            eval_symbol(SymbolSpec("a1"), 2.0)
 
 
 class TestZeta1:
