@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from helsonlab.discretize import log_window_smooth_section
 from helsonlab.eigen import (
     Spectrum, dense_eig_oracle, householder_tridiagonalize, lanczos_extreme,
     singular_values, spectrum_from_csv, spectrum_to_csv, tridiag_eigenvalues,
@@ -55,14 +56,27 @@ class TestSpectrumType:
         assert np.array_equal(back.lambda_minus, spec.lambda_minus)
         assert np.array_equal(back.singular, spec.singular)
 
+    def test_ordering_is_scale_free(self):
+        # a rise of 4e-16 in a list of size 1e-16 is no rounding slack
+        with pytest.raises(ValueError):
+            Spectrum(lambda_plus=np.array([1e-16, 5e-16, 3e-16]),
+                     lambda_minus=np.array([]), singular=np.array([]),
+                     residuals=np.array([]))
+        # a rise of 1e-13 relative to the list's scale is
+        spec = Spectrum(lambda_plus=1e-16 * np.array([3.0, 3.0 + 3e-13, 1.0]),
+                        lambda_minus=np.array([]), singular=np.array([]),
+                        residuals=np.array([]))
+        assert spec.lambda_plus.size == 3
+
     def test_meta_sidecar(self, tmp_path):
         spec = Spectrum(np.array([1.0]), np.array([]), np.array([]),
                         np.array([0.0]),
-                        meta={"dim": 8, "iterations": 5, "seed": 3, "tol": 1e-10,
-                              "extra": "dropped"})
+                        meta={"dim": 8, "iterations": 5, "reorthogonalized": 2,
+                              "seed": 3, "tol": 1e-10, "extra": "dropped"})
         p = tmp_path / "s.json"
         write_meta_sidecar(spec, p)
         assert json.loads(p.read_text()) == {"dim": 8, "iterations": 5,
+                                             "reorthogonalized": 2,
                                              "seed": 3, "tol": 1e-10}
 
 
@@ -225,6 +239,26 @@ class TestLanczos:
         # reported residuals are the dropped couplings, not a vacuous 0
         assert spec.meta["iterations"] <= 64
         assert 0.0 < spec.residuals.max() <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n", [700, 1024])
+    def test_semi_orthogonal_on_log_window_sections(self, alpha, n):
+        # these sections are numerically low rank: late Lanczos
+        # coefficients fall far below |A|, where the textbook omega
+        # rounding model lets orthogonality go and ghosts appear
+        lm = log_window_smooth_section(alpha, n).map
+        want = dense_eig_oracle(lm).lambda_plus[:216]
+        for seed in (0, 1, 3, 7):
+            spec = lanczos_extreme(lm, 216, which="largest", seed=seed)
+            assert spec.meta["converged"] is True
+            assert np.allclose(spec.lambda_plus[:216], want, rtol=0,
+                               atol=1e-12 * want[0])
+
+    def test_reorthogonalizes_on_part_of_the_steps(self):
+        lm = log_window_smooth_section(1.0, 4096).map
+        spec = lanczos_extreme(lm, 100, which="largest", seed=0)
+        assert spec.meta["converged"] is True
+        assert 0 < spec.meta["reorthogonalized"] < spec.meta["iterations"]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_repeated_eigenvalues_found_through_restarts(self, seed):
