@@ -62,7 +62,7 @@ class TestSpectrumType:
             Spectrum(lambda_plus=np.array([1e-16, 5e-16, 3e-16]),
                      lambda_minus=np.array([]), singular=np.array([]),
                      residuals=np.array([]))
-        # a rise of 1e-13 relative to the list's scale is
+        # a rise of 1e-13 of the list's scale is rounding slack
         spec = Spectrum(lambda_plus=1e-16 * np.array([3.0, 3.0 + 3e-13, 1.0]),
                         lambda_minus=np.array([]), singular=np.array([]),
                         residuals=np.array([]))
@@ -243,9 +243,10 @@ class TestLanczos:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("n", [700, 1024])
     def test_semi_orthogonal_on_log_window_sections(self, alpha, n):
-        # these sections are numerically low rank: late Lanczos
-        # coefficients fall far below |A|, where the textbook omega
-        # rounding model lets orthogonality go and ghosts appear
+        # these sections are numerically low rank (at alpha = 1, n = 700,
+        # lambda_216 is 8e-12 lambda_1 and 275 eigenvalues lie above
+        # 1e-14 lambda_1): the sweep runs into the noise floor, where the
+        # textbook omega rounding model lets orthogonality go
         lm = log_window_smooth_section(alpha, n).map
         want = dense_eig_oracle(lm).lambda_plus[:216]
         for seed in (0, 1, 3, 7):
