@@ -2,8 +2,7 @@
 
 from helsonlab.symbols import (  # noqa: F401
     DomainError, QuadratureError, SymbolSpec, a0_quadrature, b0_quadrature,
-    chi_cutoff, eval_symbol, kernel_fn, sequence_values, smoothstep,
-    special_kernels, zeta1,
+    chi_cutoff, eval_symbol, kernel_fn, sequence_values, smoothstep, zeta1,
 )
 
 __version__ = "0.1.0"

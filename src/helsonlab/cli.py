@@ -1,6 +1,8 @@
 """Command-line surface over the laboratory modules.
 
-Verbs: kappa, spectrum, fit, schatten, verify, chain, report.  stdout
+Verbs: kappa, spectrum, fit, schatten, verify, chain, report.  verify
+runs one of five suites: chain, factorization, s0diff, decay, sampling;
+each exits 0 on the shipped code.  stdout
 carries data (numbers, CSV, JSON, artifact paths); diagnostics go to
 stderr.  Exit codes: 0 success, 1 failed verification, 2 usage error.
 HELSON_SEED overrides the default eigensolver seed; an interrupted run
@@ -12,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
 import sys
 import tempfile
@@ -267,25 +268,6 @@ def _suite_factorization(seed: int):
     return checks
 
 
-def _suite_carleman(seed: int):
-    errs = []
-    tops = []
-    for dom in ((1e-8, 1e8), (1e-10, 1e10)):
-        g = make_grid(dom, 4096, "geometric")
-        op = nystrom_hankel(SymbolSpec("carleman"), g)
-        top = float(lanczos_extreme(op.map, k=8, which="largest",
-                                    seed=seed).lambda_plus[0])
-        tops.append(top)
-        errs.append(abs(top - math.pi) / math.pi)
-    return [
-        (errs[0] <= 0.02,
-         f"reciprocal-kernel top eigenvalue {tops[0]:.6f} vs pi: rel err "
-         f"{errs[0]:.4%} (tol 2%)"),
-        (errs[1] < errs[0],
-         f"wider domain rel err {errs[1]:.4%} < {errs[0]:.4%}"),
-    ]
-
-
 def _suite_s0diff(seed: int):
     del seed
     w = SymbolSpec("weight_w", alpha=1.0)
@@ -295,12 +277,14 @@ def _suite_s0diff(seed: int):
     sq = np.sqrt(np.atleast_1d(_weight_values(w, g.nodes)) * g.weights)
     D -= np.outer(sq, sq)
     s = dense_eig_oracle(D).singular
-    ratio = float(s[19] / s[4])
+    # the remainder is entire, so its singular values fall
+    # superexponentially: only the first few clear the noise floor
+    resolved = int(np.sum(s >= NOISE_FLOOR * s[0]))
     head = float(s[3] / s[0])
     return [
-        (ratio <= 1e-3,
-         f"s20/s5 = {ratio:.3e} (tol 1e-03; s5 = {s[4]:.2e} already sits at "
-         f"the double-precision floor of this superexponential decay)"),
+        (resolved <= 4,
+         f"{resolved} singular values at or above {NOISE_FLOOR:g} s1 "
+         f"(tol 4)"),
         (head <= 1e-9,
          f"resolved head decay s4/s1 = {head:.3e} (tol 1e-09)"),
     ]
@@ -354,7 +338,6 @@ def _suite_sampling(seed: int, golden_path) -> list:
 _SUITES = {
     "chain": _suite_chain,
     "factorization": _suite_factorization,
-    "carleman": _suite_carleman,
     "s0diff": _suite_s0diff,
     "decay": _suite_decay,
 }

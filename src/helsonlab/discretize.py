@@ -13,6 +13,9 @@ structured_ops, as is the integer-side factor of factor_N_dense.  The
 difference kernels a1 = a - a0 and b1 = b - b0 reuse that factor: their
 section is the closed-form full kernel, assembled entrywise, minus the
 same E E^T, so no entry is ever a quadrature sum of its own.
+weighted_operator gives the quadrature-side sections of the
+factorization, the weighted zeta(1+s) and 1/s kernels, through the same
+blocked entrywise assembly.
 """
 
 from __future__ import annotations
@@ -26,17 +29,17 @@ import numpy as np
 from helsonlab.structured_ops import (LinearMap, _dirichlet_factor,
                                       _smooth_nodes)
 from helsonlab.symbols import (
-    SymbolSpec, _weight_support, _weight_values, chi_cutoff, kernel_fn,
-    special_kernels, zeta1,
+    SymbolSpec, _weight_support, _weight_values, chi_cutoff, kernel_fn, zeta1,
 )
 
 SPACINGS = ("uniform", "geometric", "gauss")
 
 # element budget per evaluation block during dense assembly.  Every chain
 # kernel that reaches _assemble is closed form (smooth and difference
-# parts go through _GRAM_KINDS); a quadrature closure passed in as a
-# callable, such as kernel_fn of a0, expands each element by its rule
-# size, and _laplace_sum blocks that expansion itself
+# parts go through _GRAM_KINDS); a kernel that expands each element,
+# such as zeta1 into its 63-term partial sum, holds one block's worth of
+# that expansion, and a quadrature closure passed in as a callable, such
+# as kernel_fn of a0, blocks its own expansion in _laplace_sum
 _ASSEMBLY_BUDGET = 1 << 13
 
 # spec kinds whose section comes from the weight's Gram factor E E^T, per
@@ -45,8 +48,8 @@ _ASSEMBLY_BUDGET = 1 << 13
 _GRAM_KINDS = {("product", "a0"): None, ("product", "a1"): "helson_a",
                ("sum", "b0"): None, ("sum", "b1"): "hankel_b"}
 
-# kernels with a 1/x-type singularity at the origin need lo > 0
-_SINGULAR_AT_ZERO = ("carleman", "zeta1", "h_beta")
+# kernels of weighted_operator, by name; both are singular at 0
+_WEIGHTED_KERNELS = {"zeta1": zeta1, "carleman": lambda s: 1.0 / s}
 
 
 class ConstructionError(ValueError):
@@ -88,14 +91,6 @@ class Grid:
     @property
     def n(self) -> int:
         return self.nodes.size
-
-    def to_json(self) -> dict:
-        return {"lo": self.domain[0], "hi": self.domain[1],
-                "n": self.n, "spacing": self.spacing}
-
-    @classmethod
-    def from_json(cls, rec: dict) -> "Grid":
-        return make_grid((rec["lo"], rec["hi"]), rec["n"], rec["spacing"])
 
 
 def make_grid(domain, n: int, spacing: str = "uniform") -> Grid:
@@ -183,17 +178,12 @@ def _kernel_callable(kernel) -> Callable:
     raise TypeError("kernel must be a SymbolSpec or a callable")
 
 
-def _check_singularity(kernel, grid: Grid) -> None:
-    if isinstance(kernel, SymbolSpec) and kernel.kind in _SINGULAR_AT_ZERO \
-            and grid.domain[0] <= 0:
-        raise ConstructionError(
-            f"{kernel.kind} kernel is singular at 0: need lo > 0")
-
-
-def _assemble(fn: Callable, grid: Grid, combine: str) -> np.ndarray:
-    x = grid.nodes
+def _assemble(fn: Callable, x: np.ndarray, sq: np.ndarray,
+              combine: str) -> np.ndarray:
+    """Symmetrized sq_m K(x_m, x_n) sq_n, the kernel evaluated in blocks of
+    rows of at most _ASSEMBLY_BUDGET entries; combine is "sum" for
+    K = fn(x_m + x_n) and "product" for K = fn(x_m x_n)."""
     n = x.size
-    sq = np.sqrt(grid.weights)
     out = np.empty((n, n))
     step = max(1, _ASSEMBLY_BUDGET // n)
     for lo_i in range(0, n, step):
@@ -235,13 +225,15 @@ def _gram_fast_path(spec: SymbolSpec, grid: Grid, combine: str,
 def _section(kernel, grid: Grid, combine: str) -> np.ndarray:
     """Dense symmetric section of a spec or callable kernel on the grid."""
     key = (combine, kernel.kind if isinstance(kernel, SymbolSpec) else None)
+    sq = np.sqrt(grid.weights)
     if key not in _GRAM_KINDS:
-        return _assemble(_kernel_callable(kernel), grid, combine)
+        return _assemble(_kernel_callable(kernel), grid.nodes, sq, combine)
     gram = _gram_fast_path(kernel, grid, combine)
     full = _GRAM_KINDS[key]
     if full is None:
         return gram
-    closed = _assemble(kernel_fn(replace(kernel, kind=full)), grid, combine)
+    closed = _assemble(kernel_fn(replace(kernel, kind=full)), grid.nodes,
+                       sq, combine)
     return closed - gram
 
 
@@ -264,7 +256,6 @@ def nystrom_hankel(b, grid: Grid, max_nodes: int = 4096) -> NystromOperator:
     """
     if grid.n > max_nodes:
         raise ConstructionError(f"dense assembly capped at {max_nodes} nodes")
-    _check_singularity(b, grid)
     return _wrap_operator(_section(b, grid, "sum"), grid, b,
                           "additive-kernel")
 
@@ -316,31 +307,21 @@ def factor_N_dense(w_spec: SymbolSpec, J: int, grid: Grid) -> np.ndarray:
 
 
 def weighted_operator(kind: str, w_spec: SymbolSpec, grid: Grid) -> NystromOperator:
-    """Section sqrt(w om)_m K(x_m + x_n) sqrt(w om)_n for a named kernel.
+    """Section sqrt(w om)_m K(x_m + x_n) sqrt(w om)_n for a named kernel,
+    zeta1 (K(s) = zeta(1+s)) or carleman (K(s) = 1/s).
 
-    The kernel argument stays strictly positive (lo > 0 enforced: every
-    named kind here has a 1/x-type singularity at the origin).
+    The kernel argument stays strictly positive (lo > 0 enforced: both
+    kernels have a 1/x-type singularity at the origin).
     """
-    if kind == "zeta1":
-        fn = zeta1
-    elif kind == "carleman":
-        fn = lambda s: 1.0 / np.asarray(s, dtype=float)
-    elif kind == "h_beta":
-        fn = lambda s: special_kernels("h_beta", s, w_spec.beta)
-    else:
+    if kind not in _WEIGHTED_KERNELS:
         raise ValueError(f"unknown weighted kernel {kind!r}")
     if grid.domain[0] <= 0:
         raise ConstructionError(f"{kind} kernel is singular at 0: need lo > 0")
     wvals = np.atleast_1d(_weight_values(w_spec, grid.nodes))
     if np.any(wvals < 0):
         raise ConstructionError("weight takes negative values on the grid")
-    x = grid.nodes
-    sq = np.sqrt(wvals * grid.weights)
-    vals = fn((x[:, None] + x[None, :]).ravel()).reshape(grid.n, grid.n)
-    M = sq[:, None] * vals * sq[None, :]
-    if not np.all(np.isfinite(M)):
-        raise ConstructionError("kernel produced non-finite entries")
-    M = 0.5 * (M + M.T)
+    M = _assemble(_WEIGHTED_KERNELS[kind], grid.nodes,
+                  np.sqrt(wvals * grid.weights), "sum")
     return _wrap_operator(M, grid, w_spec, f"weighted-{kind}")
 
 

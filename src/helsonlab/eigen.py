@@ -147,22 +147,20 @@ def householder_tridiagonalize(A: np.ndarray):
     return d, e
 
 
-def tridiag_eigenvalues(d, e, last_row: bool = False):
+def tridiag_eigenvalues(d, e):
     """Eigenvalues of the symmetric tridiagonal with diagonal d, off-diagonal e.
 
-    Returns ascending eigenvalues (LAPACK through numpy); with
-    last_row=True also the last row of the orthogonal eigenvector
-    matrix, which is all Lanczos needs for residual certificates.
+    Returns the ascending eigenvalues (LAPACK through numpy) and the last
+    row of the orthogonal eigenvector matrix, which is all Lanczos needs
+    for residual certificates.
     """
     d = np.asarray(d, dtype=float)
     e = np.asarray(e, dtype=float)
     if e.size + 1 != d.size:
         raise ValueError("subdiagonal must have length n-1")
     T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-    if last_row:
-        vals, V = np.linalg.eigh(T)
-        return vals, V[-1]
-    return np.linalg.eigvalsh(T)
+    vals, V = np.linalg.eigh(T)
+    return vals, V[-1]
 
 
 def _split_signs(vals_desc: np.ndarray):
@@ -297,7 +295,7 @@ def _lanczos_sweep(lm: LinearMap, k: int, tol: float, max_iter: int,
     checked = -1
 
     def ritz():
-        vals, z = tridiag_eigenvalues(alphas[:m], betas[:m - 1], last_row=True)
+        vals, z = tridiag_eigenvalues(alphas[:m], betas[:m - 1])
         scale = max(float(np.max(np.abs(vals))), 1e-300)
         res = (np.abs(beta_last * z) + math.sqrt(dropped2)) / scale
         return vals, res, np.argsort(vals)[::-1][:k]
@@ -446,37 +444,3 @@ def lanczos_extreme(lm: LinearMap, k: int, which: str = "largest",
     return Spectrum(lambda_plus=plus, lambda_minus=minus, singular=singular,
                     residuals=residuals, meta=meta)
 
-
-def singular_values(lm: LinearMap, k: int, tol: float = 1e-10,
-                    seed: int = 0, max_size: int = 4096) -> Spectrum:
-    """Top-k singular values.
-
-    Real symmetric maps go through two-sided Lanczos (singular values
-    are the merged absolute eigenvalues); anything else is densified and
-    its (possibly complex Hermitian) Gram matrix on the smaller side goes
-    to LAPACK eigvalsh.
-    """
-    if k < 1 or k > min(lm.rows, lm.cols):
-        raise ValueError("need 1 <= k <= min(rows, cols)")
-    if lm.symmetric and lm.rows == lm.cols and k < lm.cols:
-        spec = lanczos_extreme(lm, k, which="both_ends", tol=tol, seed=seed)
-        # a used-up Krylov space returns fewer than k; the rest are zeros
-        s = np.concatenate([spec.singular[:k],
-                            np.zeros(max(0, k - spec.singular.size))])
-        return Spectrum(lambda_plus=spec.lambda_plus, lambda_minus=spec.lambda_minus,
-                        singular=s, residuals=spec.residuals, meta=spec.meta)
-    M = dense_matrix(lm, max_size=max_size)
-    if M.shape[0] >= M.shape[1]:
-        G = M.conj().T @ M
-    else:
-        G = M @ M.conj().T
-    vals = np.linalg.eigvalsh(G)[::-1]
-    if vals.size and vals[0] > 0:
-        # Gram eigenvalues below squaring roundoff are exact zeros
-        vals = np.where(vals < 1e-13 * vals[0], 0.0, vals)
-    s = np.sqrt(np.clip(vals, 0.0, None))
-    s = np.concatenate([s, np.zeros(max(0, k - s.size))])[:k]
-    return Spectrum(lambda_plus=np.array([]), lambda_minus=np.array([]),
-                    singular=s, residuals=np.zeros(k),
-                    meta={"dim": int(min(lm.rows, lm.cols)), "iterations": 0,
-                          "seed": seed, "tol": tol, "method": "dense-gram"})

@@ -32,8 +32,7 @@ from helsonlab.discretize import (log_window_smooth_section, make_grid,
                                   nystrom_hankel, nystrom_helson,
                                   v_matched_grids)
 from helsonlab.eigen import (Spectrum, dense_eig_oracle, lanczos_extreme,
-                             singular_values, spectrum_to_csv,
-                             write_meta_sidecar)
+                             spectrum_to_csv, write_meta_sidecar)
 from helsonlab.schatten import schatten_norm
 from helsonlab.structured_ops import (HelsonTruncation, LinearMap,
                                       build_helson, build_smooth_helson,
@@ -363,15 +362,10 @@ def run_chain(config: RunConfig) -> dict:
         # the ratio is only meaningful over resolved positive eigenvalues
         # past the head: index 1 carries the symbol's divergence at the
         # left end of its domain (one genuine O(1) +/- pair), and indices
-        # under the solver floor compare noise with noise
+        # under the solver floor compare noise with noise.  fit_window is
+        # the headline fit's window and plays no part here
         m_res = _resolved_count(spec_full.lambda_plus)
-        if config.fit_window is not None:
-            n0, n1 = config.fit_window
-            n1 = min(int(n1), spec_full.lambda_plus.size)
-            n0 = max(1, int(n0))
-        else:
-            n0 = max(2, m_res // 20)
-            n1 = m_res
+        n0, n1 = max(2, m_res // 20), m_res
         report["negativity"] = dict(
             dom, size=neg_size, window=[n0, n1], resolved_count=m_res,
             max_neg_to_pos=_neg_to_pos_ratio(spec_full, n0, n1))
@@ -423,14 +417,8 @@ def band_limited_symbol(coeffs, N: float) -> Callable:
 
 
 def _schatten_of_matrix(A: np.ndarray, p: float) -> float:
-    """S_p of a small dense section, real-symmetric or complex-symmetric."""
-    n = A.shape[0]
-    if not np.iscomplexobj(A):
-        s = dense_eig_oracle(A).singular
-    else:
-        lm = LinearMap(rows=n, cols=n, symmetric=False,
-                       matvec=lambda u: A @ u, description="complex section")
-        s = singular_values(lm, n).singular
+    """S_p of a small dense real-symmetric section."""
+    s = dense_eig_oracle(A).singular
     if s.size and s[0] > 0:
         s = s[s >= 1e-13 * s[0]]
     return schatten_norm(s, p)

@@ -18,7 +18,6 @@ one it is driving.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -61,11 +60,6 @@ class LinearMap:
             raise ValueError("matvec returned a wrong-shaped vector")
         return out
 
-    def to_json(self) -> str:
-        return json.dumps({"rows": self.rows, "cols": self.cols,
-                           "symmetric": self.symmetric,
-                           "description": self.description})
-
 
 def dense_matrix(lm: LinearMap, max_size: int = 4096) -> np.ndarray:
     """Explicit matrix of the map, the input of the dense eigensolver.
@@ -78,15 +72,11 @@ def dense_matrix(lm: LinearMap, max_size: int = 4096) -> np.ndarray:
         raise ValueError(f"refusing to densify beyond {max_size}")
     if lm.dense is not None:
         return lm.dense()
-    probe = lm.apply(np.zeros(lm.cols))
-    out = np.zeros((lm.rows, lm.cols), dtype=probe.dtype)
+    out = np.zeros((lm.rows, lm.cols))
     e = np.zeros(lm.cols)
     for k in range(lm.cols):
         e[k] = 1.0
-        col = lm.apply(e)
-        if col.dtype != out.dtype:
-            out = out.astype(np.result_type(out.dtype, col.dtype))
-        out[:, k] = col
+        out[:, k] = lm.apply(e)
         e[k] = 0.0
     return out
 
@@ -137,8 +127,6 @@ def hankel_matvec_fft(H: HankelTruncation, u):
     u = np.asarray(u)
     if u.shape != (N,):
         raise ValueError(f"expected a length-{N} vector, got {u.shape}")
-    if np.iscomplexobj(u):
-        return hankel_matvec_fft(H, u.real) + 1j * hankel_matvec_fft(H, u.imag)
     M, Fc = H._fft_plan()
     x = np.zeros(M)
     x[:N] = u[::-1]

@@ -10,9 +10,11 @@ smooth/rough decomposition:
     a1    = a - a0                                           (residual)
 
 with b0, b1 the additive-variable counterparts under x = log t,
-b(x) = e^(x/2) a(e^x).  Everything here is a pure function of its
-inputs; quadrature rules are cached per weight, and the full symbol's
-exponential-sum rule per alpha.
+b(x) = e^(x/2) a(e^x).  A SymbolSpec names one of these seven kinds or
+a custom weight given as a callable; zeta1, zeta(1+x), is a plain
+function, the kernel of discretize.weighted_operator.  Everything here
+is a pure function of its inputs; quadrature rules are cached per
+weight, and the full symbol's exponential-sum rule per alpha.
 
 sequence_values restricts one symbol to the integers.  There are no
 per-product sequences of the smooth or difference part: matrix sections
@@ -23,17 +25,14 @@ a0's weight rule and the full symbol's exponential-sum rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 E = math.e
 
-KINDS = (
-    "helson_a", "hankel_b", "weight_w", "a0", "a1", "b0", "b1",
-    "zeta1", "carleman", "h_beta", "k_beta", "custom",
-)
+KINDS = ("helson_a", "hankel_b", "weight_w", "a0", "a1", "b0", "b1", "custom")
 
 
 class DomainError(ValueError):
@@ -51,8 +50,8 @@ class SymbolSpec:
     t0 is the activation point of the integral-operator kernel for the
     full symbols (the closed form applies at t >= t0, zero below);
     eval_symbol itself is the pure closed form on its real domain.
-    chi_lo/chi_hi bound the transition band of the cutoff chi; beta
-    defaults to chi_hi so that supp w stays inside [0, beta].
+    chi_lo/chi_hi bound the transition band of the cutoff chi, so supp w
+    is [0, chi_hi].
     """
 
     kind: str
@@ -60,7 +59,6 @@ class SymbolSpec:
     t0: float = 16.0
     chi_lo: float = 0.25
     chi_hi: float = 0.75
-    beta: Optional[float] = None
     fn: Optional[Callable] = None
     support: Optional[tuple] = None  # custom weights only
 
@@ -73,25 +71,8 @@ class SymbolSpec:
             raise ValueError("need 0 < chi_lo < chi_hi <= 1")
         if not self.t0 > E:
             raise ValueError("t0 must exceed e")
-        if self.beta is None:
-            object.__setattr__(self, "beta", self.chi_hi)
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
         if self.kind == "custom" and self.fn is None:
             raise ValueError("custom spec needs fn")
-
-    def to_json(self) -> dict:
-        if self.kind == "custom":
-            raise ValueError("custom specs carry a callable and do not serialize")
-        return {
-            "kind": self.kind, "alpha": self.alpha, "t0": self.t0,
-            "chi_lo": self.chi_lo, "chi_hi": self.chi_hi, "beta": self.beta,
-        }
-
-    @classmethod
-    def from_json(cls, rec: dict) -> "SymbolSpec":
-        return cls(kind=rec["kind"], alpha=rec["alpha"], t0=rec["t0"],
-                   chi_lo=rec["chi_lo"], chi_hi=rec["chi_hi"], beta=rec["beta"])
 
 
 def smoothstep(s):
@@ -144,7 +125,7 @@ def _weight_of(spec: SymbolSpec) -> SymbolSpec:
     if spec.kind in ("weight_w", "custom"):
         return spec
     return SymbolSpec(kind="weight_w", alpha=spec.alpha, t0=spec.t0,
-                      chi_lo=spec.chi_lo, chi_hi=spec.chi_hi, beta=spec.beta)
+                      chi_lo=spec.chi_lo, chi_hi=spec.chi_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -325,29 +306,6 @@ def zeta1(x):
     return val if x_in.ndim else float(val[0])
 
 
-def special_kernels(name: str, x, beta: float = 0.75):
-    """Closed-form helper kernels used in the smoothing comparison.
-
-    h_beta(x) = e^(-beta x)/x, k_beta(x) = beta e^(-x/2) exp(-beta^2 e^(-x))
-    (defined for every real x), h_tilde = zeta1 - h_beta - 1.
-    """
-    if not beta > 0:
-        raise DomainError("beta must be positive")
-    x_arr = np.asarray(x, dtype=float)
-    if name == "k_beta":
-        val = beta * np.exp(-x_arr / 2.0) * np.exp(-beta * beta * np.exp(-x_arr))
-        return val if val.ndim else float(val)
-    if np.any(x_arr <= 0.0):
-        raise DomainError(f"{name} needs x > 0")
-    if name == "h_beta":
-        val = np.exp(-beta * x_arr) / x_arr
-    elif name == "h_tilde":
-        val = zeta1(x_arr) - np.exp(-beta * x_arr) / x_arr - 1.0
-    else:
-        raise ValueError(f"unknown special kernel {name!r}")
-    return val if val.ndim else float(val)
-
-
 # ---------------------------------------------------------------------------
 # symbol evaluation (pure closed forms on their real domains)
 
@@ -393,16 +351,6 @@ def eval_symbol(spec: SymbolSpec, t):
             raise DomainError("b1 = b - b0 is defined where b is, x > 1")
         val = _hankel_b_values(spec.alpha, t_arr) - np.asarray(
             b0_quadrature(_weight_of(spec), t_arr), dtype=float)
-    elif k == "zeta1":
-        val = np.asarray(zeta1(t_arr), dtype=float)
-    elif k == "carleman":
-        if np.any(t_arr <= 0.0):
-            raise DomainError("carleman kernel needs x > 0")
-        val = 1.0 / t_arr
-    elif k == "h_beta":
-        val = np.asarray(special_kernels("h_beta", t_arr, spec.beta), dtype=float)
-    elif k == "k_beta":
-        val = np.asarray(special_kernels("k_beta", t_arr, spec.beta), dtype=float)
     elif k == "custom":
         val = np.asarray(spec.fn(t_arr), dtype=float)
     else:  # pragma: no cover
@@ -460,27 +408,15 @@ def kernel_fn(spec: SymbolSpec, Q: int = 2000) -> Callable:
             return _laplace_sum(x, nodes, om)
         return f
     if k == "a1":
-        fa = kernel_fn(SymbolSpec("helson_a", spec.alpha, spec.t0,
-                                  spec.chi_lo, spec.chi_hi, spec.beta), Q)
-        f0 = kernel_fn(SymbolSpec("a0", spec.alpha, spec.t0,
-                                  spec.chi_lo, spec.chi_hi, spec.beta), Q)
+        fa = kernel_fn(replace(spec, kind="helson_a"), Q)
+        f0 = kernel_fn(replace(spec, kind="a0"), Q)
         return lambda t: fa(t) - f0(t)
     if k == "b1":
-        fb = kernel_fn(SymbolSpec("hankel_b", spec.alpha, spec.t0,
-                                  spec.chi_lo, spec.chi_hi, spec.beta), Q)
-        f0 = kernel_fn(SymbolSpec("b0", spec.alpha, spec.t0,
-                                  spec.chi_lo, spec.chi_hi, spec.beta), Q)
+        fb = kernel_fn(replace(spec, kind="hankel_b"), Q)
+        f0 = kernel_fn(replace(spec, kind="b0"), Q)
         return lambda x: fb(x) - f0(x)
     if k == "weight_w":
         return lambda lam: _weight_values(spec, lam)
-    if k == "zeta1":
-        return zeta1
-    if k == "carleman":
-        return lambda x: 1.0 / np.asarray(x, dtype=float)
-    if k == "h_beta":
-        return lambda x: special_kernels("h_beta", x, spec.beta)
-    if k == "k_beta":
-        return lambda x: special_kernels("k_beta", x, spec.beta)
     if k == "custom":
         return spec.fn
     raise ValueError(k)  # pragma: no cover

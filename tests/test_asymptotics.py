@@ -193,7 +193,8 @@ class TestVerifyKernelDecay:
         assert rep["rows"][0]["sup_ratio_end_inf"] < 0.6
 
     def test_schwartz_kernel_vanishes_at_infinity(self):
-        kb = kernel_fn(SymbolSpec("k_beta", alpha=1.0))
+        beta = 0.75
+        kb = lambda x: beta * np.exp(-x / 2) * np.exp(-beta**2 * np.exp(-x))
         spec = make_decay_spec(1.0, np.geomspace(5.0, 60.0, 12))
         rep = verify_kernel_decay(kb, 1.0, spec)
         for row in rep["rows"]:

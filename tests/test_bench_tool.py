@@ -46,3 +46,25 @@ def test_failed_run_left_out_of_medians_and_counted(bench):
     assert out["chains"] == {"parent": {"attempted": 9, "failed": 0},
                              "change": {"attempted": 7, "failed": 2}}
 
+
+
+def test_paired_ratio_sees_through_drift(bench):
+    # the box speeds up during the series: each side's quartiles overlap,
+    # but every pair has the change at 0.8 of the parent
+    parents = [4.0, 3.6, 3.2, 2.8, 2.4]
+    pairs = [{"parent": run(a), "change": run(0.8 * a)} for a in parents]
+    wall = bench.summarize(pairs, END_TO_END)["wall_s"]
+    assert wall["change"]["q3"] > wall["parent"]["q1"]
+    ratio = wall["change_over_parent"]
+    assert ratio["n"] == 5
+    for key in ("median", "q1", "q3"):
+        assert ratio[key] == pytest.approx(0.8)
+
+
+def test_paired_ratio_skips_zero_parent(bench):
+    pairs = [{"parent": run(0.0), "change": run(0.0)},
+             {"parent": run(2.0), "change": run(3.0)}]
+    wall = bench.summarize(pairs, END_TO_END)["wall_s"]
+    assert wall["pairs"] == 2
+    assert wall["change_over_parent"] == {"n": 1, "median": 1.5, "q1": 1.5,
+                                          "q3": 1.5}

@@ -6,6 +6,7 @@ stdout/stderr split are asserted directly.
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -230,22 +231,42 @@ class TestVerify:
         assert code == 0
         assert out.count("PASS") == 2
 
-    def test_carleman_suite_reports_truncation_gap(self, capsys):
-        # the 16-decade window tops out 2.8% below the continuum norm, so
-        # the 2% clause fails honestly while the widening clause passes
-        code, out, _ = _run(capsys, "verify", "--suite", "carleman")
-        assert code == 1
-        assert "FAIL" in out and "2.83" in out
-        assert "PASS: wider domain" in out
-
     def test_s0diff_suite_reports_floor(self, capsys):
-        # true ratio is ~1e-50; double precision bottoms out near 1e-17,
-        # so the literal s20/s5 clause fails while the resolved head
-        # confirms the decay
+        # zeta(1+s) - 1/s - 1 is entire, so its weighted section has
+        # superexponentially falling singular values: 3 clear the noise
+        # floor, and the resolved head confirms the decay
+        code, out, _ = _run(capsys, "verify", "--suite", "s0diff")
+        assert code == 0
+        assert "PASS: 3 singular values" in out
+        assert "PASS: resolved head decay s4/s1 = 1.487e-10" in out
+
+    def test_s0diff_suite_fails_without_the_carleman_subtraction(
+            self, capsys, monkeypatch):
+        # left with its 1/s singularity, the section keeps dozens of
+        # singular values above the floor and a head decay of order 0.1
+        real = cli.weighted_operator
+
+        def no_carleman(kind, w_spec, grid):
+            if kind == "carleman":
+                return SimpleNamespace(dense=lambda: np.zeros((grid.n,
+                                                               grid.n)))
+            return real(kind, w_spec, grid)
+
+        monkeypatch.setattr(cli, "weighted_operator", no_carleman)
         code, out, _ = _run(capsys, "verify", "--suite", "s0diff")
         assert code == 1
-        assert "FAIL: s20/s5" in out
-        assert "PASS: resolved head decay" in out
+        assert "FAIL: 36 singular values" in out
+        assert "FAIL: resolved head decay" in out
+
+    @pytest.mark.parametrize("suite", ["chain", "factorization", "s0diff",
+                                       "decay", "sampling"])
+    def test_every_suite_passes_on_shipped_code(self, suite, capsys):
+        assert set(cli._SUITES) | {"sampling"} == {
+            "chain", "factorization", "s0diff", "decay", "sampling"}
+        code, out, _ = _run(capsys, "verify", "--suite", suite,
+                            "--golden", str(GOLDEN / "sampling_p1.json"))
+        assert code == 0, out
+        assert "FAIL" not in out and "PASS" in out
 
     def test_sampling_suite_passes(self, capsys):
         code, out, _ = _run(capsys, "verify", "--suite", "sampling",

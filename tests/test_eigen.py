@@ -7,8 +7,7 @@ import pytest
 from helsonlab.discretize import log_window_smooth_section
 from helsonlab.eigen import (
     Spectrum, dense_eig_oracle, householder_tridiagonalize, lanczos_extreme,
-    singular_values, spectrum_from_csv, spectrum_to_csv, tridiag_eigenvalues,
-    write_meta_sidecar,
+    spectrum_from_csv, spectrum_to_csv, tridiag_eigenvalues, write_meta_sidecar,
 )
 from helsonlab.structured_ops import (
     HelsonTruncation, LinearMap, build_helson, build_smooth_helson,
@@ -19,14 +18,6 @@ from helsonlab.symbols import SymbolSpec
 def map_from_dense(M, symmetric=True):
     M = np.asarray(M, dtype=float)
     return LinearMap(M.shape[0], M.shape[1], symmetric, lambda u: M @ u, "test")
-
-
-def rank_one_dirichlet(N, xi):
-    # bilinear v v^T with v_j = j^(-1/2 + 2 pi i xi): entries
-    # (jk)^(-1/2 + 2 pi i xi), one singular value, the harmonic sum H_N
-    j = np.arange(1, N + 1, dtype=float)
-    v = j ** -0.5 * np.exp(2j * np.pi * xi * np.log(j))
-    return LinearMap(N, N, False, lambda u: v * (v @ u), "rank one")
 
 
 HILBERT2 = np.array([[1.0, 0.5], [0.5, 1.0 / 3.0]])
@@ -88,7 +79,7 @@ class TestTridiagQL:
         e = rng.standard_normal(max(n - 1, 0))
         T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
         want = np.linalg.eigvalsh(T)
-        got = tridiag_eigenvalues(d, e)
+        got, _ = tridiag_eigenvalues(d, e)
         assert np.allclose(got, want, rtol=0, atol=1e-12 * max(1, np.abs(want).max()))
 
     def test_last_row_components(self):
@@ -97,7 +88,7 @@ class TestTridiagQL:
         d = rng.standard_normal(n)
         e = rng.standard_normal(n - 1)
         T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        vals, z = tridiag_eigenvalues(d, e, last_row=True)
+        vals, z = tridiag_eigenvalues(d, e)
         w, V = np.linalg.eigh(T)
         assert np.allclose(vals, w, atol=1e-12)
         assert np.allclose(np.abs(z), np.abs(V[-1]), atol=1e-10)
@@ -106,7 +97,7 @@ class TestTridiagQL:
         rng = np.random.default_rng(2)
         d = rng.standard_normal(30)
         e = rng.standard_normal(29)
-        _, z = tridiag_eigenvalues(d, e, last_row=True)
+        _, z = tridiag_eigenvalues(d, e)
         assert np.linalg.norm(z) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -355,46 +346,3 @@ class TestLanczos:
         assert spec.lambda_plus.size == 0
         assert spec.meta["converged"] is True
 
-
-class TestSingularValues:
-    def test_rank_one_harmonic(self):
-        spec = singular_values(rank_one_dirichlet(4, 0.0), k=2)
-        assert spec.singular[0] == pytest.approx(25.0 / 12.0, rel=1e-10)
-        assert spec.singular[1] <= 1e-10
-
-    def test_complex_rank_one_xi(self):
-        lm = rank_one_dirichlet(9, 0.37)
-        spec = singular_values(lm, k=1)
-        want = np.sum(1.0 / np.arange(1, 10))
-        assert spec.singular[0] == pytest.approx(want, rel=1e-10)
-
-    def test_zero_map(self):
-        lm = LinearMap(5, 5, True, lambda u: np.zeros(5), "zero")
-        spec = singular_values(lm, k=3)
-        assert np.allclose(spec.singular, 0.0, atol=1e-12)
-
-    def test_rectangular_against_lapack(self):
-        rng = np.random.default_rng(44)
-        M = rng.standard_normal((100, 60))
-        spec = singular_values(map_from_dense(M, symmetric=False), k=8)
-        want = np.linalg.svd(M, compute_uv=False)[:8]
-        assert np.allclose(spec.singular, want, rtol=1e-8)
-
-    def test_low_rank_symmetric_map_returns_k_values(self):
-        # the Lanczos sweeps stop after the rank's worth of steps; the
-        # values past the rank are zeros, as on the dense route
-        Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((100, 4)))
-        M = Q @ np.diag([4.0, -3.0, 2.0, -1.0]) @ Q.T
-        spec = singular_values(map_from_dense(M), k=20)
-        assert spec.singular.size == 20
-        assert np.allclose(spec.singular[:4], [4.0, 3.0, 2.0, 1.0],
-                           rtol=0, atol=1e-12)
-        assert np.all(spec.singular[4:] <= 1e-12)
-
-    def test_symmetric_map_via_lanczos(self):
-        rng = np.random.default_rng(45)
-        A = rng.standard_normal((90, 90))
-        A = 0.5 * (A + A.T)
-        spec = singular_values(map_from_dense(A), k=5, seed=1)
-        want = np.linalg.svd(A, compute_uv=False)[:5]
-        assert np.allclose(spec.singular, want, rtol=1e-8)

@@ -218,6 +218,20 @@ class TestNegToPosRatio:
         assert pipeline._neg_to_pos_ratio(spec, 3, 20) == 0.0
 
 
+def test_negativity_window_ignores_fit_window(tmp_path):
+    # fit_window is the headline fit's window; the negativity ratio always
+    # reads the resolved indices of the combined section past its head,
+    # which at N = 128 are a handful, far below index 20
+    kw = dict(alpha=1.0, sizes=(64, 128), x_domain=(0.0, 18.0),
+              nystrom_n=48, solver={"k": 8})
+    plain = run_chain(RunConfig(out_dir=str(tmp_path / "plain"), **kw))
+    knob = run_chain(RunConfig(out_dir=str(tmp_path / "knob"),
+                               fit_window=(20, 200), **kw))
+    m_res = plain["negativity"]["resolved_count"]
+    assert 2 <= m_res < 20
+    assert plain["negativity"]["window"] == [2, m_res]
+    assert knob["negativity"]["window"] == plain["negativity"]["window"]
+
 def test_unconverged_solve_listed_in_report(tmp_path):
     # the headline at n = 1024 takes the Lanczos route with k = 24 + 16 = 40
     # pairs and at most 45 iterations, which cannot converge
@@ -367,20 +381,21 @@ class TestRestrictionExperiment:
         assert out["integral_norm"] == 0.0
         assert math.isnan(out["ratio"])
 
-    def test_rank_one_complex_symbol(self):
-        # oscillating character windowed inside [1, e^3]; both Schatten
-        # sides finite, integral side stable under grid doubling
+    def test_windowed_cosine_symbol(self):
+        # oscillating real symbol t^(-1/2) cos(2 pi xi log t) windowed
+        # inside [1, e^3]; both Schatten sides finite, integral side
+        # stable under grid doubling
         xi = 0.7
 
         def a(t):
             t_in = np.asarray(t, dtype=float)
             t_arr = np.atleast_1d(t_in)
-            out = np.zeros_like(t_arr, dtype=complex)
+            out = np.zeros_like(t_arr)
             pos = t_arr >= 1.0
             x = np.log(t_arr[pos])
             window = cubic_bspline((x - 1.5) / 0.75)
-            out[pos] = t_arr[pos] ** -0.5 * np.exp(2j * math.pi * xi * x) * window
-            return out if t_in.ndim else complex(out[0])
+            out[pos] = t_arr[pos] ** -0.5 * np.cos(2 * math.pi * xi * x) * window
+            return out if t_in.ndim else float(out[0])
 
         res = restriction_ratio(a, N=3.0, p=1.0, grid_n=96)
         assert math.isfinite(res["ratio"])

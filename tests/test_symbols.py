@@ -8,8 +8,7 @@ import helsonlab.symbols as symbols
 from helsonlab.structured_ops import HelsonTruncation, build_smooth_helson
 from helsonlab.symbols import (
     DomainError, SymbolSpec, a0_quadrature, b0_quadrature, chi_cutoff,
-    eval_symbol, kernel_fn, sequence_values, smoothstep, special_kernels,
-    zeta1,
+    eval_symbol, kernel_fn, sequence_values, smoothstep, zeta1,
 )
 
 E = math.e
@@ -29,14 +28,10 @@ def w_one_unit():
 
 
 class TestSpecValidation:
-    def test_beta_defaults_to_chi_hi(self):
-        s = SymbolSpec("helson_a", alpha=1.0)
-        assert s.beta == s.chi_hi == 0.75
-
     @pytest.mark.parametrize("kw", [
         dict(alpha=0.0), dict(alpha=-1.0),
         dict(chi_lo=0.75, chi_hi=0.25), dict(chi_lo=0.0),
-        dict(chi_hi=1.5), dict(t0=2.0), dict(beta=-1.0),
+        dict(chi_hi=1.5), dict(t0=2.0), dict(t0=E),
     ])
     def test_invalid_fields_raise(self, kw):
         with pytest.raises(ValueError):
@@ -49,16 +44,6 @@ class TestSpecValidation:
     def test_custom_needs_fn(self):
         with pytest.raises(ValueError):
             SymbolSpec("custom")
-
-    def test_json_round_trip(self):
-        s = SymbolSpec("hankel_b", alpha=2.0, t0=20.0, chi_lo=0.2, chi_hi=0.6, beta=0.9)
-        rec = s.to_json()
-        assert set(rec) == {"kind", "alpha", "t0", "chi_lo", "chi_hi", "beta"}
-        assert SymbolSpec.from_json(rec) == s
-
-    def test_custom_does_not_serialize(self):
-        with pytest.raises(ValueError):
-            w_one_unit().to_json()
 
 
 class TestEvalSymbol:
@@ -333,27 +318,6 @@ class TestZeta1:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             zeta1(0.0)
-
-
-class TestSpecialKernels:
-    def test_h_beta_spot(self):
-        assert special_kernels("h_beta", 1.0, beta=1.0) == pytest.approx(math.exp(-1), rel=1e-14)
-
-    def test_k_beta_defined_at_zero(self):
-        assert special_kernels("k_beta", 0.0, beta=1.0) == pytest.approx(math.exp(-1), rel=1e-14)
-
-    def test_h_tilde_spot(self):
-        want = math.pi ** 2 / 6 - math.exp(-2.0) - 1.0
-        assert special_kernels("h_tilde", 1.0, beta=2.0) == pytest.approx(want, rel=1e-12)
-        assert want == pytest.approx(0.509599, abs=5e-7)
-
-    def test_domain_guards(self):
-        with pytest.raises(DomainError):
-            special_kernels("h_beta", 0.0, beta=1.0)
-        with pytest.raises(DomainError):
-            special_kernels("h_tilde", -1.0, beta=1.0)
-        # k_beta accepts negative arguments (Schwartz on the whole line)
-        assert math.isfinite(special_kernels("k_beta", -3.0, beta=1.0))
 
 
 class TestKernelContracts:

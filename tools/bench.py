@@ -16,9 +16,13 @@ file follows the same protocol.
 
 The output file holds the environment, every sample (one run.py result
 per side and pair), each side's median, q1 and q3 of every end-to-end
-metric, the pairs the change won, its median against the parent's
-with the benchmark's bound, each side's attempted and failed chains,
-and both traced layer splits. It is
+metric, the median, q1 and q3 of the per-pair change/parent ratio, the
+pairs the change won, its median against the parent's with the
+benchmark's bound, each side's attempted and failed chains, and both
+traced layer splits. The ratio is the paired statistic: when the box
+speeds up or slows down during a series, each side's quartiles widen
+and overlap, while the ratio within a pair, whose two runs are
+adjacent, does not drift with it. It is
 rewritten after every run, so an interrupted session keeps what it
 measured. Nothing under perfbench/ is edited.
 """
@@ -106,9 +110,11 @@ def chain_counts(runs: list) -> dict:
 
 
 def summarize(pairs: list, end_to_end: list) -> dict:
-    """Per metric: both sides' spread, change wins, median shift vs bound.
+    """Per metric: both sides' spread, the spread of the per-pair
+    change/parent ratio, change wins and the median shift vs the bound.
 
-    A pair enters a metric only when both sides measured it; "chains"
+    A pair enters a metric only when both sides measured it (the ratio
+    also needs a nonzero parent value); "chains"
     holds each side's attempted and failed chain totals, so a run that
     failed is counted even though no median sees it.
     """
@@ -126,6 +132,7 @@ def summarize(pairs: list, end_to_end: list) -> dict:
         wins = sum((b < a) if lower else (b > a) for a, b in both)
         entry = {"unit": spec["unit"], "better": spec["better"],
                  "bound": spec["bound"], "parent": parent, "change": change,
+                 "change_over_parent": spread([b / a for a, b in both if a]),
                  "change_wins": wins, "pairs": len(both)}
         if both and parent["median"]:
             worse = (change["median"] - parent["median"]) / parent["median"]
