@@ -362,8 +362,7 @@ def run_chain(config: RunConfig) -> dict:
         # the ratio is only meaningful over resolved positive eigenvalues
         # past the head: index 1 carries the symbol's divergence at the
         # left end of its domain (one genuine O(1) +/- pair), and indices
-        # under the solver floor compare noise with noise.  fit_window is
-        # the headline fit's window and plays no part here
+        # under the solver floor compare noise with noise
         m_res = _resolved_count(spec_full.lambda_plus)
         n0, n1 = max(2, m_res // 20), m_res
         report["negativity"] = dict(
