@@ -15,7 +15,12 @@ section is the closed-form full kernel, assembled entrywise, minus the
 same E E^T, so no entry is ever a quadrature sum of its own.
 weighted_operator gives the quadrature-side sections of the
 factorization, the weighted zeta(1+s) and 1/s kernels, through the same
-blocked entrywise assembly.
+blocked entrywise assembly.  The headline section,
+log_window_smooth_section, is never assembled: in log coordinates its
+Gram factor is Toeplitz in taps of a kernel that decays exponentially,
+so its matvec applies two short filters by overlap-save
+(_overlap_save), in transforms whose length the kernel sets, not the
+window.
 """
 
 from __future__ import annotations
@@ -343,21 +348,65 @@ def _fft_length(L: int) -> int:
     return best
 
 
-def _toeplitz_plans(tvals: np.ndarray, n_rows: int, n_cols: int):
-    """FFT plan for y_m = sum_q T[m-q] v_q with T[k] = tvals[k + n_cols - 1].
+# share of a filter's l1 mass that _overlap_save may drop from its head,
+# and again from its tail.  By Young's inequality the Toeplitz operator of
+# the dropped taps has norm at most their l1 mass, 2 * _TAIL_MASS *
+# ||f||_1, against the bound ||f||_1 on that of all taps; a product
+# E E^T with E = T diag(s) moves by at most twice that share, 4e-20 of
+# its own bound ||f||_1^2 max(s)^2, far below rounding
+_TAIL_MASS = 1e-20
 
-    Returns the transform length M and the transform of tvals at M.  Both
-    convolutions of the section's matvec read only outputs that do not
-    wrap at any M >= L = n_rows + n_cols - 1, the length of tvals: the
-    linear convolution of tvals with a vector of length p has outputs
-    0..L+p-2 and the matvec reads indices p-1..L-1, so output i takes its
-    alias i + M >= p-1+L, which lies past the last linear output.  M is
-    the smallest 5-smooth length at or above L.
+
+def _support(f: np.ndarray) -> tuple:
+    """(lo, hi) of the shortest f[lo:hi] whose dropped head f[:lo] and
+    tail f[hi:] each carry at most _TAIL_MASS of the l1 mass of f."""
+    a = np.abs(f)
+    tol = _TAIL_MASS * a.sum()
+    lo = int(np.searchsorted(np.cumsum(a), tol, side="right"))
+    hi = a.size - int(np.searchsorted(np.cumsum(a[::-1]), tol, side="right"))
+    return lo, hi
+
+
+def _overlap_save(f: np.ndarray, i0: int, count: int) -> Callable:
+    """x -> (f * x)[i0 : i0 + count], x read as zero outside its indices.
+
+    Overlap-save (Stockham, AFIPS 1966) over the numerical support
+    f[lo:hi] of the taps (_support), P = hi - lo of them.  A block of B
+    inputs gives B - P + 1 outputs.  The block count is the one that
+    blocks of _fft_length(4P) points need, which weighs the log B cost
+    per point of a transform against the P - 1 outputs every block
+    discards; B is then the shortest 5-smooth length that covers count
+    in that many blocks (one block when count is below about 3P).  All
+    blocks go through one 2-D rfft/irfft along axis 1.  The filter's
+    transform, the padded input and its block view are made here, once;
+    the transforms' outputs are allocated per call, since buffers kept
+    for them raised a whole chain's peak RSS by ~1.3 MB.
     """
-    L = tvals.size
-    assert L == n_rows + n_cols - 1
-    M = _fft_length(L)
-    return M, np.fft.rfft(tvals, n=M)
+    lo, hi = _support(f)
+    P = hi - lo
+    blocks = -(-count // (_fft_length(4 * P) - P + 1))
+    B = _fft_length(-(-count // blocks) + P - 1)
+    S = B - P + 1
+    F = np.fft.rfft(f[lo:hi], n=B)
+    # block j writes outputs i0 + jS .. i0 + jS + S - 1 and reads inputs
+    # first + jS .. first + jS + B - 1
+    first = i0 - lo - (P - 1)
+    span = (blocks - 1) * S + B
+    xp = np.zeros(span)
+    X = np.lib.stride_tricks.sliding_window_view(xp, B)[::S]
+
+    def apply(x):
+        a, b = max(first, 0), min(first + span, x.size)
+        xp[:] = 0.0
+        if a < b:
+            xp[a - first:b - first] = x[a:b]
+        Xf = np.fft.rfft(X, axis=1)
+        Xf *= F
+        Y = np.fft.irfft(Xf, n=B, axis=1)
+        # a copy, so that the result does not keep Y alive
+        return Y[:, P - 1:].flatten()[:count]
+
+    return apply
 
 
 def log_window_smooth_section(alpha: float, n: int, step: float = 0.135,
@@ -369,15 +418,19 @@ def log_window_smooth_section(alpha: float, n: int, step: float = 0.135,
     The additive smooth kernel conjugated to u = log x has the exact form
     K(u,v) = integral of g(u-mu) g(v-mu) W(mu) dmu with g(d) = e^(d/2-e^d)
     and W(mu) = w(e^-mu), so the section over a uniform u-grid is E E^T
-    for a Toeplitz-structured E; the matvec runs through two FFT
-    convolutions without materializing anything n x n, each at the
-    smallest 5-smooth length n + Q - 1 or above, where neither reads a
-    wrapped output (_toeplitz_plans).  map.dense forms
-    E E^T explicitly and refuses windows with n * Q > 2^24 factor
-    entries (Q quadrature nodes in mu).  Keeping the step
-    fixed while n grows widens the window, which is the actual accuracy
-    knob: truncation error falls like 1/width^2 while the quadrature
-    error in mu is already superexponentially small at this step.
+    for E = T diag(s), T Toeplitz in the taps g(u_m - mu_q) and s the
+    quadrature weights in mu.  The matvec applies E^T and then E as one
+    correlation and one convolution with the taps, each by overlap-save
+    over g's numerical support (_overlap_save), so nothing n x n or of
+    length n + Q is transformed: g decays like e^(d/2) to the left and
+    like e^(-e^d) to the right, so its support is d in [-92.3, 3.7], 712
+    taps at the default step, whatever n is.
+    map.dense forms E E^T explicitly from every tap and refuses windows
+    with n * Q > 2^24 factor entries (Q quadrature nodes in mu).  Keeping
+    the step fixed while n grows widens the window, which is the actual
+    accuracy knob: truncation error falls like 1/width^2 while the
+    quadrature error in mu is already superexponentially small at this
+    step.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -400,20 +453,15 @@ def log_window_smooth_section(alpha: float, n: int, step: float = 0.135,
     d = (u[0] - mu[0]) + h * k
     expo = 0.5 * d - np.exp(np.minimum(d, 40.0))
     tvals = np.exp(expo)
-    M, F = _toeplitz_plans(tvals, n, Q)
-
-    def conv(vec, out_lo, out_hi):
-        y = np.fft.irfft(F * np.fft.rfft(vec, n=M), n=M)
-        return y[out_lo:out_hi]
+    # E y = (tvals * y)[Q-1 : Q-1+n] and E^T v = (rev(tvals) * v)[n-1 : n-1+Q]
+    conv = _overlap_save(tvals, Q - 1, n)
+    corr = _overlap_save(tvals[::-1], n - 1, Q)
 
     def mv(vec):
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (n,):
             raise ValueError(f"expected a length-{n} vector, got {vec.shape}")
-        # (E^T vec)_q = s_q sum_m T[m-q] vec_m  via conv with reversed input
-        y1 = s * conv(vec[::-1], n - 1, n + Q - 1)[::-1]
-        # (E y1)_m = sum_q T[m-q] s_q y1_q
-        return conv(s * y1, Q - 1, n + Q - 1)
+        return conv(s * (s * corr(vec)))
 
     def dense():
         if n * Q > 1 << 24:

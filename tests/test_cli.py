@@ -221,6 +221,17 @@ class TestVerify:
         assert code == 0
         assert out.count("PASS") == 2 and "FAIL" not in out
 
+    def test_decay_suite_fails_without_the_j2_term(self, capsys,
+                                                   monkeypatch):
+        # zeta(1+x) - 1 with its 2^(-1-x) term dropped stays positive, so
+        # only the 2^(-1-x) lower bound sees it
+        real = cli.zeta1
+        monkeypatch.setattr(cli, "zeta1",
+                            lambda x: real(x) - 2.0 ** (-1.0 - x))
+        code, out, _ = _run(capsys, "verify", "--suite", "decay")
+        assert code == 1
+        assert "FAIL: zeta(1+x)-1 >= 2^(-1-x)" in out
+
     def test_chain_suite_passes(self, capsys):
         code, out, _ = _run(capsys, "verify", "--suite", "chain")
         assert code == 0

@@ -379,6 +379,61 @@ class TestWeightedOperator:
 # wide-window section in log coordinates
 
 
+def _log_window_factor(alpha, n, h=0.135, u_lo=-6.0, pad=80.0,
+                       chi_lo=0.25, chi_hi=0.75):
+    """Every tap g(u_0 - mu_0 + k h), k in [-(Q-1), n-1], the weights s_q
+    and Q of log_window_smooth_section, from its docstring's formulas."""
+    u = u_lo + h * np.arange(n)
+    mu_lo = -math.log(chi_hi) + 1e-12
+    Q = int(math.ceil((u[-1] + pad - mu_lo) / h)) + 1
+    mu = mu_lo + h * np.arange(Q)
+    s = h * np.sqrt(mu ** -alpha
+                    * symbols.chi_cutoff(np.exp(-mu), chi_lo, chi_hi))
+    d = (u[0] - mu_lo) + h * np.arange(-(Q - 1), n)
+    return np.exp(0.5 * d - np.exp(np.minimum(d, 40.0))), s, Q
+
+
+class TestOverlapSave:
+    @pytest.mark.parametrize("taps, size, i0, count", [
+        (30, 200, 0, 229),        # the whole linear convolution
+        (17, 5000, 3, 4000),      # many blocks
+        (300, 500, 100, 20),      # more taps than outputs
+        (40, 100, -25, 60),       # window starting before the first output
+        (25, 100, 90, 80),        # window running past the end of x
+    ])
+    def test_matches_np_convolve(self, taps, size, i0, count):
+        f = RNG.standard_normal(taps)
+        x = RNG.standard_normal(size)
+        full = np.convolve(f, x)
+        want = np.array([full[i] if 0 <= i < full.size else 0.0
+                         for i in range(i0, i0 + count)])
+        conv = discretize._overlap_save(f, i0, count)
+        got = conv(x)
+        assert got.shape == (count,)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        # a second call reuses the input buffer: it neither reads the
+        # first input nor changes the first result
+        again = got.copy()
+        assert np.array_equal(conv(np.zeros(size)), np.zeros(count))
+        assert np.array_equal(got, again)
+
+    def test_block_length_is_the_smallest_5_smooth(self):
+        for L in range(1, 3000):
+            M = discretize._fft_length(L)
+            assert _is_5_smooth(M) and M >= L
+            assert not any(_is_5_smooth(m) for m in range(L, M))
+
+    def test_zero_head_and_tail_are_dropped(self):
+        # dropping the zero taps offsets the kept ones; no output moves
+        f = np.concatenate([np.zeros(50), RNG.standard_normal(30),
+                            np.zeros(40)])
+        x = RNG.standard_normal(400)
+        assert discretize._support(f) == (50, 80)
+        want = np.convolve(f, x)[60:360]
+        got = discretize._overlap_save(f, 60, 300)(x)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 class TestLogWindowSection:
     def test_fft_matvec_matches_materialized(self):
         for n in (160, 1000, 2048):
@@ -391,26 +446,35 @@ class TestLogWindowSection:
                 got = op.map.apply(u)
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    @pytest.mark.parametrize("n", [160, 1000, 2048, 8192, 16384])
-    def test_transform_length_is_alias_free_and_5_smooth(self, monkeypatch,
-                                                         n):
-        plans = []
-        orig = discretize._toeplitz_plans
+    @pytest.mark.parametrize("alpha, n", [(0.5, 8192), (1.0, 16384)])
+    def test_matvec_at_chain_sizes(self, alpha, n):
+        # the headline sizes of both benchmark chains, where dense() is
+        # refused: E E^T v from every tap by one unwrapped FFT each way
+        tvals, s, Q = _log_window_factor(alpha, n)
+        M = 1 << (tvals.size + max(n, Q)).bit_length()
 
-        def recorded(tvals, n_rows, n_cols):
-            M, F = orig(tvals, n_rows, n_cols)
-            plans.append((n_rows, n_cols, M))
-            return M, F
+        def conv(f, x, lo, count):
+            y = np.fft.irfft(np.fft.rfft(f, n=M) * np.fft.rfft(x, n=M), n=M)
+            return y[lo:lo + count]
 
-        monkeypatch.setattr(discretize, "_toeplitz_plans", recorded)
-        log_window_smooth_section(1.0, n)
-        [(rows, Q, M)] = plans
-        assert rows == n
-        # the smallest 5-smooth length that holds both convolutions
-        # without wrap-around, and never above the old power of two
-        assert _is_5_smooth(M) and M >= n + Q - 1
-        assert not any(_is_5_smooth(m) for m in range(n + Q - 1, M))
-        assert M <= 1 << (n + 2 * Q - 3).bit_length()
+        op = log_window_smooth_section(alpha, n)
+        for _ in range(2):
+            v = RNG.standard_normal(n)
+            want = conv(tvals, s * s * conv(tvals[::-1], v, n - 1, Q),
+                        Q - 1, n)
+            got = op.map.apply(v)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [8192, 16384])
+    def test_dropped_tap_mass_within_bound(self, n):
+        # Young's inequality: the dropped l1 mass bounds the change of the
+        # section in operator norm, relative to the kept mass
+        tvals, _, _ = _log_window_factor(1.0, n)
+        lo, hi = discretize._support(tvals)
+        dropped = tvals[:lo].sum() + tvals[hi:].sum()
+        assert dropped <= 2e-20 * tvals.sum()
+        # the support is g's, a few hundred taps, not the window's
+        assert 0 < hi - lo <= 1000
 
     def test_materialized_section_is_psd(self):
         op = log_window_smooth_section(0.5, 128)
