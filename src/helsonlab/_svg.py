@@ -7,7 +7,7 @@ identical inputs (fixed float formatting throughout).
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
+from html import escape
 
 import numpy as np
 
@@ -81,7 +81,8 @@ def loglog_figure(path, series, reference=None, title="",
     if title:
         out.append(
             f'<text x="{_W // 2}" y="22" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{escape(title)}</text>')
+            f'font-family="sans-serif" font-size="14">'
+            f'{escape(title, quote=False)}</text>')
 
     for v in _decades(x_lo, x_hi):
         x = ax.px(v)
@@ -105,12 +106,12 @@ def loglog_figure(path, series, reference=None, title="",
     out.append(
         f'<text x="{(_ML + _W - _MR) // 2}" y="{_H - 10}" '
         f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-        f'{escape(x_label)}</text>')
+        f'{escape(x_label, quote=False)}</text>')
     out.append(
         f'<text x="16" y="{(_MT + _H - _MB) // 2}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
         f'transform="rotate(-90 16 {(_MT + _H - _MB) // 2})">'
-        f'{escape(y_label)}</text>')
+        f'{escape(y_label, quote=False)}</text>')
 
     n_series = len(series)
     legend_y = _MT + 14
@@ -137,7 +138,7 @@ def loglog_figure(path, series, reference=None, title="",
             out.append(
                 f'<text x="{_W - _MR - 120}" y="{legend_y}" '
                 f'font-family="sans-serif" font-size="11">'
-                f'{escape(str(label))}</text>')
+                f'{escape(str(label), quote=False)}</text>')
             legend_y += 16
     out.append("</svg>")
     with open(path, "w") as fh:

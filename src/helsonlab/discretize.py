@@ -10,9 +10,10 @@ quadrature rule of the weight, which makes positive semidefiniteness a
 property of the construction rather than a numerical accident; on the
 multiplicative side E is the Dirichlet-exponential factor of
 structured_ops, as is the integer-side factor of factor_N_dense.  The
-difference kernels a1 = a - a0 and b1 = b - b0 reuse that factor: their
-section is the closed-form full kernel, assembled entrywise, minus the
-same E E^T, so no entry is ever a quadrature sum of its own.
+difference kernels a1 = a - a0 and b1 = b - b0 reuse that product:
+nystrom_difference subtracts the smooth section E E^T from the
+closed-form full kernel's section, assembled entrywise on the same grid,
+so no entry is ever a quadrature sum of its own.
 weighted_operator gives the quadrature-side sections of the
 factorization, the weighted zeta(1+s) and 1/s kernels, through the same
 blocked entrywise assembly.  The headline section,
@@ -26,7 +27,7 @@ window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -40,18 +41,17 @@ from helsonlab.symbols import (
 SPACINGS = ("uniform", "geometric", "gauss")
 
 # element budget per evaluation block during dense assembly.  Every chain
-# kernel that reaches _assemble is closed form (smooth and difference
-# parts go through _GRAM_KINDS); a kernel that expands each element,
-# such as zeta1 into its 63-term partial sum, holds one block's worth of
-# that expansion, and a quadrature closure passed in as a callable, such
-# as kernel_fn of a0, blocks its own expansion in _laplace_sum
+# kernel that reaches _assemble is closed form (the smooth parts go
+# through _GRAM_KINDS, the difference parts through nystrom_difference);
+# a kernel that expands each element, such as zeta1 into its 63-term
+# partial sum, holds one block's worth of that expansion, and a
+# quadrature closure passed in as a callable, such as kernel_fn of a0,
+# blocks its own expansion in _laplace_sum
 _ASSEMBLY_BUDGET = 1 << 13
 
-# spec kinds whose section comes from the weight's Gram factor E E^T, per
-# combine rule: the smooth parts are E E^T itself, the difference parts
-# are the named closed-form full kernel assembled entrywise minus E E^T
-_GRAM_KINDS = {("product", "a0"): None, ("product", "a1"): "helson_a",
-               ("sum", "b0"): None, ("sum", "b1"): "hankel_b"}
+# (combine rule, spec kind) of the smooth parts, whose section is the
+# weight's Gram product E E^T
+_GRAM_KINDS = {("product", "a0"), ("sum", "b0")}
 
 # kernels of weighted_operator, by name; both are singular at 0
 _WEIGHTED_KERNELS = {"zeta1": zeta1, "carleman": lambda s: 1.0 / s}
@@ -230,16 +230,10 @@ def _gram_fast_path(spec: SymbolSpec, grid: Grid, combine: str,
 def _section(kernel, grid: Grid, combine: str) -> np.ndarray:
     """Dense symmetric section of a spec or callable kernel on the grid."""
     key = (combine, kernel.kind if isinstance(kernel, SymbolSpec) else None)
-    sq = np.sqrt(grid.weights)
-    if key not in _GRAM_KINDS:
-        return _assemble(_kernel_callable(kernel), grid.nodes, sq, combine)
-    gram = _gram_fast_path(kernel, grid, combine)
-    full = _GRAM_KINDS[key]
-    if full is None:
-        return gram
-    closed = _assemble(kernel_fn(replace(kernel, kind=full)), grid.nodes,
-                       sq, combine)
-    return closed - gram
+    if key in _GRAM_KINDS:
+        return _gram_fast_path(kernel, grid, combine)
+    return _assemble(_kernel_callable(kernel), grid.nodes,
+                     np.sqrt(grid.weights), combine)
 
 
 def _wrap_operator(matrix: np.ndarray, grid: Grid, kernel,
@@ -256,8 +250,8 @@ def _wrap_operator(matrix: np.ndarray, grid: Grid, kernel,
 def nystrom_hankel(b, grid: Grid, max_nodes: int = 4096) -> NystromOperator:
     """Section of the additive kernel: entries sqrt(w_m) b(x_m+x_n) sqrt(w_n).
 
-    b0 is the Gram factor E E^T of its weight rule; b1 is the closed-form
-    hankel_b section minus that same E E^T.
+    b0 is the Gram factor E E^T of its weight rule; b1 = hankel_b - b0
+    comes from nystrom_difference.
     """
     if grid.n > max_nodes:
         raise ConstructionError(f"dense assembly capped at {max_nodes} nodes")
@@ -268,8 +262,8 @@ def nystrom_hankel(b, grid: Grid, max_nodes: int = 4096) -> NystromOperator:
 def nystrom_helson(a, grid: Grid, max_nodes: int = 4096) -> NystromOperator:
     """Section of the multiplicative kernel: sqrt(w_m) a(t_m t_n) sqrt(w_n).
 
-    a0 is the Gram factor E E^T of its weight rule; a1 is the closed-form
-    helson_a section minus that same E E^T.
+    a0 is the Gram factor E E^T of its weight rule; a1 = helson_a - a0
+    comes from nystrom_difference.
     """
     if grid.domain[0] < 1.0:
         raise ConstructionError("multiplicative sections need lo >= 1")
@@ -277,6 +271,21 @@ def nystrom_helson(a, grid: Grid, max_nodes: int = 4096) -> NystromOperator:
         raise ConstructionError(f"dense assembly capped at {max_nodes} nodes")
     return _wrap_operator(_section(a, grid, "product"), grid, a,
                           "multiplicative-kernel")
+
+
+def nystrom_difference(full: NystromOperator,
+                       smooth: NystromOperator) -> NystromOperator:
+    """Section of the difference kernel full - smooth on their shared grid.
+
+    full is the closed-form full kernel's section and smooth its smooth
+    part's Gram product E E^T, so a1 and b1 reuse a product already made
+    for row 0 instead of forming it again.
+    """
+    if full.grid is not smooth.grid:
+        raise ValueError("difference of sections on different grids")
+    fa, f0 = _kernel_callable(full.kernel), _kernel_callable(smooth.kernel)
+    return _wrap_operator(full.dense() - smooth.dense(), full.grid,
+                          lambda x: fa(x) - f0(x), "difference-kernel")
 
 
 # ---------------------------------------------------------------------------

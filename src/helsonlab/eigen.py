@@ -158,7 +158,12 @@ def tridiag_eigenvalues(d, e):
     e = np.asarray(e, dtype=float)
     if e.size + 1 != d.size:
         raise ValueError("subdiagonal must have length n-1")
-    T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    n = d.size
+    # one n x n array, filled along its three diagonals in place
+    T = np.zeros((n, n))
+    T.flat[::n + 1] = d
+    T.flat[1::n + 1] = e
+    T.flat[n::n + 1] = e
     vals, V = np.linalg.eigh(T)
     return vals, V[-1]
 

@@ -2,7 +2,8 @@
 
 run_chain drives the whole reduction for one exponent: matrix sections
 of the multiplicative symbol and both of its parts, the matched pair of
-integral-operator discretizations for each part, cross-checks between
+integral-operator discretizations for each part (row 1 as the closed
+form minus row 0's Gram product on the same grid), cross-checks between
 the rows, the tail fit against the closed-form constant, and the
 negative-part domination check.  The split is always a = a0 + a1 with
 the symbol's own weight; there is no zero-weight mode.  Every stage
@@ -29,8 +30,8 @@ from helsonlab.asymptotics import (NOISE_FLOOR,
                                    fit_power_tail, kappa,
                                    negative_part_domination)
 from helsonlab.discretize import (log_window_smooth_section, make_grid,
-                                  nystrom_hankel, nystrom_helson,
-                                  v_matched_grids)
+                                  nystrom_difference, nystrom_hankel,
+                                  nystrom_helson, v_matched_grids)
 from helsonlab.eigen import (Spectrum, dense_eig_oracle, lanczos_extreme,
                              spectrum_to_csv, write_meta_sidecar)
 from helsonlab.schatten import schatten_norm
@@ -210,7 +211,14 @@ def _top_agreement(sa: Spectrum, sb: Spectrum, count: int = 20) -> dict:
 
 
 def run_chain(config: RunConfig) -> dict:
-    """Execute the full decomposition run; returns the report bundle."""
+    """Execute the full decomposition run; returns the report bundle.
+
+    Each section is solved only at the sizes a report number reads: row 0
+    and the combined section at every matrix size, row 1 once, at the
+    negativity size; the headline asks for the fit window's top index
+    of largest pairs, no more.  Every solved spectrum gets its CSV and
+    sidecar.
+    """
     out_dir = pathlib.Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts: list = []
@@ -234,10 +242,6 @@ def run_chain(config: RunConfig) -> dict:
     # a0's weight rule, and row 1 takes the full symbol's factor and exact
     # row and column 1 with sign + and that same smooth factor with sign -.
     full_spec = SymbolSpec(kind="helson_a", alpha=alpha)
-    a_specs = (SymbolSpec(kind="a0", alpha=alpha),
-               SymbolSpec(kind="a1", alpha=alpha))
-    b_specs = (SymbolSpec(kind="b0", alpha=alpha),
-               SymbolSpec(kind="b1", alpha=alpha))
 
     def row_map(i: int, size: int) -> LinearMap:
         if i == 0:
@@ -248,33 +252,45 @@ def run_chain(config: RunConfig) -> dict:
     matrix_sizes = [s for s in config.sizes if s <= config.helson_cap]
     if not matrix_sizes:
         raise StageError("config", "no sizes at or below the matrix cap")
+    neg_size = min(config.negativity_size, matrix_sizes[-1])
 
+    # row 0 is solved at every matrix size; row 1 only at neg_size, where
+    # the negativity stage reads it (the additivity check builds its own)
     row_spectra: dict = {}
     with stage("row_matrices"):
-        for i in (0, 1):
-            for size in matrix_sizes:
-                spec = solve(row_map(i, size), config.solver)
-                row_spectra[(i, size)] = spec
-                _write_spectrum(spec, out_dir, f"row{i}_matrix_N{size}",
-                                report)
+        jobs = [(0, size) for size in matrix_sizes] + [(1, neg_size)]
+        for i, size in jobs:
+            spec = solve(row_map(i, size), config.solver)
+            row_spectra[(i, size)] = spec
+            _write_spectrum(spec, out_dir, f"row{i}_matrix_N{size}", report)
 
     with stage("row_integrals"):
         gx, gt = v_matched_grids(config.x_domain, config.nystrom_n)
-        cross = {}
+        max_nodes = max(4096, config.nystrom_n)
         integral_spectra: dict = {}
-        for i in (0, 1):
-            op_m = nystrom_helson(a_specs[i], gt,
-                                  max_nodes=max(4096, config.nystrom_n))
-            op_h = nystrom_hankel(b_specs[i], gx,
-                                  max_nodes=max(4096, config.nystrom_n))
-            sm = solve(op_m.map, config.solver)
-            sh = solve(op_h.map, config.solver)
-            integral_spectra[(i, "helson")] = sm
-            integral_spectra[(i, "hankel")] = sh
-            _write_spectrum(sm, out_dir, f"row{i}_integral_helson", report)
-            _write_spectrum(sh, out_dir, f"row{i}_integral_hankel", report)
-            cross[f"row{i}"] = _top_agreement(sm, sh)
-        report["cross_row"] = cross
+        # per grid, row 0 is the smooth part's Gram product E E^T, built
+        # once, and row 1 the closed-form full kernel minus that product
+        for name, build, grid, full, smooth in (
+                ("helson", nystrom_helson, gt, "helson_a", "a0"),
+                ("hankel", nystrom_hankel, gx, "hankel_b", "b0")):
+            op0 = build(SymbolSpec(kind=smooth, alpha=alpha), grid,
+                        max_nodes=max_nodes)
+            op1 = nystrom_difference(
+                build(SymbolSpec(kind=full, alpha=alpha), grid,
+                      max_nodes=max_nodes), op0)
+            for i, op in enumerate((op0, op1)):
+                spec = solve(op.map, config.solver)
+                integral_spectra[(i, name)] = spec
+                _write_spectrum(spec, out_dir, f"row{i}_integral_{name}",
+                                report)
+            # solved sections are dead: left bound until the headline
+            # solve, the last grid's two pin the heap freed below them
+            # (integral peak RSS 88 -> 75 MB)
+            del op0, op1, op
+        report["cross_row"] = {
+            f"row{i}": _top_agreement(integral_spectra[(i, "helson")],
+                                      integral_spectra[(i, "hankel")])
+            for i in (0, 1)}
         h0 = integral_spectra[(0, "hankel")]
         lam_max = float(h0.lambda_plus[0]) if h0.lambda_plus.size else 0.0
         lam_min_neg = float(h0.lambda_minus[0]) if h0.lambda_minus.size else 0.0
@@ -291,12 +307,13 @@ def run_chain(config: RunConfig) -> dict:
             combined[size] = spec
             _write_spectrum(spec, out_dir, f"combined_matrix_N{size}",
                             report)
-        # additivity: the sum of the two row sections the chain solves
-        # against the closed-form section a(jk), streamed entry by entry.
-        # The smooth factor enters row 0 with + and row 1 with -, so it
-        # cancels in the sum: what this checks is row 1's wiring (its exact
-        # row and column 1, its minus factor) and the full symbol's
-        # exponential-sum factor against the closed form.
+        # additivity: the sum of the two row sections as row_map builds
+        # them, made here at check_size (row 1 is solved only at
+        # neg_size), against the closed-form section a(jk), streamed entry
+        # by entry.  The smooth factor enters row 0 with + and row 1 with
+        # -, so it cancels in the sum: what this checks is row 1's wiring
+        # (its exact row and column 1, its minus factor) and the full
+        # symbol's exponential-sum factor against the closed form.
         check_size = min(matrix_sizes[0], _DENSE_LIMIT)
         assembled = HelsonTruncation(full_spec, check_size).dense()
         summed = (row_map(0, check_size).dense() +
@@ -320,7 +337,7 @@ def run_chain(config: RunConfig) -> dict:
         n_top = config.sizes[-1]
         window = config.fit_window or (20, 200)
         sec = log_window_smooth_section(alpha, n_top)
-        sp_head = solve(sec.map, config.solver, k=window[1] + 16,
+        sp_head = solve(sec.map, config.solver, k=window[1],
                         which="largest")
         _write_spectrum(sp_head, out_dir, f"headline_section_n{n_top}",
                         report)
@@ -349,12 +366,9 @@ def run_chain(config: RunConfig) -> dict:
         artifacts.append(str(fit_path))
 
     with stage("negativity"):
-        neg_size = min(config.negativity_size, matrix_sizes[-1])
         spec_full = (combined[neg_size] if neg_size in combined else
                      solve(build_helson(full_spec, neg_size), config.solver))
-        spec_a1 = (row_spectra[(1, neg_size)]
-                   if (1, neg_size) in row_spectra else
-                   solve(row_map(1, neg_size), config.solver))
+        spec_a1 = row_spectra[(1, neg_size)]
         spec_a0 = (row_spectra[(0, neg_size)]
                    if (0, neg_size) in row_spectra else
                    solve(row_map(0, neg_size), config.solver))

@@ -224,18 +224,25 @@ class TestNystromHelson:
 
 class TestDifferenceKernels:
     # a1 = a - a0 and b1 = b - b0 are sectioned as the closed-form full
-    # kernel minus the Gram factor of the smooth part
+    # kernel minus the Gram product of the smooth part, on one grid
+
+    @staticmethod
+    def _difference(build, grid, full, smooth, alpha):
+        return discretize.nystrom_difference(
+            build(SymbolSpec(full, alpha=alpha), grid),
+            build(SymbolSpec(smooth, alpha=alpha), grid))
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_gram_difference_matches_direct(self, alpha):
         gx, gt = v_matched_grids((0.0, 30.0), 160)
         sections = {}
-        for kind, build, g in (("a1", nystrom_helson, gt),
-                               ("b1", nystrom_hankel, gx)):
-            spec = SymbolSpec(kind, alpha=alpha)
-            M = build(spec, g).dense()
+        for kind, build, g, full, smooth in (
+                ("a1", nystrom_helson, gt, "helson_a", "a0"),
+                ("b1", nystrom_hankel, gx, "hankel_b", "b0")):
+            M = self._difference(build, g, full, smooth, alpha).dense()
             # a callable kernel takes the entrywise quadrature path
-            direct = build(kernel_fn(spec), g).dense()
+            direct = build(kernel_fn(SymbolSpec(kind, alpha=alpha)),
+                           g).dense()
             scale = np.abs(direct).max()
             assert np.abs(M - direct).max() <= 1e-13 * scale, kind
             assert np.array_equal(M, M.T), kind
@@ -253,9 +260,21 @@ class TestDifferenceKernels:
 
         monkeypatch.setattr(symbols, "_laplace_sum", counted)
         gx, gt = v_matched_grids((0.0, 30.0), 600)
-        nystrom_helson(SymbolSpec("a1", alpha=0.5), gt)
-        nystrom_hankel(SymbolSpec("b1", alpha=0.5), gx)
+        self._difference(nystrom_helson, gt, "helson_a", "a0", 0.5)
+        self._difference(nystrom_hankel, gx, "hankel_b", "b0", 0.5)
         assert calls == []
+
+    def test_kernel_is_the_difference_and_grids_must_match(self):
+        gx, gt = v_matched_grids((0.0, 30.0), 40)
+        op = self._difference(nystrom_hankel, gx, "hankel_b", "b0", 1.0)
+        x = gx.nodes[:, None] + gx.nodes[None, :]
+        want = kernel_fn(SymbolSpec("b1", alpha=1.0))(x)
+        assert np.allclose(op.kernel(x), want, rtol=0, atol=1e-13)
+        other = make_grid((0.0, 30.0), 40)
+        with pytest.raises(ValueError, match="different grids"):
+            discretize.nystrom_difference(
+                nystrom_hankel(SymbolSpec("hankel_b", alpha=1.0), gx),
+                nystrom_hankel(SymbolSpec("b0", alpha=1.0), other))
 
 
 # ---------------------------------------------------------------------------

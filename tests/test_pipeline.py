@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import helsonlab.discretize as discretize
 import helsonlab.pipeline as pipeline
 import helsonlab.structured_ops as structured_ops
 from helsonlab.eigen import Spectrum, spectrum_from_csv
@@ -16,6 +17,7 @@ from helsonlab.pipeline import (RunConfig, StageError, band_limited_symbol,
                                 restriction_schatten_experiment, run_chain,
                                 solve)
 from helsonlab.structured_ops import LinearMap
+from helsonlab.symbols import SymbolSpec, kernel_fn
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -163,13 +165,24 @@ class TestRunChain:
             assert worst <= 1e-10 * top
 
     def test_sidecars_record_dense_route(self, small_run):
-        # every section of this run is at most _DENSE_LIMIT wide
+        # every section of this run is at most _DENSE_LIMIT wide: row 0
+        # and combined at N = 48 and 96, row 1 at 96, four integral
+        # sections and the headline
         cfg, _ = small_run
         sidecars = sorted(pathlib.Path(cfg.out_dir).glob("*.meta.json"))
-        assert len(sidecars) == 11
+        assert len(sidecars) == 10
         for path in sidecars:
             meta = json.loads(path.read_text())
             assert meta["method"] == "dense", path.name
+
+    def test_row1_solved_only_at_negativity_size(self, small_run):
+        # the negativity stage is row 1's only reader, at N = 96
+        cfg, rep = small_run
+        out = pathlib.Path(cfg.out_dir)
+        assert (out / "row1_matrix_N96.csv").exists()
+        assert (out / "row1_matrix_N96.meta.json").exists()
+        assert not (out / "row1_matrix_N48.csv").exists()
+        assert rep["negativity"]["size"] == 96
 
     def test_sidecars_mark_resolved_entries(self, small_run):
         cfg, _ = small_run
@@ -233,8 +246,9 @@ def test_negativity_window_ignores_fit_window(tmp_path):
     assert knob["negativity"]["window"] == plain["negativity"]["window"]
 
 def test_unconverged_solve_listed_in_report(tmp_path):
-    # the headline at n = 1024 takes the Lanczos route with k = 24 + 16 = 40
-    # pairs and at most 45 iterations, which cannot converge
+    # the headline at n = 1024 takes the Lanczos route with k = 24 pairs
+    # (the fit window's top index) and at most 45 iterations, which stop
+    # before the first Ritz check at step 2k + 16 = 64 and cannot converge
     cfg = RunConfig(alpha=1.0, sizes=(24, 1024), helson_cap=24,
                     x_domain=(0.0, 18.0), nystrom_n=48,
                     solver={"k": 12, "max_iter": 45}, fit_window=(4, 24),
@@ -243,6 +257,53 @@ def test_unconverged_solve_listed_in_report(tmp_path):
     assert rep["unconverged"] == ["headline_section_n1024"]
     on_disk = json.loads((tmp_path / "run_report.json").read_text())
     assert on_disk["unconverged"] == rep["unconverged"]
+
+
+def test_headline_asks_for_the_fit_windows_top_index(monkeypatch, tmp_path):
+    # the fit reads indices up to fit_window[1] and nothing past them
+    asked = []
+    real = pipeline.solve
+
+    def recording(lm, solver, k=None, which="both_ends"):
+        asked.append((which, k))
+        return real(lm, solver, k=k, which=which)
+
+    monkeypatch.setattr(pipeline, "solve", recording)
+    run_chain(RunConfig(alpha=1.0, sizes=(24, 96), x_domain=(0.0, 18.0),
+                        nystrom_n=48, solver={"k": 8}, fit_window=(4, 24),
+                        out_dir=str(tmp_path)))
+    assert [k for which, k in asked if which == "largest"] == [24]
+
+
+def test_integral_row1_is_closed_form_minus_row0_gram(monkeypatch, tmp_path):
+    # row 1's Nystrom sections reuse row 0's Gram product and stay
+    # bitwise what subtracting a freshly made one gives
+    made = []
+    real = pipeline.nystrom_difference
+
+    def recording(full, smooth):
+        op = real(full, smooth)
+        made.append(op.dense().copy())
+        return op
+
+    monkeypatch.setattr(pipeline, "nystrom_difference", recording)
+    alpha = 1.0
+    run_chain(RunConfig(alpha=alpha, sizes=(24, 48), x_domain=(0.0, 18.0),
+                        nystrom_n=120, solver={"k": 8},
+                        out_dir=str(tmp_path)))
+    gx, gt = discretize.v_matched_grids((0.0, 18.0), 120)
+    want = []
+    for combine, grid, full, rough in (("product", gt, "helson_a", "a1"),
+                                       ("sum", gx, "hankel_b", "b1")):
+        closed = discretize._assemble(
+            kernel_fn(SymbolSpec(full, alpha=alpha)), grid.nodes,
+            np.sqrt(grid.weights), combine)
+        gram = discretize._gram_fast_path(SymbolSpec(rough, alpha=alpha),
+                                          grid, combine)
+        want.append(closed - gram)
+    assert len(made) == 2
+    for got, ref in zip(made, want):
+        assert np.array_equal(got, ref)
 
 
 def _row1_without_head(full, smooth):
