@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from helsonlab.eigen import Spectrum
-from helsonlab.symbols import QuadratureError
+from helsonlab.symbols import QuadratureError, gauss_panels
 
 # eigenvalues below this fraction of lambda_1^+ are solver noise: the
 # pipeline's resolved counts, sidecars and cross-row checks and the
@@ -102,16 +102,6 @@ def fit_power_tail(lam: Sequence[float], window: Optional[tuple] = None) -> FitR
 # Laplace-type integral with the slow logarithmic factor
 
 
-def _gauss_panels(knots: np.ndarray, per_panel: int):
-    gx, gw = np.polynomial.legendre.leggauss(per_panel)
-    xs, ws = [], []
-    for a, b in zip(knots[:-1], knots[1:]):
-        mid, hw = 0.5 * (a + b), 0.5 * (b - a)
-        xs.append(mid + hw * gx)
-        ws.append(hw * gw)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
 def laplace_I(ell: int, alpha: float, c: float, x: float,
               rel_tol: float = 1e-11) -> float:
     """Integral of |log l|^(-alpha) l^ell e^(-l x) over (0, c).
@@ -140,7 +130,7 @@ def laplace_I(ell: int, alpha: float, c: float, x: float,
     prev = None
     per = 16
     while per <= 1024:
-        xs, ws = _gauss_panels(knots, per)
+        xs, ws = gauss_panels(knots, per)
         val = float(ws @ integrand(xs))
         if prev is not None and abs(val - prev) <= rel_tol * abs(val):
             return val * math.exp(-(ell + 1) * L)

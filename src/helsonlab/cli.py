@@ -399,12 +399,10 @@ def _cmd_report(args) -> int:
     head = rep.get("fits", {}).get("headline")
     if head is not None:
         csv_path = out_dir / f"headline_section_n{head['n_nodes']}.csv"
-        ref_alpha = config.alpha
-        title = f"tail of the smooth additive section, alpha={ref_alpha:g}"
+        title = f"tail of the smooth additive section, alpha={config.alpha:g}"
     else:
         size = max(config.sizes)
         csv_path = out_dir / f"combined_matrix_N{size}.csv"
-        ref_alpha = config.alpha
         title = f"combined matrix tail, N={size}"
     if not csv_path.is_file():
         raise _UsageError(f"{csv_path} not found; run the chain verb first")
@@ -417,7 +415,7 @@ def _cmd_report(args) -> int:
     with _partial_on_interrupt(svg):
         loglog_figure(svg, [("positive spectrum", n, lam)],
                       reference=("reference decay", n,
-                                 kappa(ref_alpha) / n**ref_alpha),
+                                 kappa(config.alpha) / n**config.alpha),
                       title=title, x_label="n", y_label="lambda_n")
     print(svg)
     return 0

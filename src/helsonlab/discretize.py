@@ -1,8 +1,10 @@
 """Quadrature grids and symmetric Nystrom sections of the integral operators.
 
-Additive kernels K(x+y) live on half-line grids, multiplicative kernels
-K(ts) on grids in (1, inf); both are assembled in the symmetric form
-sqrt(w) K sqrt(w) so the result feeds the symmetric eigensolver directly.
+Grids are uniform, geometric or composite Gauss-Legendre
+(symbols.gauss_panels).  Additive kernels K(x+y) live on half-line
+grids, multiplicative kernels K(ts) on grids in (1, inf); both are
+assembled in the symmetric form sqrt(w) K sqrt(w) so the result feeds
+the symmetric eigensolver directly.
 The matched grid pair of v_matched_grids carries one onto the other
 under t = e^x.  The smooth kernels (Laplace transforms of a weight) get
 an exact Gram fast path: the section is formed as E E^T over the shared
@@ -19,23 +21,24 @@ factorization, the weighted zeta(1+s) and 1/s kernels, through the same
 blocked entrywise assembly.  The headline section,
 log_window_smooth_section, is never assembled: in log coordinates its
 Gram factor is Toeplitz in taps of a kernel that decays exponentially,
-so its matvec applies two short filters by overlap-save
-(_overlap_save), in transforms whose length the kernel sets, not the
-window.
+so its matvec applies two short filters through the package's one
+convolution, structured_ops._overlap_save, in transforms whose length
+the kernel sets, not the window.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from helsonlab.structured_ops import (LinearMap, _dirichlet_factor,
-                                      _smooth_nodes)
+                                      _overlap_save, _smooth_nodes)
 from helsonlab.symbols import (
-    SymbolSpec, _weight_support, _weight_values, chi_cutoff, kernel_fn, zeta1,
+    SymbolSpec, _weight_support, _weight_values, chi_cutoff, gauss_panels,
+    kernel_fn, zeta1,
 )
 
 SPACINGS = ("uniform", "geometric", "gauss")
@@ -122,17 +125,9 @@ def make_grid(domain, n: int, spacing: str = "uniform") -> Grid:
     elif spacing == "gauss":
         panels = max(1, n // 32)
         base, rem = divmod(n, panels)
-        edges = np.linspace(lo, hi, panels + 1)
-        xs, ws = [], []
-        for i in range(panels):
-            cnt = base + (1 if i < rem else 0)
-            gx, gw = np.polynomial.legendre.leggauss(cnt)
-            mid = 0.5 * (edges[i] + edges[i + 1])
-            hw = 0.5 * (edges[i + 1] - edges[i])
-            xs.append(mid + hw * gx)
-            ws.append(hw * gw)
-        nodes = np.concatenate(xs)
-        weights = np.concatenate(ws)
+        nodes, weights = gauss_panels(
+            np.linspace(lo, hi, panels + 1),
+            [base + (i < rem) for i in range(panels)])
     else:
         raise ValueError(f"unknown spacing {spacing!r}")
     return Grid(nodes=nodes, weights=weights, spacing=spacing, domain=(lo, hi))
@@ -168,7 +163,6 @@ class NystromOperator:
     """Symmetric section sqrt(w_m) K(x_m, x_n) sqrt(w_n) of an integral kernel."""
 
     grid: Grid
-    kernel: Union[SymbolSpec, Callable]
     map: LinearMap
 
     def dense(self) -> np.ndarray:
@@ -207,8 +201,7 @@ def _assemble(fn: Callable, x: np.ndarray, sq: np.ndarray,
     return 0.5 * (out + out.T)
 
 
-def _gram_fast_path(spec: SymbolSpec, grid: Grid, combine: str,
-                    Q: int = 2000) -> np.ndarray:
+def _gram_fast_path(spec: SymbolSpec, grid: Grid, combine: str) -> np.ndarray:
     """Exact-PSD assembly of a Laplace-transform kernel section.
 
     The section sqrt(w_m) K sqrt(w_n) with K the transform of a weight
@@ -217,7 +210,7 @@ def _gram_fast_path(spec: SymbolSpec, grid: Grid, combine: str,
     rounding and the section is PSD by construction.  On the product
     side phi(t, l) sqrt(rho) is the Dirichlet-exponential factor.
     """
-    lam, log_rho = _smooth_nodes(spec, Q)
+    lam, log_rho = _smooth_nodes(spec)
     x = grid.nodes
     if combine == "sum":
         E = np.exp(-np.multiply.outer(x, lam)) * np.exp(0.5 * log_rho)
@@ -236,7 +229,7 @@ def _section(kernel, grid: Grid, combine: str) -> np.ndarray:
                      np.sqrt(grid.weights), combine)
 
 
-def _wrap_operator(matrix: np.ndarray, grid: Grid, kernel,
+def _wrap_operator(matrix: np.ndarray, grid: Grid,
                    what: str) -> NystromOperator:
     lm = LinearMap(rows=grid.n, cols=grid.n, symmetric=True,
                    matvec=lambda u: matrix @ u,
@@ -244,7 +237,7 @@ def _wrap_operator(matrix: np.ndarray, grid: Grid, kernel,
                                f"[{grid.domain[0]:g}, {grid.domain[1]:g}] "
                                f"{grid.spacing}",
                    dense=lambda: matrix)
-    return NystromOperator(grid=grid, kernel=kernel, map=lm)
+    return NystromOperator(grid=grid, map=lm)
 
 
 def nystrom_hankel(b, grid: Grid, max_nodes: int = 4096) -> NystromOperator:
@@ -255,8 +248,7 @@ def nystrom_hankel(b, grid: Grid, max_nodes: int = 4096) -> NystromOperator:
     """
     if grid.n > max_nodes:
         raise ConstructionError(f"dense assembly capped at {max_nodes} nodes")
-    return _wrap_operator(_section(b, grid, "sum"), grid, b,
-                          "additive-kernel")
+    return _wrap_operator(_section(b, grid, "sum"), grid, "additive-kernel")
 
 
 def nystrom_helson(a, grid: Grid, max_nodes: int = 4096) -> NystromOperator:
@@ -269,7 +261,7 @@ def nystrom_helson(a, grid: Grid, max_nodes: int = 4096) -> NystromOperator:
         raise ConstructionError("multiplicative sections need lo >= 1")
     if grid.n > max_nodes:
         raise ConstructionError(f"dense assembly capped at {max_nodes} nodes")
-    return _wrap_operator(_section(a, grid, "product"), grid, a,
+    return _wrap_operator(_section(a, grid, "product"), grid,
                           "multiplicative-kernel")
 
 
@@ -283,9 +275,8 @@ def nystrom_difference(full: NystromOperator,
     """
     if full.grid is not smooth.grid:
         raise ValueError("difference of sections on different grids")
-    fa, f0 = _kernel_callable(full.kernel), _kernel_callable(smooth.kernel)
     return _wrap_operator(full.dense() - smooth.dense(), full.grid,
-                          lambda x: fa(x) - f0(x), "difference-kernel")
+                          "difference-kernel")
 
 
 # ---------------------------------------------------------------------------
@@ -336,92 +327,19 @@ def weighted_operator(kind: str, w_spec: SymbolSpec, grid: Grid) -> NystromOpera
         raise ConstructionError("weight takes negative values on the grid")
     M = _assemble(_WEIGHTED_KERNELS[kind], grid.nodes,
                   np.sqrt(wvals * grid.weights), "sum")
-    return _wrap_operator(M, grid, w_spec, f"weighted-{kind}")
+    return _wrap_operator(M, grid, f"weighted-{kind}")
 
 
 # ---------------------------------------------------------------------------
 # wide-window section of the smooth additive kernel in log coordinates
 
-
-def _fft_length(L: int) -> int:
-    """Smallest 5-smooth length 2^a 3^b 5^c >= L."""
-    best = 1 << (L - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # smallest p35 * 2^a >= L
-            best = min(best, p35 << (-(-L // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
+# u-grid step, first node, and width of mu beyond the last node
+_LOG_STEP = 0.135
+_LOG_U_LO = -6.0
+_LOG_PAD = 80.0
 
 
-# share of a filter's l1 mass that _overlap_save may drop from its head,
-# and again from its tail.  By Young's inequality the Toeplitz operator of
-# the dropped taps has norm at most their l1 mass, 2 * _TAIL_MASS *
-# ||f||_1, against the bound ||f||_1 on that of all taps; a product
-# E E^T with E = T diag(s) moves by at most twice that share, 4e-20 of
-# its own bound ||f||_1^2 max(s)^2, far below rounding
-_TAIL_MASS = 1e-20
-
-
-def _support(f: np.ndarray) -> tuple:
-    """(lo, hi) of the shortest f[lo:hi] whose dropped head f[:lo] and
-    tail f[hi:] each carry at most _TAIL_MASS of the l1 mass of f."""
-    a = np.abs(f)
-    tol = _TAIL_MASS * a.sum()
-    lo = int(np.searchsorted(np.cumsum(a), tol, side="right"))
-    hi = a.size - int(np.searchsorted(np.cumsum(a[::-1]), tol, side="right"))
-    return lo, hi
-
-
-def _overlap_save(f: np.ndarray, i0: int, count: int) -> Callable:
-    """x -> (f * x)[i0 : i0 + count], x read as zero outside its indices.
-
-    Overlap-save (Stockham, AFIPS 1966) over the numerical support
-    f[lo:hi] of the taps (_support), P = hi - lo of them.  A block of B
-    inputs gives B - P + 1 outputs.  The block count is the one that
-    blocks of _fft_length(4P) points need, which weighs the log B cost
-    per point of a transform against the P - 1 outputs every block
-    discards; B is then the shortest 5-smooth length that covers count
-    in that many blocks (one block when count is below about 3P).  All
-    blocks go through one 2-D rfft/irfft along axis 1.  The filter's
-    transform, the padded input and its block view are made here, once;
-    the transforms' outputs are allocated per call, since buffers kept
-    for them raised a whole chain's peak RSS by ~1.3 MB.
-    """
-    lo, hi = _support(f)
-    P = hi - lo
-    blocks = -(-count // (_fft_length(4 * P) - P + 1))
-    B = _fft_length(-(-count // blocks) + P - 1)
-    S = B - P + 1
-    F = np.fft.rfft(f[lo:hi], n=B)
-    # block j writes outputs i0 + jS .. i0 + jS + S - 1 and reads inputs
-    # first + jS .. first + jS + B - 1
-    first = i0 - lo - (P - 1)
-    span = (blocks - 1) * S + B
-    xp = np.zeros(span)
-    X = np.lib.stride_tricks.sliding_window_view(xp, B)[::S]
-
-    def apply(x):
-        a, b = max(first, 0), min(first + span, x.size)
-        xp[:] = 0.0
-        if a < b:
-            xp[a - first:b - first] = x[a:b]
-        Xf = np.fft.rfft(X, axis=1)
-        Xf *= F
-        Y = np.fft.irfft(Xf, n=B, axis=1)
-        # a copy, so that the result does not keep Y alive
-        return Y[:, P - 1:].flatten()[:count]
-
-    return apply
-
-
-def log_window_smooth_section(alpha: float, n: int, step: float = 0.135,
-                              u_lo: float = -6.0, pad: float = 80.0,
-                              chi_lo: float = 0.25, chi_hi: float = 0.75,
-                              t0: float = 16.0) -> NystromOperator:
+def log_window_smooth_section(alpha: float, n: int) -> NystromOperator:
     """Smooth additive-kernel section in log coordinates, window grown with n.
 
     The additive smooth kernel conjugated to u = log x has the exact form
@@ -430,10 +348,12 @@ def log_window_smooth_section(alpha: float, n: int, step: float = 0.135,
     for E = T diag(s), T Toeplitz in the taps g(u_m - mu_q) and s the
     quadrature weights in mu.  The matvec applies E^T and then E as one
     correlation and one convolution with the taps, each by overlap-save
-    over g's numerical support (_overlap_save), so nothing n x n or of
-    length n + Q is transformed: g decays like e^(d/2) to the left and
-    like e^(-e^d) to the right, so its support is d in [-92.3, 3.7], 712
-    taps at the default step, whatever n is.
+    over g's numerical support (structured_ops._overlap_save), so nothing
+    n x n or of length n + Q is transformed: g decays like e^(d/2) to the
+    left and like e^(-e^d) to the right, so its support is d in
+    [-92.3, 3.7], 712 taps at step _LOG_STEP, whatever n is.  The grid
+    (_LOG_STEP, _LOG_U_LO, _LOG_PAD) is fixed and the cutoff band is the
+    weight spec's own.
     map.dense forms E E^T explicitly from every tap and refuses windows
     with n * Q > 2^24 factor entries (Q quadrature nodes in mu).  Keeping
     the step fixed while n grows widens the window, which is the actual
@@ -443,18 +363,17 @@ def log_window_smooth_section(alpha: float, n: int, step: float = 0.135,
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if step <= 0 or not 0 < chi_lo < chi_hi <= 1:
-        raise ValueError("bad window parameters")
-    h = float(step)
-    u = u_lo + h * np.arange(n)
+    w = SymbolSpec("weight_w", alpha=alpha)
+    h = _LOG_STEP
+    u = _LOG_U_LO + h * np.arange(n)
     # W(mu) = w(e^-mu) vanishes for mu <= -log(chi_hi); align mu to step h
-    mu_lo = -math.log(chi_hi) + 1e-12
-    mu_hi = u[-1] + pad
+    mu_lo = -math.log(w.chi_hi) + 1e-12
+    mu_hi = u[-1] + _LOG_PAD
     Q = int(math.ceil((mu_hi - mu_lo) / h)) + 1
     mu = mu_lo + h * np.arange(Q)
     # evaluated in mu as mu^-alpha chi(e^-mu): w(e^-mu) itself reads 0 once
     # e^-mu underflows (mu > ~745), which would stop the window growing
-    W = mu ** -alpha * chi_cutoff(np.exp(-mu), chi_lo, chi_hi)
+    W = mu ** -alpha * chi_cutoff(np.exp(-mu), w.chi_lo, w.chi_hi)
     s = h * np.sqrt(W)
 
     # T[k] = g(delta + k h), k in [-(Q-1), n-1]
@@ -485,5 +404,4 @@ def log_window_smooth_section(alpha: float, n: int, step: float = 0.135,
                    description=f"log-coordinate smooth section n={n} "
                                f"step={h:g} window=[{u[0]:g}, {u[-1]:g}]",
                    dense=dense)
-    spec_b0 = SymbolSpec("b0", alpha=alpha, t0=t0, chi_lo=chi_lo, chi_hi=chi_hi)
-    return NystromOperator(grid=grid, kernel=spec_b0, map=lm)
+    return NystromOperator(grid=grid, map=lm)

@@ -99,10 +99,6 @@ _B7_INT = {0: 151.0 / 315.0, 1: 397.0 / 1680.0, 2: 1.0 / 42.0,
            3: 1.0 / 5040.0}
 
 
-def _sinc(t: np.ndarray) -> np.ndarray:
-    return np.sinc(t)  # sin(pi t)/(pi t)
-
-
 def band_limited_function(v, N: float, sigma: Optional[float] = None,
                           xi0: Optional[float] = None):
     """f with spectrum sum v_i B3((xi - xi_i)/sigma), bumps inside [0, N].
@@ -124,7 +120,8 @@ def band_limited_function(v, N: float, sigma: Optional[float] = None,
     def f(x):
         x = np.asarray(x, dtype=float)
         phases = np.exp(2j * np.pi * np.multiply.outer(x, xi)) @ v
-        return sigma * _sinc(sigma * x) ** 4 * phases
+        # np.sinc(t) = sin(pi t)/(pi t)
+        return sigma * np.sinc(sigma * x) ** 4 * phases
 
     return f, float(sigma), xi
 

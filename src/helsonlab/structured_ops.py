@@ -1,13 +1,19 @@
 """Finite Hankel and multiplicative-Hankel truncations with fast matvecs.
 
-A Hankel section {b(j+k)} multiplies a vector in O(N log N) through a
-circulant embedding.  A multiplicative section {a(jk)} whose symbol is a
-sum of Dirichlet exponentials, a(n) = sum_q m_q n^(-1/2-s_q), is a Gram
-matrix E E^T with the N x R factor E_jq = sqrt(m_q) j^(-1/2-s_q) of
-_dirichlet_factor, so it multiplies in O(N R).  One signed Gram map,
-GramSection, serves every such section: the smooth part
-(build_smooth_helson), the full symbol (build_helson, with an exact row
-and column 1) and the full symbol minus its smooth part
+_overlap_save is the package's one convolution: every Toeplitz or
+Hankel product, here and in discretize, goes through it, over the
+numerical support of its taps (_support), in 5-smooth transform lengths
+(_fft_length).  A Hankel section {b(j+k)} (build_hankel) multiplies a
+vector as one such convolution with the reversed vector, in O(N log N).
+
+A multiplicative section {a(jk)} whose symbol is a sum of Dirichlet
+exponentials, a(n) = sum_q m_q n^(-1/2-s_q), is a Gram matrix E E^T
+with the N x R factor E_jq = sqrt(m_q) j^(-1/2-s_q) of
+_dirichlet_factor, so it multiplies in O(N R); the smooth part's factor
+is built on its weight rule at the one size symbols.RULE_NODES.  One
+signed Gram map, GramSection, serves every such section: the smooth
+part (build_smooth_helson), the full symbol (build_helson, with an
+exact row and column 1) and the full symbol minus its smooth part
 (difference_section, the factor of the first with sign + and that of
 the second with sign -).  Any other multiplicative symbol streams rows
 through HelsonTruncation in O(N^2) time with O(N) memory; that path
@@ -18,12 +24,12 @@ one it is driving.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from helsonlab.symbols import (DomainError, SymbolSpec,
+from helsonlab.symbols import (RULE_NODES, DomainError, SymbolSpec,
                                _exponential_sum_rule, _weight_of,
                                _weight_rule, sequence_values)
 
@@ -82,66 +88,105 @@ def dense_matrix(lm: LinearMap, max_size: int = 4096) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# one convolution: every Toeplitz and Hankel product goes through it
+
+
+def _fft_length(L: int) -> int:
+    """Smallest 5-smooth length 2^a 3^b 5^c >= L."""
+    best = 1 << (L - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # smallest p35 * 2^a >= L
+            best = min(best, p35 << (-(-L // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+# share of a filter's l1 mass that _overlap_save may drop from its head,
+# and again from its tail.  By Young's inequality the Toeplitz operator of
+# the dropped taps has norm at most their l1 mass, 2 * _TAIL_MASS *
+# ||f||_1, against the bound ||f||_1 on that of all taps; a product
+# E E^T with E = T diag(s) moves by at most twice that share, 4e-20 of
+# its own bound ||f||_1^2 max(s)^2, far below rounding
+_TAIL_MASS = 1e-20
+
+
+def _support(f: np.ndarray) -> tuple:
+    """(lo, hi) of the shortest f[lo:hi] whose dropped head f[:lo] and
+    tail f[hi:] each carry at most _TAIL_MASS of the l1 mass of f; one
+    tap, (0, 1), when every tap is zero."""
+    a = np.abs(f)
+    tol = _TAIL_MASS * a.sum()
+    lo = int(np.searchsorted(np.cumsum(a), tol, side="right"))
+    hi = a.size - int(np.searchsorted(np.cumsum(a[::-1]), tol, side="right"))
+    return (lo, hi) if lo < hi else (0, 1)
+
+
+def _overlap_save(f: np.ndarray, i0: int, count: int) -> Callable:
+    """x -> (f * x)[i0 : i0 + count], x read as zero outside its indices.
+
+    The package's one convolution.  Overlap-save (Stockham, AFIPS 1966)
+    over the numerical support f[lo:hi] of the taps (_support), P = hi -
+    lo of them.  A block of B inputs gives B - P + 1 outputs.  The block
+    count is the one that blocks of _fft_length(4P) points need, which
+    weighs the log B cost per point of a transform against the P - 1
+    outputs every block discards; B is then the shortest 5-smooth length
+    that covers count in that many blocks (one block when count is below
+    about 3P).  All blocks go through one 2-D rfft/irfft along axis 1.
+    The filter's transform, the padded input and its block view are made
+    here, once; the transforms' outputs are allocated per call, since
+    buffers kept for them raised a whole chain's peak RSS by ~1.3 MB.
+    """
+    lo, hi = _support(f)
+    P = hi - lo
+    blocks = -(-count // (_fft_length(4 * P) - P + 1))
+    B = _fft_length(-(-count // blocks) + P - 1)
+    S = B - P + 1
+    F = np.fft.rfft(f[lo:hi], n=B)
+    # block j writes outputs i0 + jS .. i0 + jS + S - 1 and reads inputs
+    # first + jS .. first + jS + B - 1
+    first = i0 - lo - (P - 1)
+    span = (blocks - 1) * S + B
+    xp = np.zeros(span)
+    X = np.lib.stride_tricks.sliding_window_view(xp, B)[::S]
+
+    def apply(x):
+        a, b = max(first, 0), min(first + span, x.size)
+        xp[:] = 0.0
+        if a < b:
+            xp[a - first:b - first] = x[a:b]
+        Xf = np.fft.rfft(X, axis=1)
+        Xf *= F
+        Y = np.fft.irfft(Xf, n=B, axis=1)
+        # a copy, so that the result does not keep Y alive
+        return Y[:, P - 1:].flatten()[:count]
+
+    return apply
+
+
+# ---------------------------------------------------------------------------
 # additive structure: H(b) = {b(j+k)}
 
 
-@dataclass(eq=False)
-class HankelTruncation:
-    """N x N section entry(j,k) = b_values[j+k], 0-indexed, from 2N-1 values."""
-
-    b_values: np.ndarray
-    _plan: Optional[tuple] = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        b = np.asarray(self.b_values, dtype=float)
-        if b.ndim != 1 or b.size % 2 == 0 or b.size < 1:
-            raise ValueError("need an odd number 2N-1 of symbol values")
-        self.b_values = b
-
-    @property
-    def N(self) -> int:
-        return (self.b_values.size + 1) // 2
-
-    def dense(self) -> np.ndarray:
-        N = self.N
-        idx = np.arange(N)
-        return self.b_values[idx[:, None] + idx[None, :]]
-
-    def _fft_plan(self):
-        # circulant embedding: M = next power of two >= 2N, first column
-        # c[0:N] = b[N-1:], wrap c[M-k] = b[N-1-k]
-        if self._plan is None:
-            N = self.N
-            M = 1 << int(np.ceil(np.log2(max(2 * N, 2))))
-            c = np.zeros(M)
-            c[:N] = self.b_values[N - 1:]
-            if N > 1:
-                c[M - N + 1:] = self.b_values[:N - 1]
-            self._plan = (M, np.fft.rfft(c))
-        return self._plan
-
-
-def hankel_matvec_fft(H: HankelTruncation, u):
-    """y_j = sum_k b(j+k) u_k via one cyclic convolution, O(N log N)."""
-    N = H.N
-    u = np.asarray(u)
-    if u.shape != (N,):
-        raise ValueError(f"expected a length-{N} vector, got {u.shape}")
-    M, Fc = H._fft_plan()
-    x = np.zeros(M)
-    x[:N] = u[::-1]
-    y = np.fft.irfft(Fc * np.fft.rfft(x), n=M)
-    return y[:N]
-
-
 def build_hankel(b) -> LinearMap:
-    """Symmetric N x N map entry(j,k) = b(j+k) from 2N-1 symbol values."""
-    H = HankelTruncation(np.asarray(b, dtype=float))
-    H._fft_plan()
-    return LinearMap(rows=H.N, cols=H.N, symmetric=True,
-                     matvec=lambda u: hankel_matvec_fft(H, u),
-                     description=f"hankel section N={H.N} (fft matvec)",
-                     dense=H.dense)
+    """Symmetric N x N map entry(j,k) = b(j+k) from 2N-1 symbol values.
+
+    The matvec is one convolution, y = (b * reversed u)[N-1 : 2N-1], by
+    _overlap_save; dense() indexes b directly.
+    """
+    b = np.asarray(b, dtype=float)
+    if b.ndim != 1 or b.size % 2 == 0:
+        raise ValueError("need an odd number 2N-1 of symbol values")
+    N = (b.size + 1) // 2
+    conv = _overlap_save(b, N - 1, N)
+    idx = np.arange(N)
+    return LinearMap(rows=N, cols=N, symmetric=True,
+                     matvec=lambda u: conv(u[::-1]),
+                     description=f"hankel section N={N} (overlap-save matvec)",
+                     dense=lambda: b[idx[:, None] + idx[None, :]])
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +339,9 @@ def _gram_section(plus: np.ndarray, minus, head, what: str) -> GramSection:
                        dense=dense, plus=plus, minus=minus, head=head)
 
 
-def _smooth_nodes(spec: SymbolSpec, Q: int = 2000):
+def _smooth_nodes(spec: SymbolSpec):
     """Nodes and log masses of the smooth part's cached weight rule."""
-    lam, rho = _weight_rule(_weight_of(spec), Q)
+    lam, rho = _weight_rule(_weight_of(spec), RULE_NODES)
     if np.any(rho < 0):
         raise ValueError("weight rule produced negative masses")
     with np.errstate(divide="ignore"):
@@ -333,7 +378,7 @@ def difference_section(full: GramSection, smooth: GramSection) -> GramSection:
                          "difference multiplicative section")
 
 
-def build_smooth_helson(spec: SymbolSpec, N: int, Q: int = 2000) -> GramSection:
+def build_smooth_helson(spec: SymbolSpec, N: int) -> GramSection:
     """Matrix-free Gram section of the smooth part: entry(j,k) = a0(jk).
 
     Holds the factored form E E^T with E_jq = j^(-1/2-l_q) sqrt(rho_q)
@@ -345,6 +390,6 @@ def build_smooth_helson(spec: SymbolSpec, N: int, Q: int = 2000) -> GramSection:
     """
     if N < 1:
         raise ValueError("N must be positive")
-    lam, log_rho = _smooth_nodes(spec, Q)
+    lam, log_rho = _smooth_nodes(spec)
     F = _dirichlet_factor(np.arange(1, N + 1, dtype=float), lam, log_rho)
     return _gram_section(F, None, None, "smooth multiplicative section")

@@ -13,8 +13,13 @@ with b0, b1 the additive-variable counterparts under x = log t,
 b(x) = e^(x/2) a(e^x).  A SymbolSpec names one of these seven kinds or
 a custom weight given as a callable; zeta1, zeta(1+x), is a plain
 function, the kernel of discretize.weighted_operator.  Everything here
-is a pure function of its inputs; quadrature rules are cached per
-weight, and the full symbol's exponential-sum rule per alpha.
+is a pure function of its inputs.
+
+gauss_panels is the package's one composite Gauss-Legendre rule.  Every
+value, kernel and Gram factor of one weight's smooth part shares its
+cached weight rule of RULE_NODES nodes (a0_quadrature alone takes other
+sizes, to measure convergence); the full symbol's exponential-sum rule
+is cached per alpha.
 
 sequence_values restricts one symbol to the integers.  There are no
 per-product sequences of the smooth or difference part: matrix sections
@@ -133,12 +138,36 @@ def _weight_of(spec: SymbolSpec) -> SymbolSpec:
 
 _RULE_CACHE: dict = {}
 
+# node count of the weight rule, the one size every operator built from a
+# weight uses (Gram consistency)
+RULE_NODES = 2000
+
 # bytes of the points x nodes exponential a Laplace sum holds at once
 _LAPLACE_BLOCK_BYTES = 32 << 20
 
 
+def gauss_panels(edges, per):
+    """Composite Gauss-Legendre rule over the panels [edges[i], edges[i+1]].
+
+    per is the node count of every panel, or a sequence with one count per
+    panel.  Returns (nodes, weights); the weights sum to edges[-1] -
+    edges[0] up to rounding.
+    """
+    edges = np.asarray(edges, dtype=float)
+    counts = np.broadcast_to(per, edges.size - 1).tolist()
+    rules = {c: np.polynomial.legendre.leggauss(c) for c in set(counts)}
+    nodes, weights = [], []
+    for a, b, c in zip(edges[:-1], edges[1:], counts):
+        gx, gw = rules[c]
+        mid, hw = 0.5 * (a + b), 0.5 * (b - a)
+        nodes.append(mid + hw * gx)
+        weights.append(hw * gw)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
 def _weight_rule(spec_w: SymbolSpec, Q: int):
-    """Composite Gauss-Legendre rule on supp w, panels refined toward 0.
+    """Composite Gauss-Legendre rule on supp w, panels halving toward its
+    lower end.
 
     Returns (nodes, weights * w(nodes)); cached so that every operator
     built from the same weight shares one rule (Gram consistency).
@@ -152,24 +181,14 @@ def _weight_rule(spec_w: SymbolSpec, Q: int):
     if hit is not None:
         return hit
     lo, hi = _weight_support(spec_w)
-    # geometric panels toward the lower endpoint (log-type feature at 0)
+    lo = max(lo, 0.0)
+    # geometric panels toward the lower endpoint (log-type feature at 0
+    # for the shipped weight)
     n_panels = max(8, min(40, Q // 16))
-    per = Q // n_panels
-    edges = [hi]
-    for _ in range(n_panels - 1):
-        edges.append(edges[-1] / 2.0)
-    edges.append(max(lo, 0.0))
-    edges = edges[::-1]
-    gx, gw = np.polynomial.legendre.leggauss(per)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b <= a:
-            continue
-        mid, hw = 0.5 * (a + b), 0.5 * (b - a)
-        nodes.append(mid + hw * gx)
-        weights.append(hw * gw)
-    x = np.concatenate(nodes)
-    om = np.concatenate(weights) * np.atleast_1d(_weight_values(spec_w, x))
+    halvings = (hi - lo) * 0.5 ** np.arange(n_panels - 1, 0, -1)
+    edges = np.concatenate(([lo], lo + halvings, [hi]))
+    x, om = gauss_panels(edges, Q // n_panels)
+    om = om * np.atleast_1d(_weight_values(spec_w, x))
     _RULE_CACHE[key] = (x, om)
     return x, om
 
@@ -242,7 +261,8 @@ def _exponential_sum_rule(alpha: float):
     return rule
 
 
-def a0_quadrature(spec_w: SymbolSpec, t, Q: int = 2000, full_output: bool = False):
+def a0_quadrature(spec_w: SymbolSpec, t, Q: int = RULE_NODES,
+                  full_output: bool = False):
     """Integral of t^(-1/2-l) w(l) dl by the fixed composite rule.
 
     Doubling Q moves the value by less than the reported estimate; a
@@ -267,12 +287,12 @@ def a0_quadrature(spec_w: SymbolSpec, t, Q: int = 2000, full_output: bool = Fals
             err if err.ndim else float(err))
 
 
-def b0_quadrature(spec_w: SymbolSpec, x, Q: int = 2000):
+def b0_quadrature(spec_w: SymbolSpec, x):
     """Laplace transform of w at x (> 0): integral of e^(-x l) w(l) dl."""
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr <= 0.0):
         raise DomainError("Laplace transform evaluated for x > 0")
-    xs, om = _weight_rule(spec_w, Q)
+    xs, om = _weight_rule(spec_w, RULE_NODES)
     val = _laplace_sum(x_arr, xs, om)
     return val if val.ndim else float(val)
 
@@ -360,7 +380,7 @@ def eval_symbol(spec: SymbolSpec, t):
     return val if np.ndim(val) else float(val)
 
 
-def kernel_fn(spec: SymbolSpec, Q: int = 2000) -> Callable:
+def kernel_fn(spec: SymbolSpec) -> Callable:
     """Total kernel function for integral-operator assembly.
 
     Unlike eval_symbol, the returned callable is defined on the whole
@@ -393,7 +413,7 @@ def kernel_fn(spec: SymbolSpec, Q: int = 2000) -> Callable:
         return f
     if k == "a0":
         w = _weight_of(spec)
-        nodes, om = _weight_rule(w, Q)
+        nodes, om = _weight_rule(w, RULE_NODES)
 
         def f(t, nodes=nodes, om=om):
             t = np.asarray(t, dtype=float)
@@ -401,19 +421,19 @@ def kernel_fn(spec: SymbolSpec, Q: int = 2000) -> Callable:
         return f
     if k == "b0":
         w = _weight_of(spec)
-        nodes, om = _weight_rule(w, Q)
+        nodes, om = _weight_rule(w, RULE_NODES)
 
         def f(x, nodes=nodes, om=om):
             x = np.asarray(x, dtype=float)
             return _laplace_sum(x, nodes, om)
         return f
     if k == "a1":
-        fa = kernel_fn(replace(spec, kind="helson_a"), Q)
-        f0 = kernel_fn(replace(spec, kind="a0"), Q)
+        fa = kernel_fn(replace(spec, kind="helson_a"))
+        f0 = kernel_fn(replace(spec, kind="a0"))
         return lambda t: fa(t) - f0(t)
     if k == "b1":
-        fb = kernel_fn(replace(spec, kind="hankel_b"), Q)
-        f0 = kernel_fn(replace(spec, kind="b0"), Q)
+        fb = kernel_fn(replace(spec, kind="hankel_b"))
+        f0 = kernel_fn(replace(spec, kind="b0"))
         return lambda x: fb(x) - f0(x)
     if k == "weight_w":
         return lambda lam: _weight_values(spec, lam)

@@ -269,21 +269,17 @@ class TestVerify:
         assert "FAIL: 36 singular values" in out
         assert "FAIL: resolved head decay" in out
 
-    @pytest.mark.parametrize("suite", ["chain", "factorization", "s0diff",
-                                       "decay", "sampling"])
+    # PASS lines each suite prints on the shipped code
+    PASSES = {"chain": 3, "factorization": 2, "s0diff": 2, "decay": 2,
+              "sampling": 3}
+
+    @pytest.mark.parametrize("suite", sorted(PASSES))
     def test_every_suite_passes_on_shipped_code(self, suite, capsys):
-        assert set(cli._SUITES) | {"sampling"} == {
-            "chain", "factorization", "s0diff", "decay", "sampling"}
+        assert set(cli._SUITES) | {"sampling"} == set(self.PASSES)
         code, out, _ = _run(capsys, "verify", "--suite", suite,
                             "--golden", str(GOLDEN / "sampling_p1.json"))
         assert code == 0, out
-        assert "FAIL" not in out and "PASS" in out
-
-    def test_sampling_suite_passes(self, capsys):
-        code, out, _ = _run(capsys, "verify", "--suite", "sampling",
-                            "--golden", str(GOLDEN / "sampling_p1.json"))
-        assert code == 0
-        assert out.count("PASS") == 3
+        assert "FAIL" not in out and out.count("PASS") == self.PASSES[suite]
 
     def test_sampling_missing_golden(self, tmp_path, capsys):
         code, _, err = _run(capsys, "verify", "--suite", "sampling",

@@ -6,8 +6,8 @@ import pytest
 from helsonlab.discretize import (log_window_smooth_section, nystrom_hankel,
                                   nystrom_helson, v_matched_grids)
 from helsonlab.structured_ops import (
-    HankelTruncation, HelsonTruncation, LinearMap, build_hankel, build_helson,
-    build_smooth_helson, dense_matrix, difference_section, hankel_matvec_fft,
+    HelsonTruncation, LinearMap, build_hankel, build_helson,
+    build_smooth_helson, dense_matrix, difference_section,
 )
 from helsonlab.symbols import DomainError, SymbolSpec, sequence_values
 
@@ -83,47 +83,51 @@ class TestHankel:
 
     def test_antidiagonal_constancy(self):
         rng = np.random.default_rng(3)
-        M = HankelTruncation(rng.standard_normal(127)).dense()
+        M = build_hankel(rng.standard_normal(127)).dense()
         assert np.array_equal(M[1:, :-1], M[:-1, 1:])
 
     def test_even_length_rejected(self):
         with pytest.raises(ValueError):
-            HankelTruncation(np.ones(4))
+            build_hankel(np.ones(4))
 
     def test_scalar_case(self):
-        H = HankelTruncation(np.array([2.5]))
-        assert np.allclose(hankel_matvec_fft(H, np.array([3.0])), [7.5])
+        H = build_hankel(np.array([2.5]))
+        assert np.allclose(H.apply(np.array([3.0])), [7.5])
 
     def test_column_extraction(self):
         b = hilbert_b(16)
-        H = HankelTruncation(b)
         e0 = np.zeros(16)
         e0[0] = 1.0
-        assert np.allclose(hankel_matvec_fft(H, e0), b[:16], rtol=1e-14, atol=0)
+        got = build_hankel(b).apply(e0)
+        assert np.allclose(got, b[:16], rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("N", [2, 5, 64, 257, 1024, 2048])
     def test_fft_matches_dense(self, N):
         rng = np.random.default_rng(N)
-        b = rng.standard_normal(2 * N - 1)
-        H = HankelTruncation(b)
+        H = build_hankel(rng.standard_normal(2 * N - 1))
         u = rng.standard_normal(N)
         want = H.dense() @ u
-        got = hankel_matvec_fft(H, u)
+        got = H.apply(u)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_hilbert_1024_against_dense(self):
         N = 1024
         rng = np.random.default_rng(0)
-        H = HankelTruncation(hilbert_b(N))
+        H = build_hankel(hilbert_b(N))
         u = rng.standard_normal(N)
         want = H.dense() @ u
-        got = hankel_matvec_fft(H, u)
+        got = H.apply(u)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_dimension_mismatch(self):
-        H = HankelTruncation(np.ones(5))
+        H = build_hankel(np.ones(5))
         with pytest.raises(ValueError):
-            hankel_matvec_fft(H, np.ones(4))
+            H.apply(np.ones(4))
+
+    def test_zero_symbol_gives_zero_map(self):
+        # every tap is zero: the convolution keeps one, and reads 0
+        H = build_hankel(np.zeros(7))
+        assert np.array_equal(H.apply(np.ones(4)), np.zeros(4))
 
 
 class TestHelson:

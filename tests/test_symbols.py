@@ -238,6 +238,31 @@ class TestA0Quadrature:
             a0_quadrature(SymbolSpec("weight_w"), 0.5)
 
 
+class TestWeightRule:
+    def test_panels_stay_inside_a_shifted_support(self):
+        # w = 1 on (0.5, 1): the rule's masses sum to the support's length
+        # and every node lies in it, so the rule integrates l^2 to 7/24
+        w = SymbolSpec("custom", fn=lambda l: np.ones_like(l),
+                       support=(0.5, 1.0))
+        x, om = symbols._weight_rule(w, symbols.RULE_NODES)
+        assert x.size == symbols.RULE_NODES
+        assert 0.5 < x.min() and x.max() < 1.0
+        assert om.sum() == pytest.approx(0.5, rel=1e-14)
+        assert om @ x ** 2 == pytest.approx(7.0 / 24.0, rel=1e-14)
+        # a0 over it: integral of t^(-1/2-l) on (0.5, 1) in closed form
+        t = 10.0
+        want = (t ** -1.0 - t ** -1.5) / math.log(t)
+        assert a0_quadrature(w, t) == pytest.approx(want, rel=1e-13)
+
+    def test_gauss_panels_per_panel_counts(self):
+        # 2 and 5 nodes on [0, 1] and [1, 3]: both panels are exact for
+        # cubics, so the rule integrates x^3 over [0, 3] to 81/4
+        x, wt = symbols.gauss_panels([0.0, 1.0, 3.0], [2, 5])
+        assert x.size == 7 and np.all((x[:2] < 1.0) & (x[:2] > 0.0))
+        assert wt.sum() == pytest.approx(3.0, rel=1e-15)
+        assert wt @ x ** 3 == pytest.approx(81.0 / 4.0, rel=1e-14)
+
+
 class TestLaplaceSum:
     def test_holds_one_block_and_matches_one_shot_formula(self):
         # 20k points x 2,000 nodes is 320 MB of exponentials; the sum may
