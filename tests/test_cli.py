@@ -281,6 +281,12 @@ class TestVerify:
         assert code == 0, out
         assert "FAIL" not in out and out.count("PASS") == self.PASSES[suite]
 
+    def test_sampling_suite_passes(self, capsys):
+        code, out, _ = _run(capsys, "verify", "--suite", "sampling",
+                            "--golden", str(GOLDEN / "sampling_p1.json"))
+        assert code == 0
+        assert out.count("PASS") == 3
+
     def test_sampling_missing_golden(self, tmp_path, capsys):
         code, _, err = _run(capsys, "verify", "--suite", "sampling",
                             "--golden", str(tmp_path / "gone.json"))
