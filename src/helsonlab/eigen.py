@@ -36,8 +36,9 @@ import numpy as np
 
 from helsonlab.structured_ops import LinearMap, dense_matrix
 
-# negative eigenvalues below this fraction of lambda_1+ are reported as 0
-# (below discretization noise for nearly-PSD operators)
+# a negative Lanczos Ritz value smaller than this fraction of lambda_1+ is
+# rounding noise of a nearly-PSD operator: lanczos_extreme leaves it out
+# of lambda_minus and singular, and its lambda_min_alg reads 0
 _NEG_SNAP = 1e-12
 
 
@@ -46,7 +47,8 @@ class Spectrum:
     """Sign-split eigenvalue / singular value report.
 
     lambda_plus: positive eigenvalues, non-increasing.
-    lambda_minus: absolute values of negative eigenvalues, non-increasing.
+    lambda_minus: absolute values of negative eigenvalues, non-increasing
+    (a Lanczos result omits those below _NEG_SNAP * lambda_1^+).
     singular: singular values, non-increasing.
     residuals: certified ||Av - lv|| / ||A|| per reported eigenvalue, in
     the order lambda_plus then lambda_minus (empty for dense results).
@@ -384,12 +386,17 @@ def lanczos_extreme(lm: LinearMap, k: int, which: str = "largest",
                     seed: int = 0) -> Spectrum:
     """Extreme eigenvalues of a symmetric map, residual-certified.
 
-    which = largest | smallest | both_ends.  Deterministic for a fixed
-    seed (start vectors from one PCG64 stream, fixed reduction order).
-    Non-convergence is reported through meta["converged"], not raised.
-    meta["iterations"] counts the Lanczos steps of both ends and
-    meta["reorthogonalized"] those of them that ran a Gram-Schmidt pass
-    against the basis.
+    which = largest | both_ends.  The largest-end sweep always runs;
+    both_ends adds a sweep of the negated map for the bottom end.
+    Deterministic for a fixed seed (start vectors from one PCG64 stream,
+    fixed reduction order).  Non-convergence is reported through
+    meta["converged"], not raised.  meta["iterations"] counts the Lanczos
+    steps of both ends and meta["reorthogonalized"] those of them that
+    ran a Gram-Schmidt pass against the basis.
+    lambda_minus (and, for both_ends, singular) lists only negative Ritz
+    values of size at least _NEG_SNAP * lambda_1^+; a smallest Ritz
+    value smaller than that in size is rounding noise and reads 0 in
+    meta["lambda_min_alg"].
     An end may return fewer than k pairs: a sweep stops once its Krylov
     space is used up, so an operator with fewer than k eigenvalues above
     the deflation floor (1e-14 of its largest Lanczos coefficient) gives
@@ -401,7 +408,7 @@ def lanczos_extreme(lm: LinearMap, k: int, which: str = "largest",
         raise ValueError("square maps only")
     if not 1 <= k < lm.cols:
         raise ValueError("need 1 <= k < dim")
-    if which not in ("largest", "smallest", "both_ends"):
+    if which not in ("largest", "both_ends"):
         raise ValueError(f"unknown which={which!r}")
     n = lm.cols
     if max_iter is None:
@@ -411,41 +418,33 @@ def lanczos_extreme(lm: LinearMap, k: int, which: str = "largest",
 
     meta = {"dim": n, "seed": seed, "tol": tol, "iterations": 0,
             "reorthogonalized": 0, "converged": True, "method": "lanczos"}
-    plus = minus = np.array([])
-    res_parts = []
 
-    if which in ("largest", "both_ends"):
-        vals, res, it, ok, passes = _lanczos_sweep(lm, k, tol, max_iter, rng)
-        meta["iterations"] += it
-        meta["reorthogonalized"] += passes
-        meta["converged"] &= ok
-        meta["lambda_max_alg"] = float(vals[0])
-        plus, neg_from_top = _split_signs(vals)
-        res_parts.append(res[:plus.size])
-        if which == "largest":
-            minus = neg_from_top
-            res_parts.append(res[plus.size:])
-    if which in ("smallest", "both_ends"):
+    def sweep(negate: bool):
         vals, res, it, ok, passes = _lanczos_sweep(lm, k, tol, max_iter, rng,
-                                                   negate=True)
+                                                   negate=negate)
         meta["iterations"] += it
         meta["reorthogonalized"] += passes
         meta["converged"] &= ok
-        # below _NEG_SNAP * lambda_1^+ it is rounding noise and reads 0,
-        # as it does in lambda_minus
-        lam_min = float(vals[0])
-        if plus.size and abs(lam_min) < _NEG_SNAP * plus[0]:
-            lam_min = 0.0
-        meta["lambda_min_alg"] = lam_min
-        # vals are the smallest algebraic eigenvalues of A, ascending
-        minus, _ = _split_signs(-vals)
-        res_parts.append(res[:minus.size])
+        return vals, res
 
-    if plus.size and minus.size:
-        minus = np.where(minus < _NEG_SNAP * plus[0], 0.0, minus)
+    # the top sweep's Ritz values come non-increasing, positives first
+    vals, res = sweep(False)
+    meta["lambda_max_alg"] = float(vals[0])
+    plus = vals[vals > 0.0]
+    res_plus = res[:plus.size]
+    snap = _NEG_SNAP * plus[0] if plus.size else 0.0
+    if which == "both_ends":
+        # the smallest algebraic eigenvalues of A, ascending
+        vals, res = sweep(True)
+        lam_min = float(vals[0])
+        meta["lambda_min_alg"] = 0.0 if abs(lam_min) < snap else lam_min
+    else:
+        # ascending too: the negatives of the top sweep, largest size first
+        vals, res = vals[::-1], res[::-1]
+    keep = (vals < 0.0) & (vals <= -snap)
+    minus = -vals[keep]
     singular = np.sort(np.concatenate([plus, minus]))[::-1] \
         if which == "both_ends" else np.array([])
-    residuals = np.concatenate(res_parts) if res_parts else np.array([])
     return Spectrum(lambda_plus=plus, lambda_minus=minus, singular=singular,
-                    residuals=residuals, meta=meta)
-
+                    residuals=np.concatenate([res_plus, res[keep]]),
+                    meta=meta)

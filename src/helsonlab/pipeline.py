@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
 import pathlib
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -29,12 +28,11 @@ from helsonlab.asymptotics import (NOISE_FLOOR,
                                    default_fit_window,  # noqa: F401
                                    fit_power_tail, kappa,
                                    negative_part_domination)
-from helsonlab.discretize import (log_window_smooth_section, make_grid,
+from helsonlab.discretize import (log_window_smooth_section,
                                   nystrom_difference, nystrom_hankel,
                                   nystrom_helson, v_matched_grids)
 from helsonlab.eigen import (Spectrum, dense_eig_oracle, lanczos_extreme,
                              spectrum_to_csv, write_meta_sidecar)
-from helsonlab.schatten import schatten_norm
 from helsonlab.structured_ops import (HelsonTruncation, LinearMap,
                                       build_helson, build_smooth_helson,
                                       difference_section)
@@ -385,111 +383,4 @@ def run_chain(config: RunConfig) -> dict:
 
     report_path = out_dir / "run_report.json"
     report_path.write_text(json.dumps(report, indent=1, sort_keys=True))
-    return report
-
-
-# ---------------------------------------------------------------------------
-# restriction experiment: matrix section norm vs integral operator norm
-
-
-def cubic_bspline(t) -> np.ndarray:
-    """Centered piecewise-cubic bump, support (-2, 2), unit integral."""
-    t = np.abs(np.asarray(t, dtype=float))
-    out = np.zeros_like(t)
-    m1 = t <= 1.0
-    out[m1] = (4.0 - 6.0 * t[m1] ** 2 + 3.0 * t[m1] ** 3) / 6.0
-    m2 = (t > 1.0) & (t <= 2.0)
-    out[m2] = (2.0 - t[m2]) ** 3 / 6.0
-    return out
-
-
-def band_limited_symbol(coeffs, N: float) -> Callable:
-    """Multiplicative symbol t^(-1/2) f(log t) with f a smooth compactly
-    supported spline combination on [0, N]; vanishes off [1, e^N]."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != 1 or coeffs.size == 0:
-        raise ValueError("need a nonempty coefficient vector")
-    if not N > 0:
-        raise ValueError("N must be positive")
-    h = N / (coeffs.size + 3.0)
-    centers = 2.0 * h + h * np.arange(coeffs.size)
-
-    def a(t):
-        t_in = np.asarray(t, dtype=float)
-        t_arr = np.atleast_1d(t_in).astype(float)
-        out = np.zeros_like(t_arr)
-        pos = t_arr >= 1.0
-        x = np.log(t_arr[pos])
-        f = np.zeros_like(x)
-        for c, x0 in zip(coeffs, centers):
-            f += c * cubic_bspline((x - x0) / h)
-        out[pos] = t_arr[pos] ** -0.5 * f
-        return out if t_in.ndim else float(out[0])
-
-    return a
-
-
-def _schatten_of_matrix(A: np.ndarray, p: float) -> float:
-    """S_p of a small dense real-symmetric section."""
-    s = dense_eig_oracle(A).singular
-    if s.size and s[0] > 0:
-        s = s[s >= 1e-13 * s[0]]
-    return schatten_norm(s, p)
-
-
-def restriction_ratio(a: Callable, N: float, p: float = 1.0,
-                      grid_n: int = 256) -> dict:
-    """One symbol's matrix-to-integral Schatten ratio with a doubling check.
-
-    The matrix side truncates at J = ceil(e^N), which already contains
-    every nonzero entry of the full section when supp a is in [1, e^N];
-    the integral side is flagged when grid doubling moves it over 10%.
-    """
-    J = int(math.ceil(math.exp(N)))
-    j = np.arange(1, J + 1, dtype=float)
-    matrix_norm = _schatten_of_matrix(np.asarray(a(np.multiply.outer(j, j))),
-                                      p)
-
-    def integral_norm(n: int) -> float:
-        grid = make_grid((1.0, math.exp(N)), n, spacing="geometric")
-        t = grid.nodes
-        sq = np.sqrt(grid.weights)
-        K = np.asarray(a(np.multiply.outer(t, t))) * np.outer(sq, sq)
-        return _schatten_of_matrix(K, p)
-
-    coarse = integral_norm(grid_n)
-    fine = integral_norm(2 * grid_n)
-    if fine == 0.0:
-        return {"matrix_norm": matrix_norm, "integral_norm": 0.0,
-                "ratio": math.nan, "sensitivity": 0.0, "unresolved": False}
-    sens = abs(fine - coarse) / fine
-    return {"matrix_norm": matrix_norm, "integral_norm": fine,
-            "ratio": matrix_norm / fine, "sensitivity": sens,
-            "unresolved": bool(sens > 0.10)}
-
-
-def restriction_schatten_experiment(p: float = 1.0, n_symbols: int = 10,
-                                    n_modes: int = 4, N: float = 3.0,
-                                    grid_n: int = 256, seed: int = 20250819,
-                                    out_path=None) -> dict:
-    """Family table of S_p ratios between matrix sections and integral
-    operators for random compactly supported symbols."""
-    if not 0 < p <= 1:
-        raise ValueError("experiment targets p in (0, 1]")
-    rng = np.random.default_rng(seed)
-    rows = []
-    for idx in range(n_symbols):
-        coeffs = rng.standard_normal(n_modes)
-        a = band_limited_symbol(coeffs, N)
-        row = restriction_ratio(a, N, p, grid_n)
-        row["symbol"] = idx
-        rows.append(row)
-    ratios = [r["ratio"] for r in rows]
-    report = {"p": p, "N": N, "n_modes": n_modes, "grid_n": grid_n,
-              "seed": seed, "rows": rows,
-              "max_ratio": max(ratios),
-              "unresolved": [r["symbol"] for r in rows if r["unresolved"]]}
-    if out_path is not None:
-        pathlib.Path(out_path).write_text(
-            json.dumps(report, indent=1, sort_keys=True))
     return report

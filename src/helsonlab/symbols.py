@@ -45,7 +45,7 @@ class DomainError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """Fixed-rule quadrature failed to converge."""
+    """A refined quadrature (asymptotics.laplace_I) failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -261,30 +261,15 @@ def _exponential_sum_rule(alpha: float):
     return rule
 
 
-def a0_quadrature(spec_w: SymbolSpec, t, Q: int = RULE_NODES,
-                  full_output: bool = False):
-    """Integral of t^(-1/2-l) w(l) dl by the fixed composite rule.
-
-    Doubling Q moves the value by less than the reported estimate; a
-    rule that fails its own halved-rule comparison raises QuadratureError.
-    """
+def a0_quadrature(spec_w: SymbolSpec, t, Q: int = RULE_NODES):
+    """Integral of t^(-1/2-l) w(l) dl by the fixed composite rule of Q
+    nodes (symbols.RULE_NODES unless a convergence study varies it)."""
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 1.0):
         raise DomainError("a0 integral is evaluated for t >= 1")
     x, om = _weight_rule(spec_w, Q)
-    logt = np.log(t_arr)
-    val = np.sqrt(1.0 / t_arr) * _laplace_sum(logt, x, om)
-    if not full_output:
-        return val if val.ndim else float(val)
-    xh, omh = _weight_rule(spec_w, max(16, Q // 2))
-    val_h = np.sqrt(1.0 / t_arr) * _laplace_sum(logt, xh, omh)
-    err = np.abs(val - val_h)
-    scale = np.maximum(np.abs(val), 1.0)
-    if np.any(err > 1e-6 * scale):
-        raise QuadratureError(
-            f"rule not converged: est err {float(np.max(err)):.3e} at Q={Q}")
-    return (val if val.ndim else float(val),
-            err if err.ndim else float(err))
+    val = np.sqrt(1.0 / t_arr) * _laplace_sum(np.log(t_arr), x, om)
+    return val if val.ndim else float(val)
 
 
 def b0_quadrature(spec_w: SymbolSpec, x):

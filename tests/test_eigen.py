@@ -294,17 +294,30 @@ class TestLanczos:
         G = B.T @ B
         spec = lanczos_extreme(map_from_dense(G), k=4, which="both_ends", seed=7)
         assert spec.meta["lambda_min_alg"] >= -1e-10 * spec.lambda_plus[0]
-        assert spec.lambda_minus.size == 0 or np.all(spec.lambda_minus == 0.0)
+        assert spec.lambda_minus.size == 0
 
     @pytest.mark.parametrize("seed", [1, 2, 4, 12345])
     def test_psd_section_bottom_snaps_to_zero(self, seed):
         # the smallest Ritz value of a PSD section with a numerically
         # singular tail is rounding noise of order 1e-16 lambda_1; it reads
-        # 0, as lambda_minus does
+        # 0, and lambda_minus leaves it out
         lm = build_smooth_helson(SymbolSpec("helson_a"), 1024)
         spec = lanczos_extreme(lm, k=20, which="both_ends", seed=seed)
         assert spec.meta["lambda_min_alg"] == 0.0
-        assert np.all(spec.lambda_minus == 0.0)
+        assert spec.lambda_minus.size == 0
+
+    def test_rounding_bottom_reads_alike_for_either_sign(self):
+        # a bottom eigenvalue of size 1e-13 lambda_1 is below _NEG_SNAP:
+        # whether it came out negative or positive, lambda_minus and
+        # singular leave it out and lambda_min_alg reads 0
+        specs = [lanczos_extreme(map_from_dense(np.diag([1.0, 0.5, bottom])),
+                                 k=2, which="both_ends", seed=0)
+                 for bottom in (1e-13, -1e-13)]
+        for spec in specs:
+            assert spec.lambda_minus.size == 0
+            assert spec.meta["lambda_min_alg"] == 0.0
+            assert spec.singular.size == spec.lambda_plus.size == 2
+            assert spec.residuals.size == 2
 
     def test_interlacing_of_nested_sections(self):
         spec_sym = SymbolSpec("helson_a", alpha=1.0)
@@ -339,6 +352,8 @@ class TestLanczos:
             lanczos_extreme(map_from_dense(np.eye(3)), k=3)
         with pytest.raises(ValueError):
             lanczos_extreme(map_from_dense(np.eye(3)), k=1, which="middle")
+        with pytest.raises(ValueError):
+            lanczos_extreme(map_from_dense(np.eye(3)), k=1, which="smallest")
 
     def test_zero_map(self):
         lm = LinearMap(6, 6, True, lambda u: np.zeros(6), "zero")

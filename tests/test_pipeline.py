@@ -12,15 +12,9 @@ import helsonlab.discretize as discretize
 import helsonlab.pipeline as pipeline
 import helsonlab.structured_ops as structured_ops
 from helsonlab.eigen import Spectrum, spectrum_from_csv
-from helsonlab.pipeline import (RunConfig, StageError, band_limited_symbol,
-                                cubic_bspline, restriction_ratio,
-                                restriction_schatten_experiment, run_chain,
-                                solve)
+from helsonlab.pipeline import RunConfig, StageError, run_chain, solve
 from helsonlab.structured_ops import LinearMap
 from helsonlab.symbols import SymbolSpec, kernel_fn
-
-GOLDEN = pathlib.Path(__file__).parent / "golden"
-
 
 class TestRunConfig:
     def test_sizes_must_increase(self):
@@ -411,86 +405,3 @@ class TestSolvePolicy:
         assert routes == [("lanczos", n, 216, "largest"),
                           ("lanczos", n, n - 1, "both_ends")]
 
-
-class TestRestrictionExperiment:
-    def test_cubic_bspline_shape(self):
-        assert cubic_bspline(0.0) == pytest.approx(2.0 / 3.0)
-        assert cubic_bspline(1.0) == pytest.approx(1.0 / 6.0)
-        assert cubic_bspline(2.0) == 0.0
-        assert cubic_bspline(-2.5) == 0.0
-        # cardinal property: integer translates sum to one
-        x = np.linspace(0.0, 4.0, 97)
-        total = sum(cubic_bspline(x - k) for k in range(-3, 9))
-        assert np.max(np.abs(total - 1.0)) <= 1e-12
-        x = np.linspace(-2.0, 2.0, 20001)
-        assert np.trapezoid(cubic_bspline(x), x) == pytest.approx(1.0, abs=1e-6)
-
-    def test_band_limited_symbol_support(self):
-        a = band_limited_symbol([1.0, -0.5], 2.0)
-        assert a(0.5) == 0.0
-        assert a(math.exp(2.0) * 1.001) == pytest.approx(0.0, abs=1e-15)
-        assert abs(a(math.exp(1.0))) > 0
-        with pytest.raises(ValueError):
-            band_limited_symbol([], 2.0)
-        with pytest.raises(ValueError):
-            band_limited_symbol([1.0], -1.0)
-
-    def test_zero_symbol_ratio(self):
-        out = restriction_ratio(lambda t: np.zeros_like(np.asarray(t, float)),
-                                N=2.0, p=1.0, grid_n=48)
-        assert out["matrix_norm"] == 0.0
-        assert out["integral_norm"] == 0.0
-        assert math.isnan(out["ratio"])
-
-    def test_windowed_cosine_symbol(self):
-        # oscillating real symbol t^(-1/2) cos(2 pi xi log t) windowed
-        # inside [1, e^3]; both Schatten sides finite, integral side
-        # stable under grid doubling
-        xi = 0.7
-
-        def a(t):
-            t_in = np.asarray(t, dtype=float)
-            t_arr = np.atleast_1d(t_in)
-            out = np.zeros_like(t_arr)
-            pos = t_arr >= 1.0
-            x = np.log(t_arr[pos])
-            window = cubic_bspline((x - 1.5) / 0.75)
-            out[pos] = t_arr[pos] ** -0.5 * np.cos(2 * math.pi * xi * x) * window
-            return out if t_in.ndim else float(out[0])
-
-        res = restriction_ratio(a, N=3.0, p=1.0, grid_n=96)
-        assert math.isfinite(res["ratio"])
-        assert res["ratio"] > 0
-        assert res["sensitivity"] <= 0.10
-        assert not res["unresolved"]
-
-    def test_experiment_reproducible(self, tmp_path):
-        kw = dict(p=1.0, n_symbols=3, n_modes=3, N=2.5, grid_n=96, seed=123)
-        rep1 = restriction_schatten_experiment(**kw)
-        rep2 = restriction_schatten_experiment(
-            out_path=tmp_path / "restriction.json", **kw)
-        assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2,
-                                                              sort_keys=True)
-        assert math.isfinite(rep1["max_ratio"]) and rep1["max_ratio"] > 0
-        on_disk = json.loads((tmp_path / "restriction.json").read_text())
-        assert on_disk["max_ratio"] == rep1["max_ratio"]
-        assert len(on_disk["rows"]) == 3
-
-    def test_golden_first_symbol_replays(self):
-        blob = json.loads((GOLDEN / "restriction_family.json").read_text())
-        rep = restriction_schatten_experiment(
-            p=blob["p"], n_symbols=1, n_modes=blob["n_modes"], N=blob["N"],
-            seed=blob["seed"], grid_n=blob["grid_n"])
-        row = rep["rows"][0]
-        assert row["ratio"] == pytest.approx(blob["ratios"][0], rel=1e-12,
-                                             abs=0)
-        # sensitivity = |fine - coarse| / fine for two Schatten norms that
-        # agree to ~6e-5, so a rounding change of 3e-16 in each norm moves
-        # it by ~5e-11 relative. Norms held to the ratio's 1e-12 relative
-        # bound it by (|dfine| + |dcoarse|) / fine <= 2e-12 absolute.
-        assert row["sensitivity"] == pytest.approx(blob["sensitivities"][0],
-                                                   rel=0, abs=2e-12)
-
-    def test_experiment_rejects_large_p(self):
-        with pytest.raises(ValueError):
-            restriction_schatten_experiment(p=2.0, n_symbols=1)

@@ -1,0 +1,56 @@
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+TOOLS = pathlib.Path(__file__).parent.parent / "tools"
+
+
+@pytest.fixture
+def tool(monkeypatch):
+    # the output comparison runs only by hand; load it without its
+    # __main__ block (it imports its sibling bench.py) to test its checks
+    monkeypatch.syspath_prepend(str(TOOLS))
+    spec = importlib.util.spec_from_file_location(
+        "same_outputs", TOOLS / "same_outputs.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def write_run(root: pathlib.Path, report: dict, csv: str) -> None:
+    (root / "sub").mkdir(parents=True)
+    (root / "run_report.json").write_text(json.dumps(report, indent=1))
+    (root / "sub" / "row0_matrix_N48.csv").write_text(csv)
+
+
+REPORT = {"artifacts": ["/a/row0_matrix_N48.csv"],
+          "config": {"alpha": 1.0, "outputs": {"dir": "/a"}},
+          "fits": {"headline": {"kappa_hat": 0.5}}}
+CSV = "n,lambda_plus,lambda_minus,s_n\n1,1.0,0,1.0\n"
+
+
+def test_same_outputs_ignore_the_output_directory(tool, tmp_path):
+    moved = dict(REPORT, artifacts=["/b/row0_matrix_N48.csv"],
+                 config={"outputs": {"dir": "/b"}, "alpha": 1.0})
+    write_run(tmp_path / "a", REPORT, CSV)
+    write_run(tmp_path / "b", moved, CSV)
+    assert tool.differing_files(tmp_path / "a", tmp_path / "b") == []
+
+
+def test_every_kind_of_difference_is_listed(tool, tmp_path):
+    changed = dict(REPORT, fits={"headline": {"kappa_hat": 0.5000001}})
+    write_run(tmp_path / "a", REPORT, CSV)
+    write_run(tmp_path / "b", changed, CSV.replace(",0,", ",,"))
+    (tmp_path / "a" / "only_here.svg").write_text("<svg/>")
+    assert tool.differing_files(tmp_path / "a", tmp_path / "b") == [
+        "only_here.svg", "run_report.json", "sub/row0_matrix_N48.csv"]
+
+
+def test_workloads_are_the_benchmarks(tool):
+    declared = json.loads((TOOLS.parent / "BENCHMARK.json").read_text())
+    names = {w["name"] for w in declared["workloads"]}
+    configs = tool.workloads()
+    assert set(configs) == names
+    assert all("alpha" in c and "sizes" in c for c in configs.values())

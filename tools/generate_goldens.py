@@ -8,7 +8,6 @@ change on purpose.
 
 import json
 import pathlib
-import time
 
 import numpy as np
 
@@ -35,30 +34,6 @@ def sampling_bound():
     print("recorded bound:", out["bound"])
 
 
-def restriction_family():
-    from helsonlab.pipeline import restriction_schatten_experiment
-
-    kw = dict(p=1.0, n_symbols=10, n_modes=4, N=3.0, seed=20250819)
-    t0 = time.time()
-    base = restriction_schatten_experiment(grid_n=256, **kw)
-    doubled = restriction_schatten_experiment(grid_n=512, **kw)
-    drift = abs(doubled["max_ratio"] - base["max_ratio"]) / doubled["max_ratio"]
-    out = {
-        "p": 1.0, "N": 3.0, "n_modes": 4, "seed": 20250819,
-        "grid_n": 256,
-        "ratios": [r["ratio"] for r in base["rows"]],
-        "sensitivities": [r["sensitivity"] for r in base["rows"]],
-        "max_ratio": base["max_ratio"],
-        "max_ratio_doubled_grid": doubled["max_ratio"],
-        "doubling_drift": drift,
-        "seconds": round(time.time() - t0, 2),
-    }
-    (GOLDEN / "restriction_family.json").write_text(json.dumps(out, indent=1))
-    print("max ratio:", base["max_ratio"], "doubled:", doubled["max_ratio"],
-          "drift:", drift, f"({out['seconds']}s)")
-
-
 if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
     sampling_bound()
-    restriction_family()

@@ -1,0 +1,116 @@
+"""Output equality of the working tree against a parent commit.
+
+Run from the repository root:
+
+    python3 tools/same_outputs.py --parent HEAD
+
+The parent's committed files are unpacked into .bench_build/ as
+tools/bench.py does. For every workload config in perfbench/run.py's
+WORKLOADS, each tree runs `run_chain` once at solver seed SEED = 12345,
+in a fresh interpreter with one BLAS thread, into
+.bench_build/same_outputs/<workload>/<side>/. Every output file that
+differs between the two sides is listed, and so is a file that only one
+side wrote. run_report.json is compared without `artifacts` and
+`config.outputs`, which name the output directory; every other file
+byte for byte. The outputs stay on disk for inspection. Exit status 1
+if any file differs or a chain fails, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import json
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+
+import bench
+
+ROOT = bench.ROOT
+OUT = bench.BUILD / "same_outputs"
+SEED = 12345
+REPORT = "run_report.json"
+CHAIN = ("import json, sys; "
+         "from helsonlab.pipeline import RunConfig, run_chain; "
+         "run_chain(RunConfig(**json.loads(sys.argv[1])))")
+
+
+def workloads() -> dict:
+    """perfbench/run.py's WORKLOADS, read without importing the script."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "WORKLOADS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError("perfbench/run.py defines no WORKLOADS")
+
+
+def _comparable_report(path: pathlib.Path) -> dict:
+    report = json.loads(path.read_text())
+    report.pop("artifacts", None)
+    report.get("config", {}).pop("outputs", None)
+    return report
+
+
+def differing_files(a: pathlib.Path, b: pathlib.Path) -> list:
+    """Relative paths of the files under a and b that differ, sorted."""
+    files = {p.relative_to(root) for root in (a, b)
+             for p in root.rglob("*") if p.is_file()}
+    out = []
+    for rel in sorted(files):
+        pa, pb = a / rel, b / rel
+        if not (pa.is_file() and pb.is_file()):
+            same = False
+        elif rel.name == REPORT:
+            same = _comparable_report(pa) == _comparable_report(pb)
+        else:
+            same = pa.read_bytes() == pb.read_bytes()
+        if not same:
+            out.append(str(rel))
+    return out
+
+
+def run_chain_in(tree: pathlib.Path, config: dict,
+                 out_dir: pathlib.Path) -> subprocess.CompletedProcess:
+    shutil.rmtree(out_dir, ignore_errors=True)
+    out_dir.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                "MKL_NUM_THREADS"):
+        env[var] = "1"
+    job = dict(config, out_dir=str(out_dir), solver={"seed": SEED})
+    return subprocess.run([sys.executable, "-c", CHAIN, json.dumps(job)],
+                          cwd=tree, env=env, capture_output=True, text=True)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True,
+                        help="git revision of the parent side")
+    args = parser.parse_args(argv)
+    _, parent_tree = bench.unpack_parent(args.parent)
+    trees = {"parent": parent_tree, "change": ROOT}
+    status = 0
+    for name, config in workloads().items():
+        dirs = {side: OUT / name / side for side in trees}
+        for side, tree in trees.items():
+            proc = run_chain_in(tree, config, dirs[side])
+            if proc.returncode != 0:
+                tail = proc.stderr.strip().splitlines()[-1:] or [""]
+                print(f"{name} {side}: chain failed: {tail[0]}")
+                status = 1
+        diff = differing_files(dirs["parent"], dirs["change"])
+        count = sum(1 for p in dirs["change"].rglob("*") if p.is_file())
+        print(f"{name}: {len(diff)} of {count} output files differ")
+        for rel in diff:
+            print(f"  {rel}")
+        if diff:
+            status = 1
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
