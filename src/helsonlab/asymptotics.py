@@ -1,6 +1,6 @@
-"""Tail constant, power-law fits, Laplace asymptotics, decay certification.
+"""Tail constant, power-law fits, negative-part domination.
 
-Everything here consumes plain arrays or kernel callables; no operator
+Everything here consumes plain arrays or spectra; no operator
 assembly.  The tail constant takes Gamma from the standard library
 (math.lgamma).
 """
@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from helsonlab.eigen import Spectrum
-from helsonlab.symbols import QuadratureError, gauss_panels
 
 # eigenvalues below this fraction of lambda_1^+ are solver noise: the
 # pipeline's resolved counts, sidecars and cross-row checks and the
@@ -99,159 +98,7 @@ def fit_power_tail(lam: Sequence[float], window: Optional[tuple] = None) -> FitR
 
 
 # ---------------------------------------------------------------------------
-# Laplace-type integral with the slow logarithmic factor
-
-
-def laplace_I(ell: int, alpha: float, c: float, x: float,
-              rel_tol: float = 1e-11) -> float:
-    """Integral of |log l|^(-alpha) l^ell e^(-l x) over (0, c).
-
-    Computed after the substitution l = e^s / x, which keeps the
-    integrand O(1) regardless of x; the raw value underflows in the
-    naive form long before it stops being meaningful here.  Panel
-    counts double until two successive refinements agree to rel_tol.
-    """
-    if ell < 0 or int(ell) != ell:
-        raise ValueError("ell must be a non-negative integer")
-    if not 0 < c < 1:
-        raise ValueError("need c in (0, 1)")
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    if not x > math.e:
-        raise ValueError("need x > e")
-    L = math.log(x)
-    hi = L + math.log(c)
-
-    def integrand(s):
-        return (L - s) ** (-alpha) * np.exp((ell + 1) * s - np.exp(s))
-
-    knots = np.array(sorted({-40.0, -10.0, -3.0, 0.0, 3.0, min(8.0, hi), hi}))
-    knots = knots[knots <= hi]
-    prev = None
-    per = 16
-    while per <= 1024:
-        xs, ws = gauss_panels(knots, per)
-        val = float(ws @ integrand(xs))
-        if prev is not None and abs(val - prev) <= rel_tol * abs(val):
-            return val * math.exp(-(ell + 1) * L)
-        prev = val
-        per *= 2
-    raise QuadratureError("laplace_I refinement did not converge")
-
-
-# ---------------------------------------------------------------------------
-# kernel decay certification
-
-
-def decay_order(gamma: float) -> int:
-    """Derivative order for the decay hypothesis: floor(gamma)+1 if gamma >= 1/2."""
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    return int(math.floor(gamma)) + 1 if gamma >= 0.5 else 0
-
-
-@dataclass
-class DecaySpec:
-    gamma: float
-    m: int
-    x_samples: np.ndarray
-
-    def __post_init__(self):
-        self.x_samples = np.asarray(self.x_samples, dtype=float)
-        if np.any(self.x_samples <= 0):
-            raise ValueError("samples must be positive")
-        if self.m != decay_order(self.gamma):
-            raise ValueError("m does not match the case split for gamma")
-
-
-def make_decay_spec(gamma: float, x_samples) -> DecaySpec:
-    return DecaySpec(gamma=gamma, m=decay_order(gamma),
-                     x_samples=np.asarray(x_samples, dtype=float))
-
-
-def _central_derivative(fn: Callable, x: np.ndarray, order: int,
-                        h: np.ndarray):
-    """Iterated central difference of given order, vectorized over x."""
-    if order == 0:
-        return fn(x)
-    ks = np.arange(order + 1)
-    coef = np.array([math.comb(order, k) * (-1) ** k for k in ks])
-    offs = order / 2.0 - ks
-    acc = np.zeros_like(x)
-    for cf, of in zip(coef, offs):
-        acc = acc + cf * fn(x + of * h)
-    return acc / h ** order
-
-
-def _richardson_derivative(fn: Callable, x: np.ndarray, order: int,
-                           h0: np.ndarray, levels: int = 2):
-    """Richardson extrapolation of the order-2 central stencil.
-
-    levels extrapolation stages need levels+1 stencil evaluations
-    (h, h/2, ..., h/2^levels); each stage cancels the next even error
-    term.
-    """
-    table = [_central_derivative(fn, x, order, h0 / 2 ** j)
-             for j in range(levels + 1)]
-    for stage in range(1, levels + 1):
-        fac = 4.0 ** stage
-        table = [(fac * table[j + 1] - table[j]) / (fac - 1.0)
-                 for j in range(len(table) - 1)]
-    return table[0]
-
-
-def _end_trend(x: np.ndarray, ratio: np.ndarray, toward_zero: bool) -> float:
-    """Log-log slope of the ratio toward the end (positive = growth)."""
-    good = ratio > 0
-    if good.sum() < 3:
-        return 0.0
-    t = np.log(x[good])
-    if toward_zero:
-        t = -t
-    r = np.log(ratio[good])
-    tc = t - t.mean()
-    return float(tc @ (r - r.mean()) / (tc @ tc))
-
-
-def verify_kernel_decay(b: Callable, gamma: float, spec: DecaySpec,
-                        trend_tol: float = 0.05) -> dict:
-    """Check |b^(l)(x)| x^(1+l) |log x|^gamma stays bounded at both ends.
-
-    Derivatives come from Richardson-extrapolated central differences
-    with relative step h = 0.01 x.  A derivative estimate below the
-    rounding noise of its stencil marks the row inconclusive instead of
-    failing it.
-    """
-    if gamma != spec.gamma:
-        raise ValueError("gamma argument disagrees with the DecaySpec")
-    x = np.sort(spec.x_samples)
-    lo_m = x < 1.0
-    hi_m = x > 1.0
-    rows = []
-    for ell in range(spec.m + 1):
-        h = 0.01 * x
-        if ell == 0:
-            deriv = np.asarray(b(x), dtype=float)
-        else:
-            deriv = _richardson_derivative(b, x, ell, h)
-        scale = np.abs(np.asarray(b(x), dtype=float))
-        noise = 16.0 * np.finfo(float).eps * np.maximum(scale, 1e-300) \
-            / (h / 4.0) ** ell
-        inconclusive = bool(np.any((np.abs(deriv) < 10.0 * noise)
-                                   & (np.abs(deriv) > 0)))
-        ratio = np.abs(deriv) * x ** (1 + ell) * np.abs(np.log(x)) ** gamma
-        sup0 = float(ratio[lo_m].max()) if lo_m.any() else float("nan")
-        supi = float(ratio[hi_m].max()) if hi_m.any() else float("nan")
-        tr0 = _end_trend(x[lo_m], ratio[lo_m], True) if lo_m.any() else 0.0
-        tri = _end_trend(x[hi_m], ratio[hi_m], False) if hi_m.any() else 0.0
-        finite = np.all(np.isfinite(ratio))
-        ok = bool(finite and tr0 <= trend_tol and tri <= trend_tol)
-        rows.append({"ell": ell, "sup_ratio_end0": sup0,
-                     "sup_ratio_end_inf": supi, "trend_end0": tr0,
-                     "trend_end_inf": tri, "pass": ok,
-                     "inconclusive": inconclusive})
-    return {"gamma": gamma, "m": spec.m, "rows": rows,
-            "pass": all(r["pass"] for r in rows)}
+# negative part
 
 
 def negative_part_domination(full_spec: Spectrum, a1_spec: Spectrum,

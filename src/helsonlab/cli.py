@@ -1,10 +1,10 @@
 """Command-line surface over the laboratory modules.
 
 Verbs: kappa, spectrum, fit, schatten, verify, chain, report.  verify
-runs one of five suites: chain, factorization, s0diff, decay, sampling;
-each exits 0 on the shipped code.  stdout
-carries data (numbers, CSV, JSON, artifact paths); diagnostics go to
-stderr.  Exit codes: 0 success, 1 failed verification, 2 usage error.
+runs one of four suites: chain, factorization, s0diff, decay; each
+exits 0 on the shipped code.  stdout carries data (numbers, CSV, JSON,
+artifact paths); diagnostics go to stderr.  Exit codes: 0 success,
+1 failed verification, 2 usage error.
 HELSON_SEED overrides the default eigensolver seed; an interrupted run
 renames whatever it was writing to *.partial and exits 130.
 """
@@ -32,7 +32,7 @@ from helsonlab.eigen import (Spectrum, dense_eig_oracle, lanczos_extreme,
                              spectrum_from_csv, spectrum_to_csv)
 from helsonlab.pipeline import (RunConfig, StageError, _top_agreement,
                                 run_chain, solve)
-from helsonlab.schatten import sampling_check, schatten_report
+from helsonlab.schatten import schatten_report
 from helsonlab.structured_ops import (LinearMap, build_hankel, build_helson,
                                       build_smooth_helson)
 from helsonlab.symbols import (DomainError, SymbolSpec, _weight_of,
@@ -310,39 +310,6 @@ def _suite_decay(seed: int):
     ]
 
 
-def _suite_sampling(seed: int, golden_path) -> list:
-    checks = []
-    rng = np.random.default_rng(seed if seed else 20250819)
-    worst = 0.0
-    for _ in range(20):
-        v = rng.standard_normal(8)
-        out = sampling_check(v, 16.0, 2.0)
-        worst = max(worst, abs(out["ratio"] - 1.0))
-    checks.append((worst <= 1e-8,
-                   f"p=2 lattice identity on 20 random symbols: max "
-                   f"|ratio-1| = {worst:.3e} (tol 1e-08)"))
-    golden = Path(golden_path)
-    if not golden.is_file():
-        raise _UsageError(f"golden file not found: {golden}")
-    blob = json.loads(golden.read_text())
-    bound = blob["bound"]
-    worst_p1 = 0.0
-    replay_ok = True
-    for seed_key, recorded in blob["suites"].items():
-        srng = np.random.default_rng(int(seed_key))
-        for want in recorded:
-            v = srng.standard_normal(blob["n_samples"])
-            ratio = sampling_check(v, blob["N"], blob["p"])["ratio"]
-            worst_p1 = max(worst_p1, ratio)
-            if abs(ratio - want) > 1e-9 * abs(want):
-                replay_ok = False
-    checks.append((replay_ok,
-                   "p=1 ratios replay the golden record to 1e-09 relative"))
-    checks.append((worst_p1 <= bound,
-                   f"p=1 max ratio {worst_p1:.6f} <= golden bound {bound}"))
-    return checks
-
-
 _SUITES = {
     "chain": _suite_chain,
     "factorization": _suite_factorization,
@@ -352,10 +319,7 @@ _SUITES = {
 
 
 def _cmd_verify(args) -> int:
-    if args.suite == "sampling":
-        checks = _suite_sampling(_seed_of(args), args.golden)
-    else:
-        checks = _SUITES[args.suite](_seed_of(args))
+    checks = _SUITES[args.suite](_seed_of(args))
     all_ok = True
     for ok, line in checks:
         print(("PASS: " if ok else "FAIL: ") + line)
@@ -404,7 +368,8 @@ def _cmd_report(args) -> int:
         csv_path = out_dir / f"headline_section_n{head['n_nodes']}.csv"
         title = f"tail of the smooth additive section, alpha={config.alpha:g}"
     else:
-        size = max(config.sizes)
+        # the chain solves combined sections only up to the matrix cap
+        size = max(s for s in config.sizes if s <= config.helson_cap)
         csv_path = out_dir / f"combined_matrix_N{size}.csv"
         title = f"combined matrix tail, N={size}"
     if not csv_path.is_file():
@@ -463,11 +428,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--q", type=float, default=None)
 
     v = sub.add_parser("verify", help="named verification suite")
-    v.add_argument("--suite", required=True,
-                   choices=tuple(_SUITES) + ("sampling",))
+    v.add_argument("--suite", required=True, choices=tuple(_SUITES))
     v.add_argument("--seed", type=int, default=None)
-    v.add_argument("--golden", default="tests/golden/sampling_p1.json",
-                   help="golden record for the sampling suite")
 
     c = sub.add_parser("chain", help="full reduction-chain pipeline run")
     c.add_argument("--config", required=True)

@@ -43,6 +43,10 @@ from helsonlab.symbols import (
 
 SPACINGS = ("uniform", "geometric", "gauss")
 
+# largest x whose node t = e^x v_matched_grids maps (float64 overflows
+# past x ~ 709.8)
+X_MAX = 700.0
+
 # element budget per evaluation block during dense assembly.  Every chain
 # kernel that reaches _assemble is closed form (the smooth parts go
 # through _GRAM_KINDS, the difference parts through nystrom_difference);
@@ -142,8 +146,9 @@ def v_matched_grids(x_domain, n: int):
     w_t = w_x * t, so (Vf)(t) = t^(-1/2) f(log t) keeps discrete norms.
     """
     gx = make_grid(x_domain, n, "uniform")
-    if x_domain[1] > 700.0:
-        raise ConstructionError("node map t = e^x overflows for x > 700")
+    if x_domain[1] > X_MAX:
+        raise ConstructionError(
+            f"node map t = e^x overflows for x > {X_MAX:g}")
     t = np.exp(gx.nodes)
     h = (x_domain[1] - x_domain[0]) / (n - 1)
     wt = h * t

@@ -28,7 +28,7 @@ from helsonlab.asymptotics import (NOISE_FLOOR,
                                    default_fit_window,  # noqa: F401
                                    fit_power_tail, kappa,
                                    negative_part_domination)
-from helsonlab.discretize import (log_window_smooth_section,
+from helsonlab.discretize import (X_MAX, log_window_smooth_section,
                                   nystrom_difference, nystrom_hankel,
                                   nystrom_helson, v_matched_grids)
 from helsonlab.eigen import (Spectrum, dense_eig_oracle, lanczos_extreme,
@@ -80,15 +80,23 @@ class RunConfig:
         lo, hi = self.x_domain
         if not (0.0 <= lo < hi):
             raise ValueError("x_domain must satisfy 0 <= lo < hi")
+        if hi > X_MAX:
+            raise ValueError(f"x_domain upper end must be <= {X_MAX:g}: "
+                             "the node map t = e^x overflows past it")
         if self.nystrom_n < 8:
             raise ValueError("nystrom_n too small")
+        if self.negativity_size < 2:
+            raise ValueError("negativity_size must be >= 2")
         base = {"k": 20, "tol": 1e-10, "max_iter": None, "seed": 0}
         _refuse_unknown("solver", self.solver, base)
         base.update(self.solver)
         self.solver = base
         if self.fit_window is not None:
-            self.fit_window = (int(self.fit_window[0]),
-                               int(self.fit_window[1]))
+            n0, n1 = (int(n) for n in self.fit_window)
+            if not (1 <= n0 and n1 - n0 >= 8):
+                raise ValueError("fit_window must satisfy 1 <= n0 and "
+                                 "n1 - n0 >= 8")
+            self.fit_window = (n0, n1)
 
     def to_json(self) -> dict:
         return {

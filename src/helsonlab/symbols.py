@@ -44,10 +44,6 @@ class DomainError(ValueError):
     """Argument outside the symbol's real-valued domain."""
 
 
-class QuadratureError(RuntimeError):
-    """A refined quadrature (asymptotics.laplace_I) failed to converge."""
-
-
 @dataclass(frozen=True)
 class SymbolSpec:
     """Descriptor of one closed-form kernel.

@@ -29,10 +29,17 @@ class TestRunConfig:
         dict(alpha=0.0), dict(alpha=-2.0),
         dict(x_domain=(-1.0, 10.0)), dict(x_domain=(5.0, 5.0)),
         dict(nystrom_n=4), dict(sizes=(1, 64)),
+        dict(fit_window=(50, 40)), dict(fit_window=(0, 20)),
+        dict(fit_window=(10, 17)), dict(negativity_size=0),
+        dict(negativity_size=1), dict(x_domain=(0.0, 900.0)),
     ])
     def test_invalid_fields(self, kw):
         with pytest.raises(ValueError):
             RunConfig(**kw)
+
+    def test_from_json_validates(self):
+        with pytest.raises(ValueError, match="fit_window"):
+            RunConfig.from_json({"fit_window": [50, 40]})
 
     def test_solver_defaults_merged(self):
         cfg = RunConfig(solver={"k": 7})
@@ -334,8 +341,11 @@ class TestStageTagging:
     def test_integral_stage_tagged_and_partials_kept(self, tmp_path):
         # e^900 overflows the node map, so the second stage dies; the
         # first stage's spectra must already be on disk
-        cfg = RunConfig(alpha=1.0, sizes=(24, 48), x_domain=(0.0, 900.0),
-                        nystrom_n=64, solver={"k": 8}, out_dir=str(tmp_path))
+        cfg = RunConfig(alpha=1.0, sizes=(24, 48), nystrom_n=64,
+                        solver={"k": 8}, out_dir=str(tmp_path))
+        # RunConfig refuses this domain up front; set past its check, the
+        # overflow guard inside the second stage is what fails
+        cfg.x_domain = (0.0, 900.0)
         with pytest.raises(StageError) as err:
             run_chain(cfg)
         assert err.value.stage == "row_integrals"
