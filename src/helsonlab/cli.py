@@ -4,8 +4,8 @@ Verbs: kappa, spectrum, fit, schatten, verify, chain, report.  verify
 runs one of four suites: chain, factorization, s0diff, decay; each
 exits 0 on the shipped code.  stdout carries data (numbers, CSV, JSON,
 artifact paths); diagnostics go to stderr.  Exit codes: 0 success,
-1 failed verification, 2 usage error.
-HELSON_SEED overrides the default eigensolver seed; an interrupted run
+1 failed verification, 2 usage error.  chain takes its settings with
+the precedence flags > config file > defaults; an interrupted run
 renames whatever it was writing to *.partial and exits 130.
 """
 
@@ -47,20 +47,6 @@ class _UsageError(Exception):
 
 def _diag(msg: str) -> None:
     print(msg, file=sys.stderr)
-
-
-def _env_seed() -> int:
-    raw = os.environ.get("HELSON_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise _UsageError(f"HELSON_SEED must be an integer, got {raw!r}")
-
-
-def _seed_of(args) -> int:
-    return args.seed if args.seed is not None else _env_seed()
 
 
 @contextlib.contextmanager
@@ -149,9 +135,7 @@ def _cmd_spectrum(args) -> int:
     if args.operator in _MATRIX_OPS and (args.grid_lo is not None or
                                          args.grid_hi is not None):
         _diag("note: grid flags only apply to integral operators; ignored")
-    spec = solve(_build_operator(args),
-                 {"k": args.topk or 64, "tol": 1e-10, "max_iter": None,
-                  "seed": _seed_of(args)})
+    spec = solve(_build_operator(args), k=args.topk or 64, seed=args.seed)
     if args.topk:
         K = args.topk
         spec = Spectrum(lambda_plus=spec.lambda_plus[:K],
@@ -319,7 +303,7 @@ _SUITES = {
 
 
 def _cmd_verify(args) -> int:
-    checks = _SUITES[args.suite](_seed_of(args))
+    checks = _SUITES[args.suite](args.seed)
     all_ok = True
     for ok, line in checks:
         print(("PASS: " if ok else "FAIL: ") + line)
@@ -333,15 +317,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_chain(args) -> int:
     blob = json.loads(Path(args.config).read_text())
-    # precedence: flags > config file > environment > defaults
+    # precedence: flags > config file > defaults
     if args.alpha is not None:
         blob["alpha"] = args.alpha
     if args.out_dir is not None:
         blob.setdefault("outputs", {})["dir"] = args.out_dir
     if args.seed is not None:
         blob.setdefault("solver", {})["seed"] = args.seed
-    elif "HELSON_SEED" in os.environ:
-        blob.setdefault("solver", {}).setdefault("seed", _env_seed())
     config = RunConfig.from_json(blob)
     t_start = time.time()
     try:
@@ -349,6 +331,10 @@ def _cmd_chain(args) -> int:
     except KeyboardInterrupt:
         _mark_partial_since(config.out_dir, t_start)
         raise
+    skipped = report.get("fit_skipped")
+    if skipped:
+        _diag(f"note: no headline fit: {skipped['available']} eigenvalues "
+              f"are too few for the fit window {skipped['window']}")
     print(json.dumps({"out_dir": str(config.out_dir),
                       "stages": report["stages"],
                       "report": str(Path(config.out_dir) / "run_report.json")},
@@ -372,6 +358,7 @@ def _cmd_report(args) -> int:
         size = max(s for s in config.sizes if s <= config.helson_cap)
         csv_path = out_dir / f"combined_matrix_N{size}.csv"
         title = f"combined matrix tail, N={size}"
+        _diag(f"note: the run has no headline fit; plotting {csv_path.name}")
     if not csv_path.is_file():
         raise _UsageError(f"{csv_path} not found; run the chain verb first")
     spec = spectrum_from_csv(csv_path)
@@ -415,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--spacing", choices=("geometric", "uniform", "gauss"),
                    default="geometric")
     s.add_argument("--topk", type=int, default=0)
-    s.add_argument("--seed", type=int, default=None)
+    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", default=None, help="CSV path (default: stdout)")
 
     f = sub.add_parser("fit", help="power-law tail fit of a spectrum CSV")
@@ -429,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="named verification suite")
     v.add_argument("--suite", required=True, choices=tuple(_SUITES))
-    v.add_argument("--seed", type=int, default=None)
+    v.add_argument("--seed", type=int, default=0)
 
     c = sub.add_parser("chain", help="full reduction-chain pipeline run")
     c.add_argument("--config", required=True)

@@ -37,8 +37,8 @@ import numpy as np
 from helsonlab.structured_ops import (LinearMap, _dirichlet_factor,
                                       _overlap_save, _smooth_nodes)
 from helsonlab.symbols import (
-    SymbolSpec, _weight_support, _weight_values, chi_cutoff, gauss_panels,
-    kernel_fn, zeta1,
+    CHI_HI, SymbolSpec, _weight_support, _weight_values, chi_cutoff,
+    gauss_panels, kernel_fn, zeta1,
 )
 
 SPACINGS = ("uniform", "geometric", "gauss")
@@ -357,8 +357,8 @@ def log_window_smooth_section(alpha: float, n: int) -> NystromOperator:
     n x n or of length n + Q is transformed: g decays like e^(d/2) to the
     left and like e^(-e^d) to the right, so its support is d in
     [-92.3, 3.7], 712 taps at step _LOG_STEP, whatever n is.  The grid
-    (_LOG_STEP, _LOG_U_LO, _LOG_PAD) is fixed and the cutoff band is the
-    weight spec's own.
+    (_LOG_STEP, _LOG_U_LO, _LOG_PAD) is fixed and the cutoff band is
+    symbols.CHI_LO, CHI_HI.
     map.dense forms E E^T explicitly from every tap and refuses windows
     with n * Q > 2^24 factor entries (Q quadrature nodes in mu).  Keeping
     the step fixed while n grows widens the window, which is the actual
@@ -368,17 +368,16 @@ def log_window_smooth_section(alpha: float, n: int) -> NystromOperator:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    w = SymbolSpec("weight_w", alpha=alpha)
     h = _LOG_STEP
     u = _LOG_U_LO + h * np.arange(n)
-    # W(mu) = w(e^-mu) vanishes for mu <= -log(chi_hi); align mu to step h
-    mu_lo = -math.log(w.chi_hi) + 1e-12
+    # W(mu) = w(e^-mu) vanishes for mu <= -log(CHI_HI); align mu to step h
+    mu_lo = -math.log(CHI_HI) + 1e-12
     mu_hi = u[-1] + _LOG_PAD
     Q = int(math.ceil((mu_hi - mu_lo) / h)) + 1
     mu = mu_lo + h * np.arange(Q)
     # evaluated in mu as mu^-alpha chi(e^-mu): w(e^-mu) itself reads 0 once
     # e^-mu underflows (mu > ~745), which would stop the window growing
-    W = mu ** -alpha * chi_cutoff(np.exp(-mu), w.chi_lo, w.chi_hi)
+    W = mu ** -alpha * chi_cutoff(np.exp(-mu))
     s = h * np.sqrt(W)
 
     # T[k] = g(delta + k h), k in [-(Q-1), n-1]

@@ -17,7 +17,6 @@ import contextlib
 import json
 import pathlib
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from helsonlab.asymptotics import (NOISE_FLOOR,
                                    default_fit_window,  # noqa: F401
                                    fit_power_tail, kappa,
                                    negative_part_domination)
-from helsonlab.discretize import (X_MAX, log_window_smooth_section,
+from helsonlab.discretize import (log_window_smooth_section,
                                   nystrom_difference, nystrom_hankel,
                                   nystrom_helson, v_matched_grids)
 from helsonlab.eigen import (Spectrum, dense_eig_oracle, lanczos_extreme,
@@ -39,8 +38,16 @@ from helsonlab.structured_ops import (HelsonTruncation, LinearMap,
 from helsonlab.symbols import SymbolSpec
 
 # solve() gives sections at or below this order the full dense spectrum;
-# above it the solver reports solver["k"] certified extreme pairs instead
+# above it Lanczos reports k (default _LANCZOS_K) certified extreme pairs
+# per end
 _DENSE_LIMIT = 600
+_LANCZOS_K = 20
+
+# x-range of the matched Nystrom grids (t = e^x on the multiplicative side)
+_X_DOMAIN = (0.0, 30.0)
+
+# index window (1-based) of the headline tail fit
+_FIT_WINDOW = (20, 200)
 
 
 class StageError(RuntimeError):
@@ -62,12 +69,9 @@ class RunConfig:
     alpha: float = 1.0
     sizes: tuple = (512, 1024, 2048, 4096, 8192)
     helson_cap: int = 4096
-    x_domain: tuple = (0.0, 30.0)
     nystrom_n: int = 220
     solver: dict = field(default_factory=dict)
     out_dir: str = "chain_out"
-    fit_window: Optional[tuple] = None
-    negativity_size: int = 512
 
     def __post_init__(self):
         self.sizes = tuple(int(s) for s in self.sizes)
@@ -77,38 +81,19 @@ class RunConfig:
             raise ValueError("sizes must be strictly increasing")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
-        lo, hi = self.x_domain
-        if not (0.0 <= lo < hi):
-            raise ValueError("x_domain must satisfy 0 <= lo < hi")
-        if hi > X_MAX:
-            raise ValueError(f"x_domain upper end must be <= {X_MAX:g}: "
-                             "the node map t = e^x overflows past it")
         if self.nystrom_n < 8:
             raise ValueError("nystrom_n too small")
-        if self.negativity_size < 2:
-            raise ValueError("negativity_size must be >= 2")
-        base = {"k": 20, "tol": 1e-10, "max_iter": None, "seed": 0}
-        _refuse_unknown("solver", self.solver, base)
-        base.update(self.solver)
-        self.solver = base
-        if self.fit_window is not None:
-            n0, n1 = (int(n) for n in self.fit_window)
-            if not (1 <= n0 and n1 - n0 >= 8):
-                raise ValueError("fit_window must satisfy 1 <= n0 and "
-                                 "n1 - n0 >= 8")
-            self.fit_window = (n0, n1)
+        _refuse_unknown("solver", self.solver, ("seed",))
+        self.solver = {"seed": 0, **self.solver}
 
     def to_json(self) -> dict:
         return {
             "alpha": self.alpha,
             "sizes": list(self.sizes),
             "helson_cap": self.helson_cap,
-            "grids": {"x_lo": self.x_domain[0], "x_hi": self.x_domain[1],
-                      "n": self.nystrom_n},
+            "grids": {"n": self.nystrom_n},
             "solver": self.solver,
             "outputs": {"dir": str(self.out_dir)},
-            "fit_window": list(self.fit_window) if self.fit_window else None,
-            "negativity_size": self.negativity_size,
         }
 
     @classmethod
@@ -120,18 +105,11 @@ class RunConfig:
         for part in ("grids", "outputs"):
             _refuse_unknown(part, blob.get(part, {}), known[part])
         kwargs = {k: blob[k] for k in ("alpha", "sizes", "helson_cap",
-                                       "solver", "negativity_size")
-                  if k in blob}
-        grids = blob.get("grids", {})
-        if "x_lo" in grids or "x_hi" in grids:
-            lo, hi = cls.x_domain
-            kwargs["x_domain"] = (grids.get("x_lo", lo), grids.get("x_hi", hi))
-        if "n" in grids:
-            kwargs["nystrom_n"] = grids["n"]
+                                       "solver") if k in blob}
+        if "n" in blob.get("grids", {}):
+            kwargs["nystrom_n"] = blob["grids"]["n"]
         if "dir" in blob.get("outputs", {}):
             kwargs["out_dir"] = blob["outputs"]["dir"]
-        if blob.get("fit_window"):
-            kwargs["fit_window"] = tuple(blob["fit_window"])
         return cls(**kwargs)
 
 
@@ -158,19 +136,17 @@ def _neg_to_pos_ratio(spec: Spectrum, n0: int, n1: int) -> float:
     return float(np.max(neg[keep] / pos[keep], initial=0.0))
 
 
-def solve(lm: LinearMap, solver: dict, k: Optional[int] = None,
+def solve(lm: LinearMap, k: int = _LANCZOS_K, seed: int = 0,
           which: str = "both_ends") -> Spectrum:
     """Spectrum of a symmetric section under the one solve policy.
 
     Orders up to _DENSE_LIMIT get the full dense spectrum; larger ones
-    get k (default solver["k"]) certified Lanczos pairs per requested
-    end, with the solver's tol, max_iter and seed.
+    get k Lanczos pairs per requested end, started from seed and
+    certified to lanczos_extreme's default residual tolerance.
     """
     if lm.cols <= _DENSE_LIMIT:
         return dense_eig_oracle(lm)
-    k = min(solver["k"] if k is None else k, lm.cols - 1)
-    return lanczos_extreme(lm, k, which=which, tol=solver["tol"],
-                           max_iter=solver["max_iter"], seed=solver["seed"])
+    return lanczos_extreme(lm, min(k, lm.cols - 1), which=which, seed=seed)
 
 
 def _write_spectrum(spec: Spectrum, out_dir: pathlib.Path, name: str,
@@ -221,9 +197,11 @@ def run_chain(config: RunConfig) -> dict:
 
     Each section is solved only at the sizes a report number reads: row 0
     and the combined section at every matrix size, row 1 once, at the
-    negativity size; the headline asks for the fit window's top index
-    of largest pairs, no more.  Every solved spectrum gets its CSV and
-    sidecar.
+    negativity size, which is the largest matrix size on the dense route
+    (the smallest matrix size if none is); the headline asks for the fit
+    window's top index of largest pairs, no more.  Every solved spectrum
+    gets its CSV and sidecar.  A headline too short for the fit window
+    is reported under "fit_skipped" instead of a fit.
     """
     out_dir = pathlib.Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -231,6 +209,7 @@ def run_chain(config: RunConfig) -> dict:
     report: dict = {"config": config.to_json(), "stages": [],
                     "artifacts": artifacts, "unconverged": []}
     alpha = config.alpha
+    seed = config.solver["seed"]
 
     @contextlib.contextmanager
     def stage(name: str):
@@ -258,7 +237,10 @@ def run_chain(config: RunConfig) -> dict:
     matrix_sizes = [s for s in config.sizes if s <= config.helson_cap]
     if not matrix_sizes:
         raise StageError("config", "no sizes at or below the matrix cap")
-    neg_size = min(config.negativity_size, matrix_sizes[-1])
+    # the negativity check reads full spectra: the largest matrix size on
+    # the dense route, or the smallest one if every size is above it
+    dense_sizes = [s for s in matrix_sizes if s <= _DENSE_LIMIT]
+    neg_size = dense_sizes[-1] if dense_sizes else matrix_sizes[0]
 
     # row 0 is solved at every matrix size; row 1 only at neg_size, where
     # the negativity stage reads it (the additivity check builds its own)
@@ -266,12 +248,12 @@ def run_chain(config: RunConfig) -> dict:
     with stage("row_matrices"):
         jobs = [(0, size) for size in matrix_sizes] + [(1, neg_size)]
         for i, size in jobs:
-            spec = solve(row_map(i, size), config.solver)
+            spec = solve(row_map(i, size), seed=seed)
             row_spectra[(i, size)] = spec
             _write_spectrum(spec, out_dir, f"row{i}_matrix_N{size}", report)
 
     with stage("row_integrals"):
-        gx, gt = v_matched_grids(config.x_domain, config.nystrom_n)
+        gx, gt = v_matched_grids(_X_DOMAIN, config.nystrom_n)
         max_nodes = max(4096, config.nystrom_n)
         integral_spectra: dict = {}
         # per grid, row 0 is the smooth part's Gram product E E^T, built
@@ -285,7 +267,7 @@ def run_chain(config: RunConfig) -> dict:
                 build(SymbolSpec(kind=full, alpha=alpha), grid,
                       max_nodes=max_nodes), op0)
             for i, op in enumerate((op0, op1)):
-                spec = solve(op.map, config.solver)
+                spec = solve(op.map, seed=seed)
                 integral_spectra[(i, name)] = spec
                 _write_spectrum(spec, out_dir, f"row{i}_integral_{name}",
                                 report)
@@ -309,7 +291,7 @@ def run_chain(config: RunConfig) -> dict:
     with stage("combined_matrix"):
         combined: dict = {}
         for size in matrix_sizes:
-            spec = solve(build_helson(full_spec, size), config.solver)
+            spec = solve(build_helson(full_spec, size), seed=seed)
             combined[size] = spec
             _write_spectrum(spec, out_dir, f"combined_matrix_N{size}",
                             report)
@@ -341,16 +323,18 @@ def run_chain(config: RunConfig) -> dict:
         # sections get no fit: they resolve only 8-9 eigenvalues above
         # the noise floor, in geometric rather than power-law decay.
         n_top = config.sizes[-1]
-        window = config.fit_window or (20, 200)
         sec = log_window_smooth_section(alpha, n_top)
-        sp_head = solve(sec.map, config.solver, k=window[1],
+        sp_head = solve(sec.map, k=_FIT_WINDOW[1], seed=seed,
                         which="largest")
         _write_spectrum(sp_head, out_dir, f"headline_section_n{n_top}",
                         report)
         lam = sp_head.lambda_plus
-        n0 = min(window[0], max(1, lam.size // 2))
-        n1 = min(window[1], lam.size)
-        if n1 - n0 >= 8:
+        n0 = min(_FIT_WINDOW[0], max(1, lam.size // 2))
+        n1 = min(_FIT_WINDOW[1], lam.size)
+        if n1 - n0 < 8:
+            report["fit_skipped"] = {"available": int(lam.size),
+                                     "window": list(_FIT_WINDOW)}
+        else:
             fit = fit_power_tail(lam, (n0, n1))
             fits["headline"] = dict(fit.to_json(),
                                     object="log_window_smooth_section",
@@ -372,13 +356,9 @@ def run_chain(config: RunConfig) -> dict:
         artifacts.append(str(fit_path))
 
     with stage("negativity"):
-        spec_full = (combined[neg_size] if neg_size in combined else
-                     solve(build_helson(full_spec, neg_size), config.solver))
-        spec_a1 = row_spectra[(1, neg_size)]
-        spec_a0 = (row_spectra[(0, neg_size)]
-                   if (0, neg_size) in row_spectra else
-                   solve(row_map(0, neg_size), config.solver))
-        dom = negative_part_domination(spec_full, spec_a1, spec_a0)
+        spec_full = combined[neg_size]
+        dom = negative_part_domination(spec_full, row_spectra[(1, neg_size)],
+                                       row_spectra[(0, neg_size)])
         # the ratio is only meaningful over resolved positive eigenvalues
         # past the head: index 1 carries the symbol's divergence at the
         # left end of its domain (one genuine O(1) +/- pair), and indices

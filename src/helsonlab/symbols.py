@@ -37,6 +37,13 @@ import numpy as np
 
 E = math.e
 
+# transition band of the cutoff chi, so supp w = [0, CHI_HI]
+CHI_LO, CHI_HI = 0.25, 0.75
+
+# activation point of the full symbols' integral-operator kernels: their
+# kernel_fn is the closed form at t >= T0 and zero below
+T0 = 16.0
+
 KINDS = ("helson_a", "hankel_b", "weight_w", "a0", "a1", "b0", "b1", "custom")
 
 
@@ -46,20 +53,11 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class SymbolSpec:
-    """Descriptor of one closed-form kernel.
-
-    t0 is the activation point of the integral-operator kernel for the
-    full symbols (the closed form applies at t >= t0, zero below);
-    eval_symbol itself is the pure closed form on its real domain.
-    chi_lo/chi_hi bound the transition band of the cutoff chi, so supp w
-    is [0, chi_hi].
-    """
+    """Descriptor of one closed-form kernel: its kind and exponent, or a
+    custom weight fn with its support interval."""
 
     kind: str
     alpha: float = 1.0
-    t0: float = 16.0
-    chi_lo: float = 0.25
-    chi_hi: float = 0.75
     fn: Optional[Callable] = None
     support: Optional[tuple] = None  # custom weights only
 
@@ -68,10 +66,6 @@ class SymbolSpec:
             raise ValueError(f"unknown symbol kind {self.kind!r}")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
-        if not (0 < self.chi_lo < self.chi_hi <= 1):
-            raise ValueError("need 0 < chi_lo < chi_hi <= 1")
-        if not self.t0 > E:
-            raise ValueError("t0 must exceed e")
         if self.kind == "custom" and self.fn is None:
             raise ValueError("custom spec needs fn")
 
@@ -93,9 +87,10 @@ def smoothstep(s):
     return out if s_in.ndim else float(out[0])
 
 
-def chi_cutoff(lam, lo=0.25, hi=0.75):
-    """Smooth cutoff: 1 on (0, lo], 0 on [hi, inf)."""
-    return smoothstep((hi - np.asarray(lam, dtype=float)) / (hi - lo))
+def chi_cutoff(lam):
+    """Smooth cutoff: 1 on (0, CHI_LO], 0 on [CHI_HI, inf)."""
+    return smoothstep((CHI_HI - np.asarray(lam, dtype=float))
+                      / (CHI_HI - CHI_LO))
 
 
 def _weight_values(spec: SymbolSpec, lam):
@@ -106,10 +101,9 @@ def _weight_values(spec: SymbolSpec, lam):
         out = np.asarray(spec.fn(lam), dtype=float)
         return out if lam_in.ndim else float(out[0])
     out = np.zeros_like(lam)
-    inside = (lam > 0.0) & (lam < spec.chi_hi)
+    inside = (lam > 0.0) & (lam < CHI_HI)
     li = lam[inside]
-    out[inside] = np.abs(np.log(li)) ** (-spec.alpha) * chi_cutoff(
-        li, spec.chi_lo, spec.chi_hi)
+    out[inside] = np.abs(np.log(li)) ** (-spec.alpha) * chi_cutoff(li)
     return out if lam_in.ndim else float(out[0])
 
 
@@ -118,15 +112,14 @@ def _weight_support(spec: SymbolSpec) -> tuple:
         if spec.support is None:
             raise ValueError("custom weight needs an explicit support interval")
         return spec.support
-    return (0.0, spec.chi_hi)
+    return (0.0, CHI_HI)
 
 
 def _weight_of(spec: SymbolSpec) -> SymbolSpec:
     """The weight spec implied by a full/decomposed symbol spec."""
     if spec.kind in ("weight_w", "custom"):
         return spec
-    return SymbolSpec(kind="weight_w", alpha=spec.alpha, t0=spec.t0,
-                      chi_lo=spec.chi_lo, chi_hi=spec.chi_hi)
+    return SymbolSpec(kind="weight_w", alpha=spec.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -365,26 +358,24 @@ def kernel_fn(spec: SymbolSpec) -> Callable:
     """Total kernel function for integral-operator assembly.
 
     Unlike eval_symbol, the returned callable is defined on the whole
-    half-line: the full symbols activate at t0 (zero below), so that
+    half-line: the full symbols activate at T0 (zero below), so that
     b_kernel(x) = e^(x/2) a_kernel(e^x) holds identically; the additive
     form is computed directly in x and stays finite past x = 709.
     """
     k = spec.kind
     if k == "helson_a":
-        t0 = spec.t0
-
-        def f(t, alpha=spec.alpha, t0=t0):
+        def f(t, alpha=spec.alpha):
             t_in = np.asarray(t, dtype=float)
             t = np.atleast_1d(t_in)
             out = np.zeros_like(t)
-            m = t >= t0
+            m = t >= T0
             out[m] = _helson_a_values(alpha, t[m])
             return out if t_in.ndim else float(out[0])
         return f
     if k == "hankel_b":
-        x0 = math.log(spec.t0)
+        x0 = math.log(T0)
 
-        def f(x, alpha=spec.alpha, x0=x0):
+        def f(x, alpha=spec.alpha):
             x_in = np.asarray(x, dtype=float)
             x = np.atleast_1d(x_in)
             out = np.zeros_like(x)

@@ -282,12 +282,6 @@ class TestVerify:
         code, _, _ = _run(capsys, "verify", "--suite", suite)
         assert code == 2
 
-    def test_env_seed_must_be_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("HELSON_SEED", "three")
-        code, _, err = _run(capsys, "verify", "--suite", "decay")
-        assert code == 2
-        assert "HELSON_SEED" in err
-
 
 # ---------------------------------------------------------------------------
 # chain / report
@@ -296,10 +290,8 @@ class TestVerify:
 @pytest.fixture(scope="module")
 def chain_cfg(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("chain_out")
-    cfg = {"alpha": 1.0, "sizes": [48, 96],
-           "grids": {"x_lo": 0.0, "x_hi": 18.0, "n": 120},
-           "solver": {"k": 12}, "outputs": {"dir": str(out_dir)},
-           "negativity_size": 96}
+    cfg = {"alpha": 1.0, "sizes": [48, 96], "grids": {"n": 120},
+           "outputs": {"dir": str(out_dir)}}
     path = tmp_path_factory.mktemp("cfg") / "run.json"
     path.write_text(json.dumps(cfg))
     return path, out_dir
@@ -325,10 +317,8 @@ class TestChainVerb:
         assert svg.read_text().startswith("<svg")
 
     def test_flag_overrides_config(self, tmp_path, capsys):
-        cfg = {"alpha": 2.0, "sizes": [32, 64],
-               "grids": {"x_lo": 0.0, "x_hi": 16.0, "n": 100},
-               "solver": {"k": 10}, "outputs": {"dir": str(tmp_path / "o")},
-               "negativity_size": 64}
+        cfg = {"alpha": 2.0, "sizes": [32, 64], "grids": {"n": 100},
+               "solver": {"seed": 5}, "outputs": {"dir": str(tmp_path / "o")}}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         code, _, _ = _run(capsys, "chain", "--config", str(cfg_path),
@@ -338,39 +328,10 @@ class TestChainVerb:
         assert rec["config"]["alpha"] == 1.0
         assert rec["config"]["solver"]["seed"] == 11
 
-    def test_env_seed_fills_default(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("HELSON_SEED", "23")
-        cfg = {"alpha": 1.0, "sizes": [32, 64],
-               "grids": {"x_lo": 0.0, "x_hi": 16.0, "n": 100},
-               "solver": {"k": 10}, "outputs": {"dir": str(tmp_path / "o")},
-               "negativity_size": 64}
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-        code, _, _ = _run(capsys, "chain", "--config", str(cfg_path))
-        assert code == 0
-        rec = json.loads((tmp_path / "o" / "run_report.json").read_text())
-        assert rec["config"]["solver"]["seed"] == 23
-
-    def test_explicit_config_seed_beats_env(self, tmp_path, capsys,
-                                            monkeypatch):
-        monkeypatch.setenv("HELSON_SEED", "23")
-        cfg = {"alpha": 1.0, "sizes": [32, 64],
-               "grids": {"x_lo": 0.0, "x_hi": 16.0, "n": 100},
-               "solver": {"k": 10, "seed": 5},
-               "outputs": {"dir": str(tmp_path / "o")},
-               "negativity_size": 64}
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-        code, _, _ = _run(capsys, "chain", "--config", str(cfg_path))
-        assert code == 0
-        rec = json.loads((tmp_path / "o" / "run_report.json").read_text())
-        assert rec["config"]["solver"]["seed"] == 5
-
     def test_stage_failure_exits_one(self, tmp_path, capsys):
         # every ladder size above the cap: the config stage rejects the run
         cfg = {"alpha": 1.0, "sizes": [512, 1024], "helson_cap": 256,
-               "grids": {"x_lo": 0.0, "x_hi": 16.0, "n": 100},
-               "outputs": {"dir": str(tmp_path / "o")}}
+               "grids": {"n": 100}, "outputs": {"dir": str(tmp_path / "o")}}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         code, _, err = _run(capsys, "chain", "--config", str(cfg_path))
@@ -388,24 +349,45 @@ class TestChainVerb:
         assert "weight_zero" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("part, key", [
+        (None, "negativity_size"), (None, "fit_window"),
+        ("grids", "x_lo"), ("solver", "k"),
+    ])
+    def test_removed_config_key_exits_two(self, part, key, tmp_path,
+                                          capsys):
+        # settings that are now constants of the chain are refused by name
+        cfg = {"alpha": 1.0, "sizes": [32, 64],
+               "outputs": {"dir": str(tmp_path / "o")}}
+        (cfg.setdefault(part, {}) if part else cfg)[key] = 20
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, err = _run(capsys, "chain", "--config", str(cfg_path))
+        assert code == 2
+        assert f"keys: {key}\n" in err
+        assert not (tmp_path / "o").exists()
+
     def test_report_without_fit_reads_the_capped_combined_section(
             self, tmp_path, capsys):
         # a 12-node headline section is too short to fit, and the chain
         # writes combined sections only up to helson_cap = 4
         cfg = {"alpha": 1.0, "sizes": [4, 12], "helson_cap": 4,
-               "grids": {"x_lo": 0.0, "x_hi": 16.0, "n": 64},
-               "outputs": {"dir": str(tmp_path / "o")}}
+               "grids": {"n": 64}, "outputs": {"dir": str(tmp_path / "o")}}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        code, _, _ = _run(capsys, "chain", "--config", str(cfg_path))
+        code, _, err = _run(capsys, "chain", "--config", str(cfg_path))
         assert code == 0
         rep = json.loads((tmp_path / "o" / "run_report.json").read_text())
         assert rep["fits"] == {}
+        head = spectrum_from_csv(tmp_path / "o" / "headline_section_n12.csv")
+        assert rep["fit_skipped"] == {"available": head.lambda_plus.size,
+                                      "window": [20, 200]}
+        assert err.count("\n") == 1 and "no headline fit" in err
         svg = tmp_path / "tail.svg"
         code, out, err = _run(capsys, "report", "--config", str(cfg_path),
                               "--svg", str(svg))
         assert code == 0, err
         assert "combined matrix tail, N=4" in svg.read_text()
+        assert "combined_matrix_N4.csv" in err
 
     def test_report_before_chain(self, tmp_path, capsys):
         cfg = {"alpha": 1.0, "sizes": [32, 64],

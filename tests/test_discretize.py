@@ -403,8 +403,8 @@ def _log_window_factor(alpha, n, h=0.135, u_lo=-6.0, pad=80.0,
     mu_lo = -math.log(chi_hi) + 1e-12
     Q = int(math.ceil((u[-1] + pad - mu_lo) / h)) + 1
     mu = mu_lo + h * np.arange(Q)
-    s = h * np.sqrt(mu ** -alpha
-                    * symbols.chi_cutoff(np.exp(-mu), chi_lo, chi_hi))
+    chi = symbols.smoothstep((chi_hi - np.exp(-mu)) / (chi_hi - chi_lo))
+    s = h * np.sqrt(mu ** -alpha * chi)
     d = (u[0] - mu_lo) + h * np.arange(-(Q - 1), n)
     return np.exp(0.5 * d - np.exp(np.minimum(d, 40.0))), s, Q
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -27,58 +28,49 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("kw", [
         dict(alpha=0.0), dict(alpha=-2.0),
-        dict(x_domain=(-1.0, 10.0)), dict(x_domain=(5.0, 5.0)),
         dict(nystrom_n=4), dict(sizes=(1, 64)),
-        dict(fit_window=(50, 40)), dict(fit_window=(0, 20)),
-        dict(fit_window=(10, 17)), dict(negativity_size=0),
-        dict(negativity_size=1), dict(x_domain=(0.0, 900.0)),
     ])
     def test_invalid_fields(self, kw):
         with pytest.raises(ValueError):
             RunConfig(**kw)
 
     def test_from_json_validates(self):
-        with pytest.raises(ValueError, match="fit_window"):
-            RunConfig.from_json({"fit_window": [50, 40]})
+        with pytest.raises(ValueError, match="sizes"):
+            RunConfig.from_json({"sizes": [64, 32]})
 
     def test_solver_defaults_merged(self):
-        cfg = RunConfig(solver={"k": 7})
-        assert cfg.solver["k"] == 7
-        assert cfg.solver["tol"] == 1e-10
-        assert cfg.solver["seed"] == 0
+        assert RunConfig().solver == {"seed": 0}
+        assert RunConfig(solver={"seed": 7}).solver == {"seed": 7}
 
     def test_json_round_trip(self):
-        cfg = RunConfig(alpha=0.5, sizes=(32, 64), x_domain=(0.0, 12.0),
-                        nystrom_n=80, solver={"k": 9, "seed": 3},
-                        out_dir="somewhere", fit_window=(4, 20),
-                        negativity_size=64)
+        cfg = RunConfig(alpha=0.5, sizes=(32, 64), helson_cap=32,
+                        nystrom_n=80, solver={"seed": 3},
+                        out_dir="somewhere")
         back = RunConfig.from_json(cfg.to_json())
-        assert back.alpha == cfg.alpha
-        assert back.sizes == cfg.sizes
-        assert back.x_domain == cfg.x_domain
-        assert back.nystrom_n == cfg.nystrom_n
-        assert back.solver == cfg.solver
-        assert back.out_dir == cfg.out_dir
-        assert back.fit_window == cfg.fit_window
-        assert back.negativity_size == 64
+        assert back == cfg
 
     def test_from_json_defaults_come_from_the_fields(self):
         assert RunConfig.from_json({}).to_json() == RunConfig().to_json()
-        partial = {"alpha": 2.0, "grids": {"x_hi": 12.0},
-                   "solver": {"k": 5}, "outputs": {"dir": "elsewhere"}}
-        want = RunConfig(alpha=2.0, x_domain=(0.0, 12.0), solver={"k": 5},
+        partial = {"alpha": 2.0, "grids": {"n": 80},
+                   "solver": {"seed": 5}, "outputs": {"dir": "elsewhere"}}
+        want = RunConfig(alpha=2.0, nystrom_n=80, solver={"seed": 5},
                          out_dir="elsewhere")
         assert RunConfig.from_json(partial).to_json() == want.to_json()
 
     @pytest.mark.parametrize("blob, key", [
         ({"negativty_size": 64}, "negativty_size"),
         ({"weight_zero": True}, "weight_zero"),
-        ({"grids": {"x_hi": 12.0, "nodes": 80}}, "nodes"),
+        ({"grids": {"n": 80, "nodes": 80}}, "nodes"),
         ({"outputs": {"directory": "elsewhere"}}, "directory"),
-        ({"solver": {"k": 5, "tolerance": 1e-6}}, "tolerance"),
+        ({"solver": {"seed": 5, "tolerance": 1e-6}}, "tolerance"),
+        # settings that are now constants of the chain
+        ({"negativity_size": 512}, "negativity_size"),
+        ({"fit_window": [20, 200]}, "fit_window"),
+        ({"grids": {"x_lo": 0.0}}, "x_lo"),
+        ({"solver": {"k": 20}}, "k"),
     ])
     def test_from_json_refuses_unknown_keys(self, blob, key):
-        with pytest.raises(ValueError, match=key):
+        with pytest.raises(ValueError, match=rf"keys: (.*, )?{key}(,|$)"):
             RunConfig.from_json(blob)
 
     def test_solver_refuses_unknown_keys(self):
@@ -89,8 +81,7 @@ class TestRunConfig:
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("chain_small")
-    cfg = RunConfig(alpha=1.0, sizes=(48, 96), x_domain=(0.0, 18.0),
-                    nystrom_n=120, solver={"k": 12}, negativity_size=96,
+    cfg = RunConfig(alpha=1.0, sizes=(48, 96), nystrom_n=120,
                     out_dir=str(out))
     return cfg, run_chain(cfg)
 
@@ -177,7 +168,8 @@ class TestRunChain:
             assert meta["method"] == "dense", path.name
 
     def test_row1_solved_only_at_negativity_size(self, small_run):
-        # the negativity stage is row 1's only reader, at N = 96
+        # the negativity stage is row 1's only reader, at the largest
+        # dense-route matrix size, N = 96
         cfg, rep = small_run
         out = pathlib.Path(cfg.out_dir)
         assert (out / "row1_matrix_N96.csv").exists()
@@ -232,28 +224,29 @@ class TestNegToPosRatio:
         assert pipeline._neg_to_pos_ratio(spec, 3, 20) == 0.0
 
 
-def test_negativity_window_ignores_fit_window(tmp_path):
-    # fit_window is the headline fit's window; the negativity ratio always
-    # reads the resolved indices of the combined section past its head,
-    # which at N = 128 are a handful, far below index 20
-    kw = dict(alpha=1.0, sizes=(64, 128), x_domain=(0.0, 18.0),
-              nystrom_n=48, solver={"k": 8})
+def test_negativity_window_ignores_fit_window(monkeypatch, tmp_path):
+    # _FIT_WINDOW is the headline fit's window; the negativity ratio
+    # always reads the resolved indices of the combined section past its
+    # head, which at N = 128 are a handful, far below index 20
+    kw = dict(alpha=1.0, sizes=(64, 128), nystrom_n=48)
     plain = run_chain(RunConfig(out_dir=str(tmp_path / "plain"), **kw))
-    knob = run_chain(RunConfig(out_dir=str(tmp_path / "knob"),
-                               fit_window=(20, 200), **kw))
+    monkeypatch.setattr(pipeline, "_FIT_WINDOW", (4, 24))
+    knob = run_chain(RunConfig(out_dir=str(tmp_path / "knob"), **kw))
     m_res = plain["negativity"]["resolved_count"]
     assert 2 <= m_res < 20
     assert plain["negativity"]["window"] == [2, m_res]
     assert knob["negativity"]["window"] == plain["negativity"]["window"]
 
-def test_unconverged_solve_listed_in_report(tmp_path):
+def test_unconverged_solve_listed_in_report(monkeypatch, tmp_path):
     # the headline at n = 1024 takes the Lanczos route with k = 24 pairs
     # (the fit window's top index) and at most 45 iterations, which stop
     # before the first Ritz check at step 2k + 16 = 64 and cannot converge
+    monkeypatch.setattr(pipeline, "lanczos_extreme",
+                        functools.partial(pipeline.lanczos_extreme,
+                                          max_iter=45))
+    monkeypatch.setattr(pipeline, "_FIT_WINDOW", (4, 24))
     cfg = RunConfig(alpha=1.0, sizes=(24, 1024), helson_cap=24,
-                    x_domain=(0.0, 18.0), nystrom_n=48,
-                    solver={"k": 12, "max_iter": 45}, fit_window=(4, 24),
-                    out_dir=str(tmp_path))
+                    nystrom_n=48, out_dir=str(tmp_path))
     rep = run_chain(cfg)
     assert rep["unconverged"] == ["headline_section_n1024"]
     on_disk = json.loads((tmp_path / "run_report.json").read_text())
@@ -261,19 +254,39 @@ def test_unconverged_solve_listed_in_report(tmp_path):
 
 
 def test_headline_asks_for_the_fit_windows_top_index(monkeypatch, tmp_path):
-    # the fit reads indices up to fit_window[1] and nothing past them
+    # the fit reads indices up to _FIT_WINDOW[1] and nothing past them
     asked = []
     real = pipeline.solve
 
-    def recording(lm, solver, k=None, which="both_ends"):
+    def recording(lm, k=pipeline._LANCZOS_K, seed=0, which="both_ends"):
         asked.append((which, k))
-        return real(lm, solver, k=k, which=which)
+        return real(lm, k=k, seed=seed, which=which)
 
     monkeypatch.setattr(pipeline, "solve", recording)
-    run_chain(RunConfig(alpha=1.0, sizes=(24, 96), x_domain=(0.0, 18.0),
-                        nystrom_n=48, solver={"k": 8}, fit_window=(4, 24),
+    run_chain(RunConfig(alpha=1.0, sizes=(24, 96), nystrom_n=48,
                         out_dir=str(tmp_path)))
-    assert [k for which, k in asked if which == "largest"] == [24]
+    assert [k for which, k in asked if which == "largest"] == [
+        pipeline._FIT_WINDOW[1]]
+
+
+def test_negativity_size_is_the_largest_dense_matrix_size(monkeypatch,
+                                                          tmp_path):
+    # 1024 takes the Lanczos route, so row 1 and the negativity check run
+    # at 256 and nothing is solved at any other size
+    solved = []
+    real = pipeline.solve
+
+    def recording(lm, *args, **kwargs):
+        solved.append(lm.cols)
+        return real(lm, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "solve", recording)
+    rep = run_chain(RunConfig(alpha=1.0, sizes=(256, 1024), helson_cap=1024,
+                              nystrom_n=48, out_dir=str(tmp_path)))
+    assert rep["negativity"]["size"] == 256
+    assert [p.name for p in tmp_path.glob("row1_matrix_N*.csv")] == [
+        "row1_matrix_N256.csv"]
+    assert 512 not in solved
 
 
 def test_integral_row1_is_closed_form_minus_row0_gram(monkeypatch, tmp_path):
@@ -289,10 +302,9 @@ def test_integral_row1_is_closed_form_minus_row0_gram(monkeypatch, tmp_path):
 
     monkeypatch.setattr(pipeline, "nystrom_difference", recording)
     alpha = 1.0
-    run_chain(RunConfig(alpha=alpha, sizes=(24, 48), x_domain=(0.0, 18.0),
-                        nystrom_n=120, solver={"k": 8},
+    run_chain(RunConfig(alpha=alpha, sizes=(24, 48), nystrom_n=120,
                         out_dir=str(tmp_path)))
-    gx, gt = discretize.v_matched_grids((0.0, 18.0), 120)
+    gx, gt = discretize.v_matched_grids(pipeline._X_DOMAIN, 120)
     want = []
     for combine, grid, full, rough in (("product", gt, "helson_a", "a1"),
                                        ("sum", gx, "hankel_b", "b1")):
@@ -322,8 +334,7 @@ def test_additivity_sees_row1_wiring(broken, monkeypatch, tmp_path):
     # the check sums the row sections the chain solves, so a row 1 that
     # misses a piece of a - a0 shows in it
     monkeypatch.setattr(pipeline, "difference_section", broken)
-    cfg = RunConfig(alpha=1.0, sizes=(48, 64), x_domain=(0.0, 18.0),
-                    nystrom_n=48, solver={"k": 8}, negativity_size=48,
+    cfg = RunConfig(alpha=1.0, sizes=(48, 64), nystrom_n=48,
                     out_dir=str(tmp_path))
     rep = run_chain(cfg)
     assert rep["additivity"]["size"] == 48
@@ -338,14 +349,16 @@ class TestStageTagging:
             run_chain(cfg)
         assert err.value.stage == "config"
 
-    def test_integral_stage_tagged_and_partials_kept(self, tmp_path):
-        # e^900 overflows the node map, so the second stage dies; the
-        # first stage's spectra must already be on disk
+    def test_integral_stage_tagged_and_partials_kept(self, monkeypatch,
+                                                     tmp_path):
+        # the second stage dies building its grids; the first stage's
+        # spectra must already be on disk
+        def overflow(x_domain, n):
+            raise discretize.ConstructionError("node map overflows")
+
+        monkeypatch.setattr(pipeline, "v_matched_grids", overflow)
         cfg = RunConfig(alpha=1.0, sizes=(24, 48), nystrom_n=64,
-                        solver={"k": 8}, out_dir=str(tmp_path))
-        # RunConfig refuses this domain up front; set past its check, the
-        # overflow guard inside the second stage is what fails
-        cfg.x_domain = (0.0, 900.0)
+                        out_dir=str(tmp_path))
         with pytest.raises(StageError) as err:
             run_chain(cfg)
         assert err.value.stage == "row_integrals"
@@ -400,18 +413,17 @@ class TestSolvePolicy:
         return seen
 
     def test_dense_up_to_limit_lanczos_above(self, routes):
-        solver = RunConfig().solver
         limit = pipeline._DENSE_LIMIT
         for n in (2, limit, limit + 1):
-            solve(_identity(n), solver)
+            solve(_identity(n))
         assert routes == [("dense", 2), ("dense", limit),
-                          ("lanczos", limit + 1, solver["k"], "both_ends")]
+                          ("lanczos", limit + 1, pipeline._LANCZOS_K,
+                           "both_ends")]
 
     def test_k_and_which_pass_through_capped_by_order(self, routes):
-        solver = RunConfig().solver
         n = pipeline._DENSE_LIMIT + 1
-        solve(_identity(n), solver, k=216, which="largest")
-        solve(_identity(n), solver, k=10 * n)
+        solve(_identity(n), k=216, which="largest")
+        solve(_identity(n), k=10 * n)
         assert routes == [("lanczos", n, 216, "largest"),
                           ("lanczos", n, n - 1, "both_ends")]
 
