@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,7 +61,7 @@ def default_fit_window(n_available: int) -> tuple:
     return (n0, n1)
 
 
-def fit_power_tail(lam: Sequence[float], window: Optional[tuple] = None) -> FitResult:
+def fit_power_tail(lam: Sequence[float], window: tuple) -> FitResult:
     """Least-squares line on (log n, log lambda_n) over a 1-based window.
 
     drift is the slope of log(lambda_n n^alpha_hat) between the first
@@ -69,8 +69,6 @@ def fit_power_tail(lam: Sequence[float], window: Optional[tuple] = None) -> FitR
     which the sequence approaches its power-law asymptote.
     """
     lam = np.asarray(lam, dtype=float)
-    if window is None:
-        window = default_fit_window(lam.size)
     n0, n1 = int(window[0]), int(window[1])
     if not (1 <= n0 and n1 <= lam.size):
         raise ValueError("window outside the available indices")
@@ -102,8 +100,8 @@ def fit_power_tail(lam: Sequence[float], window: Optional[tuple] = None) -> FitR
 
 
 def negative_part_domination(full_spec: Spectrum, a1_spec: Spectrum,
-                             a0_spec: Spectrum, tol: float = 1e-10) -> dict:
-    """Check lambda_n^-(full) <= lambda_n^-(residual part) + tol for all n.
+                             a0_spec: Spectrum) -> dict:
+    """Check lambda_n^-(full) <= lambda_n^-(residual part) + 1e-10 for all n.
 
     Valid only when the smooth part is positive semidefinite, so a
     certified spectrum of its truncation is required.  Negative
@@ -128,6 +126,6 @@ def negative_part_domination(full_spec: Spectrum, a1_spec: Spectrum,
     nf = np.pad(nf, (0, m - nf.size))
     na = np.pad(na, (0, m - na.size))
     excess = nf - na
-    ok = bool(np.all(excess <= tol))
+    ok = bool(np.all(excess <= 1e-10))
     return {"ok": ok, "n_checked": m,
             "max_excess": float(excess.max()) if m else 0.0}

@@ -132,6 +132,8 @@ def _jsonable_meta(meta: dict) -> dict:
 
 
 def _cmd_spectrum(args) -> int:
+    if args.topk < 0:
+        raise _UsageError(f"--topk must be >= 0, got {args.topk}")
     if args.operator in _MATRIX_OPS and (args.grid_lo is not None or
                                          args.grid_hi is not None):
         _diag("note: grid flags only apply to integral operators; ignored")
@@ -243,9 +245,7 @@ def _suite_factorization(seed: int):
     # the two Gram orders share their nonzero spectrum; compare every
     # eigenvalue resolved above the relative noise floor
     small = dense_eig_oracle(P).lambda_plus
-    lm = LinearMap(rows=g.n, cols=g.n, symmetric=True,
-                   matvec=lambda u: F.T @ (F @ u),
-                   description="quadrature-side gram")
+    lm = LinearMap(cols=g.n, matvec=lambda u: F.T @ (F @ u))
     big = lanczos_extreme(lm, k=10, which="largest", seed=seed).lambda_plus
     keep = small >= NOISE_FLOOR * small[0]
     m = min(int(keep.sum()), big.size)

@@ -2,9 +2,10 @@
 
 Grids are uniform, geometric or composite Gauss-Legendre
 (symbols.gauss_panels).  Additive kernels K(x+y) live on half-line
-grids, multiplicative kernels K(ts) on grids in (1, inf); both are
-assembled in the symmetric form sqrt(w) K sqrt(w) so the result feeds
-the symmetric eigensolver directly.
+grids, multiplicative kernels K(ts) on grids in (1, inf); each side
+takes only its own kinds of symbols.SIDE_KINDS.  Both are assembled in
+the symmetric form sqrt(w) K sqrt(w), wrapped in the square symmetric
+structured_ops.LinearMap that feeds the eigensolver directly.
 The matched grid pair of v_matched_grids carries one onto the other
 under t = e^x.  The smooth kernels (Laplace transforms of a weight) get
 an exact Gram fast path: the section is formed as E E^T over the shared
@@ -34,14 +35,13 @@ from typing import Callable
 
 import numpy as np
 
-from helsonlab.structured_ops import (LinearMap, _dirichlet_factor,
-                                      _overlap_save, _smooth_nodes)
+from helsonlab.structured_ops import (MAX_DENSE, LinearMap,
+                                      _dirichlet_factor, _overlap_save,
+                                      _smooth_nodes)
 from helsonlab.symbols import (
-    CHI_HI, SymbolSpec, _weight_support, _weight_values, chi_cutoff,
-    gauss_panels, kernel_fn, zeta1,
+    CHI_HI, SIDE_KINDS, SymbolSpec, _weight_support, _weight_values,
+    chi_cutoff, gauss_panels, kernel_fn, zeta1,
 )
-
-SPACINGS = ("uniform", "geometric", "gauss")
 
 # largest x whose node t = e^x v_matched_grids maps (float64 overflows
 # past x ~ 709.8)
@@ -70,24 +70,16 @@ class ConstructionError(ValueError):
 
 @dataclass(eq=False)
 class Grid:
-    """Nodes and positive quadrature weights on [lo, hi].
-
-    uniform: trapezoid weights, sum exactly hi - lo.
-    geometric: uniform in log with weights h * x (trapezoid in log).
-    gauss: composite Gauss-Legendre panels, sum exactly hi - lo.
-    """
+    """Nodes and positive quadrature weights on [lo, hi]."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    spacing: str
     domain: tuple
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
         self.weights = np.asarray(self.weights, dtype=float)
         lo, hi = self.domain
-        if self.spacing not in SPACINGS:
-            raise ValueError(f"unknown spacing {self.spacing!r}")
         if self.nodes.ndim != 1 or self.nodes.size < 2:
             raise ValueError("need at least two 1-d nodes")
         if self.weights.shape != self.nodes.shape:
@@ -106,6 +98,9 @@ class Grid:
 
 
 def make_grid(domain, n: int, spacing: str = "uniform") -> Grid:
+    """n nodes on domain: uniform (trapezoid weights), geometric (uniform
+    in log, trapezoid weights h * x) or gauss (composite Gauss-Legendre
+    panels); any other spacing is refused."""
     lo, hi = float(domain[0]), float(domain[1])
     if not lo < hi:
         raise ValueError("need lo < hi")
@@ -134,7 +129,7 @@ def make_grid(domain, n: int, spacing: str = "uniform") -> Grid:
             [base + (i < rem) for i in range(panels)])
     else:
         raise ValueError(f"unknown spacing {spacing!r}")
-    return Grid(nodes=nodes, weights=weights, spacing=spacing, domain=(lo, hi))
+    return Grid(nodes=nodes, weights=weights, domain=(lo, hi))
 
 
 def v_matched_grids(x_domain, n: int):
@@ -154,8 +149,7 @@ def v_matched_grids(x_domain, n: int):
     wt = h * t
     wt[0] *= 0.5
     wt[-1] *= 0.5
-    gt = Grid(nodes=t, weights=wt, spacing="geometric",
-              domain=(float(t[0]), float(t[-1])))
+    gt = Grid(nodes=t, weights=wt, domain=(float(t[0]), float(t[-1])))
     return gx, gt
 
 
@@ -226,26 +220,24 @@ def _gram_fast_path(spec: SymbolSpec, grid: Grid, combine: str) -> np.ndarray:
 
 
 def _section(kernel, grid: Grid, combine: str) -> np.ndarray:
-    """Dense symmetric section of a spec or callable kernel on the grid."""
+    """Dense symmetric section of a callable kernel, or a spec of one of
+    the combine rule's SIDE_KINDS, on the grid."""
     key = (combine, kernel.kind if isinstance(kernel, SymbolSpec) else None)
+    if key[1] is not None and key[1] not in SIDE_KINDS[combine]:
+        raise ValueError(f"{key[1]!r} is not a {combine}-side kernel")
     if key in _GRAM_KINDS:
         return _gram_fast_path(kernel, grid, combine)
     return _assemble(_kernel_callable(kernel), grid.nodes,
                      np.sqrt(grid.weights), combine)
 
 
-def _wrap_operator(matrix: np.ndarray, grid: Grid,
-                   what: str) -> NystromOperator:
-    lm = LinearMap(rows=grid.n, cols=grid.n, symmetric=True,
-                   matvec=lambda u: matrix @ u,
-                   description=f"{what} section, n={grid.n} "
-                               f"[{grid.domain[0]:g}, {grid.domain[1]:g}] "
-                               f"{grid.spacing}",
+def _wrap_operator(matrix: np.ndarray, grid: Grid) -> NystromOperator:
+    lm = LinearMap(cols=grid.n, matvec=lambda u: matrix @ u,
                    dense=lambda: matrix)
     return NystromOperator(grid=grid, map=lm)
 
 
-def nystrom_hankel(b, grid: Grid, max_nodes: int = 4096) -> NystromOperator:
+def nystrom_hankel(b, grid: Grid, max_nodes=MAX_DENSE) -> NystromOperator:
     """Section of the additive kernel: entries sqrt(w_m) b(x_m+x_n) sqrt(w_n).
 
     b0 is the Gram factor E E^T of its weight rule; b1 = hankel_b - b0
@@ -253,10 +245,10 @@ def nystrom_hankel(b, grid: Grid, max_nodes: int = 4096) -> NystromOperator:
     """
     if grid.n > max_nodes:
         raise ConstructionError(f"dense assembly capped at {max_nodes} nodes")
-    return _wrap_operator(_section(b, grid, "sum"), grid, "additive-kernel")
+    return _wrap_operator(_section(b, grid, "sum"), grid)
 
 
-def nystrom_helson(a, grid: Grid, max_nodes: int = 4096) -> NystromOperator:
+def nystrom_helson(a, grid: Grid, max_nodes=MAX_DENSE) -> NystromOperator:
     """Section of the multiplicative kernel: sqrt(w_m) a(t_m t_n) sqrt(w_n).
 
     a0 is the Gram factor E E^T of its weight rule; a1 = helson_a - a0
@@ -266,8 +258,7 @@ def nystrom_helson(a, grid: Grid, max_nodes: int = 4096) -> NystromOperator:
         raise ConstructionError("multiplicative sections need lo >= 1")
     if grid.n > max_nodes:
         raise ConstructionError(f"dense assembly capped at {max_nodes} nodes")
-    return _wrap_operator(_section(a, grid, "product"), grid,
-                          "multiplicative-kernel")
+    return _wrap_operator(_section(a, grid, "product"), grid)
 
 
 def nystrom_difference(full: NystromOperator,
@@ -280,8 +271,7 @@ def nystrom_difference(full: NystromOperator,
     """
     if full.grid is not smooth.grid:
         raise ValueError("difference of sections on different grids")
-    return _wrap_operator(full.dense() - smooth.dense(), full.grid,
-                          "difference-kernel")
+    return _wrap_operator(full.dense() - smooth.dense(), full.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +322,7 @@ def weighted_operator(kind: str, w_spec: SymbolSpec, grid: Grid) -> NystromOpera
         raise ConstructionError("weight takes negative values on the grid")
     M = _assemble(_WEIGHTED_KERNELS[kind], grid.nodes,
                   np.sqrt(wvals * grid.weights), "sum")
-    return _wrap_operator(M, grid, f"weighted-{kind}")
+    return _wrap_operator(M, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +381,6 @@ def log_window_smooth_section(alpha: float, n: int) -> NystromOperator:
 
     def mv(vec):
         vec = np.asarray(vec, dtype=float)
-        if vec.shape != (n,):
-            raise ValueError(f"expected a length-{n} vector, got {vec.shape}")
         return conv(s * (s * corr(vec)))
 
     def dense():
@@ -402,10 +390,7 @@ def log_window_smooth_section(alpha: float, n: int) -> NystromOperator:
         E = E * s[None, :]
         return E @ E.T
 
-    grid = Grid(nodes=u, weights=np.full(n, h), spacing="uniform",
+    grid = Grid(nodes=u, weights=np.full(n, h),
                 domain=(float(u[0]), float(u[-1])))
-    lm = LinearMap(rows=n, cols=n, symmetric=True, matvec=mv,
-                   description=f"log-coordinate smooth section n={n} "
-                               f"step={h:g} window=[{u[0]:g}, {u[-1]:g}]",
-                   dense=dense)
-    return NystromOperator(grid=grid, map=lm)
+    return NystromOperator(grid=grid,
+                           map=LinearMap(cols=n, matvec=mv, dense=dense))

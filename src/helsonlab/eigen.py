@@ -19,9 +19,12 @@ the matrix sections of this package resolve only a handful of
 eigenvalues and use up their Krylov space within a few dozen steps.
 Every reported Ritz pair carries its residual bound, |beta_m| |last
 eigenvector component| plus the couplings dropped at deflations; under
-semi-orthogonality it holds up to O(eps |A|).
-Dense spectra, and the Ritz values of the Lanczos tridiagonal, come
-from LAPACK through ``np.linalg.eigvalsh`` / ``np.linalg.eigh``.
+semi-orthogonality it holds up to O(eps |A|), and a sweep converges
+once every bound it reports is at most _TOL.
+Every map here is symmetric (structured_ops.LinearMap); a dense matrix
+is checked for symmetry before its solve.  Dense spectra, and the Ritz
+values of the Lanczos tridiagonal, come from LAPACK through
+``np.linalg.eigvalsh`` / ``np.linalg.eigh``.
 """
 
 from __future__ import annotations
@@ -30,16 +33,20 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
-from helsonlab.structured_ops import LinearMap, dense_matrix
+from helsonlab.structured_ops import (LinearMap, _check_dense_order,
+                                      dense_matrix)
 
 # a negative Lanczos Ritz value smaller than this fraction of lambda_1+ is
 # rounding noise of a nearly-PSD operator: lanczos_extreme leaves it out
 # of lambda_minus and singular, and its lambda_min_alg reads 0
 _NEG_SNAP = 1e-12
+
+# residual bound, relative to the largest |Ritz value|, of a converged pair
+_TOL = 1e-10
 
 
 @dataclass
@@ -177,23 +184,20 @@ def _split_signs(vals_desc: np.ndarray):
     return np.sort(pos)[::-1], np.sort(neg)[::-1]
 
 
-def dense_eig_oracle(target: Union[LinearMap, np.ndarray],
-                     max_size: int = 4096) -> Spectrum:
+def dense_eig_oracle(target: Union[LinearMap, np.ndarray]) -> Spectrum:
     """Full spectrum of a real symmetric map or matrix (LAPACK eigvalsh).
 
     The input must be square, real and symmetric to 1e-12 of its largest
-    entry, and at most max_size wide; it is symmetrized before the solve.
+    entry, and at most structured_ops.MAX_DENSE wide; it is symmetrized
+    before the solve.
     """
     if isinstance(target, LinearMap):
-        if not target.symmetric:
-            raise ValueError("dense oracle requires a symmetric map")
-        M = dense_matrix(target, max_size=max_size)
+        M = dense_matrix(target)
     else:
         M = np.asarray(target, dtype=float)
         if M.shape[0] != M.shape[1]:
             raise ValueError("need a square matrix")
-        if M.shape[0] > max_size:
-            raise ValueError(f"refusing to densify beyond {max_size}")
+        _check_dense_order(M.shape[0])
     if np.iscomplexobj(M):
         raise ValueError("dense oracle is real-symmetric only")
     scale = float(np.max(np.abs(M))) if M.size else 0.0
@@ -206,7 +210,7 @@ def dense_eig_oracle(target: Union[LinearMap, np.ndarray],
                     singular=np.sort(np.abs(vals))[::-1],
                     residuals=np.zeros(vals.size),
                     meta={"dim": int(M.shape[0]), "iterations": int(M.shape[0]),
-                          "seed": None, "tol": 1e-10, "method": "dense",
+                          "seed": None, "tol": _TOL, "method": "dense",
                           "converged": True})
 
 
@@ -224,8 +228,8 @@ _EPS = float(np.finfo(float).eps)
 _SEMI_ORTH = math.sqrt(_EPS)
 
 
-def _lanczos_sweep(lm: LinearMap, k: int, tol: float, max_iter: int,
-                   rng, negate: bool = False):
+def _lanczos_sweep(lm: LinearMap, k: int, max_iter: int, rng,
+                   negate: bool = False):
     """Top-k algebraic Ritz values of (-1)^negate * lm with residuals.
 
     The basis is kept semi-orthogonal, |q_i.q_j| <= sqrt(eps), by
@@ -373,24 +377,24 @@ def _lanczos_sweep(lm: LinearMap, k: int, tol: float, max_iter: int,
             checked = m
             # right after a restart the Ritz values are those of an
             # invariant subspace, not yet the top k
-            if (np.all(res[top] <= tol) and beta_last > 0.0) or m >= n:
+            if (np.all(res[top] <= _TOL) and beta_last > 0.0) or m >= n:
                 break
     if checked != m:
         vals, res, top = ritz()
-    converged = bool(np.all(res[top] <= tol))
+    converged = bool(np.all(res[top] <= _TOL))
     return sign * vals[top], res[top], m, converged, passes
 
 
 def lanczos_extreme(lm: LinearMap, k: int, which: str = "largest",
-                    tol: float = 1e-10, max_iter: Optional[int] = None,
                     seed: int = 0) -> Spectrum:
     """Extreme eigenvalues of a symmetric map, residual-certified.
 
     which = largest | both_ends.  The largest-end sweep always runs;
     both_ends adds a sweep of the negated map for the bottom end.
     Deterministic for a fixed seed (start vectors from one PCG64 stream,
-    fixed reduction order).  Non-convergence is reported through
-    meta["converged"], not raised.  meta["iterations"] counts the Lanczos
+    fixed reduction order).  Each end runs at most min(n, max(4k + 32,
+    128)) steps and converges once every residual bound is at most _TOL;
+    non-convergence is reported through meta["converged"], not raised.  meta["iterations"] counts the Lanczos
     steps of both ends and meta["reorthogonalized"] those of them that
     ran a Gram-Schmidt pass against the basis.
     lambda_minus (and, for both_ends, singular) lists only negative Ritz
@@ -402,25 +406,19 @@ def lanczos_extreme(lm: LinearMap, k: int, which: str = "largest",
     the deflation floor (1e-14 of its largest Lanczos coefficient) gives
     only the Ritz values that space holds.
     """
-    if not lm.symmetric:
-        raise ValueError("lanczos_extreme requires a symmetric map")
-    if lm.rows != lm.cols:
-        raise ValueError("square maps only")
     if not 1 <= k < lm.cols:
         raise ValueError("need 1 <= k < dim")
     if which not in ("largest", "both_ends"):
         raise ValueError(f"unknown which={which!r}")
     n = lm.cols
-    if max_iter is None:
-        max_iter = min(n, max(4 * k + 32, 128))
-    max_iter = min(max_iter, n)
+    max_iter = min(n, max(4 * k + 32, 128))
     rng = np.random.default_rng(seed)
 
-    meta = {"dim": n, "seed": seed, "tol": tol, "iterations": 0,
+    meta = {"dim": n, "seed": seed, "tol": _TOL, "iterations": 0,
             "reorthogonalized": 0, "converged": True, "method": "lanczos"}
 
     def sweep(negate: bool):
-        vals, res, it, ok, passes = _lanczos_sweep(lm, k, tol, max_iter, rng,
+        vals, res, it, ok, passes = _lanczos_sweep(lm, k, max_iter, rng,
                                                    negate=negate)
         meta["iterations"] += it
         meta["reorthogonalized"] += passes

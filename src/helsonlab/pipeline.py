@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import numbers
 import pathlib
 from dataclasses import dataclass, field, replace
 
@@ -32,9 +33,9 @@ from helsonlab.discretize import (log_window_smooth_section,
                                   nystrom_helson, v_matched_grids)
 from helsonlab.eigen import (Spectrum, dense_eig_oracle, lanczos_extreme,
                              spectrum_to_csv, write_meta_sidecar)
-from helsonlab.structured_ops import (HelsonTruncation, LinearMap,
-                                      build_helson, build_smooth_helson,
-                                      difference_section)
+from helsonlab.structured_ops import (MAX_DENSE, HelsonTruncation,
+                                      LinearMap, build_helson,
+                                      build_smooth_helson, difference_section)
 from helsonlab.symbols import SymbolSpec
 
 # solve() gives sections at or below this order the full dense spectrum;
@@ -58,6 +59,12 @@ class StageError(RuntimeError):
         self.stage = stage
 
 
+def _need_int(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _refuse_unknown(where: str, blob: dict, known) -> None:
     unknown = sorted(set(blob) - set(known))
     if unknown:
@@ -74,7 +81,14 @@ class RunConfig:
     out_dir: str = "chain_out"
 
     def __post_init__(self):
-        self.sizes = tuple(int(s) for s in self.sizes)
+        if isinstance(self.alpha, bool) or \
+                not isinstance(self.alpha, numbers.Real):
+            raise ValueError(f"alpha must be real, got {self.alpha!r}")
+        if not isinstance(self.sizes, (list, tuple)):
+            raise ValueError(f"sizes must be a list, got {self.sizes!r}")
+        self.sizes = tuple(_need_int("sizes", s) for s in self.sizes)
+        self.helson_cap = _need_int("helson_cap", self.helson_cap)
+        self.nystrom_n = _need_int("nystrom_n", self.nystrom_n)
         if not self.sizes or any(s < 2 for s in self.sizes):
             raise ValueError("sizes must be >= 2")
         if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
@@ -84,7 +98,7 @@ class RunConfig:
         if self.nystrom_n < 8:
             raise ValueError("nystrom_n too small")
         _refuse_unknown("solver", self.solver, ("seed",))
-        self.solver = {"seed": 0, **self.solver}
+        self.solver = {"seed": _need_int("seed", self.solver.get("seed", 0))}
 
     def to_json(self) -> dict:
         return {
@@ -142,7 +156,7 @@ def solve(lm: LinearMap, k: int = _LANCZOS_K, seed: int = 0,
 
     Orders up to _DENSE_LIMIT get the full dense spectrum; larger ones
     get k Lanczos pairs per requested end, started from seed and
-    certified to lanczos_extreme's default residual tolerance.
+    certified to lanczos_extreme's residual tolerance.
     """
     if lm.cols <= _DENSE_LIMIT:
         return dense_eig_oracle(lm)
@@ -170,15 +184,15 @@ def _write_spectrum(spec: Spectrum, out_dir: pathlib.Path, name: str,
         report["unconverged"].append(name)
 
 
-def _top_agreement(sa: Spectrum, sb: Spectrum, count: int = 20) -> dict:
-    """Relative agreement of the leading positive eigenvalues.
+def _top_agreement(sa: Spectrum, sb: Spectrum) -> dict:
+    """Relative agreement of the leading 20 positive eigenvalues.
 
     Entries below NOISE_FLOOR * lambda_1 on either side are excluded: matched
     discretizations agree entrywise to rounding, so eigenvalues under
     the solver's absolute noise floor carry no information and their
     relative differences are meaningless.
     """
-    m = min(sa.lambda_plus.size, sb.lambda_plus.size, count)
+    m = min(sa.lambda_plus.size, sb.lambda_plus.size, 20)
     if m == 0:
         return {"compared": 0, "max_rel_diff": 0.0, "floor": NOISE_FLOOR}
     a = sa.lambda_plus[:m]
@@ -254,7 +268,7 @@ def run_chain(config: RunConfig) -> dict:
 
     with stage("row_integrals"):
         gx, gt = v_matched_grids(_X_DOMAIN, config.nystrom_n)
-        max_nodes = max(4096, config.nystrom_n)
+        max_nodes = max(MAX_DENSE, config.nystrom_n)
         integral_spectra: dict = {}
         # per grid, row 0 is the smooth part's Gram product E E^T, built
         # once, and row 1 the closed-form full kernel minus that product

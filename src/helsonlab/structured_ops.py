@@ -18,8 +18,9 @@ exact row and column 1) and the full symbol minus its smooth part
 the second with sign -).  Any other multiplicative symbol streams rows
 through HelsonTruncation in O(N^2) time with O(N) memory; that path
 also serves as the entrywise oracle of the factored ones.  All are
-wrapped in the same LinearMap so the eigensolver does not care which
-one it is driving.
+wrapped in the same LinearMap, a square symmetric map (every section
+here is self-adjoint), so the eigensolver does not care which one it
+is driving.
 """
 
 from __future__ import annotations
@@ -29,56 +30,62 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from helsonlab.symbols import (RULE_NODES, DomainError, SymbolSpec,
-                               _exponential_sum_rule, _weight_of,
+from helsonlab.symbols import (RULE_NODES, SIDE_KINDS, DomainError,
+                               SymbolSpec, _exponential_sum_rule, _weight_of,
                                _weight_rule, sequence_values)
 
 # rows per evaluation block in the streaming multiplicative matvec;
 # keeps the working set at ~64 rows regardless of N
 _BLOCK_BUDGET = 1 << 18
 
+# largest order any section or matrix is densified at
+MAX_DENSE = 4096
+
+
+def _check_dense_order(n: int) -> None:
+    if n > MAX_DENSE:
+        raise ValueError(f"refusing to densify beyond {MAX_DENSE}")
+
 
 @dataclass(frozen=True)
 class LinearMap:
-    """Matrix-free linear operator with explicit shape and symmetry flag.
+    """Matrix-free symmetric operator on vectors of length cols.
 
-    dense, when set, returns the explicit matrix from entries the
-    constructor already holds, so densifying costs no matvecs.
+    matvec is called only through apply, which checks the length of its
+    argument and of its result.  dense, when set, returns the explicit
+    matrix from entries the constructor already holds, so densifying
+    costs no matvecs.
     """
 
-    rows: int
     cols: int
-    symmetric: bool
     matvec: Callable
-    description: str = ""
     dense: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("map shape must be positive")
+        if self.cols < 1:
+            raise ValueError("map order must be positive")
 
     def apply(self, u):
         u = np.asarray(u)
         if u.shape != (self.cols,):
             raise ValueError(f"expected a length-{self.cols} vector, got {u.shape}")
         out = np.asarray(self.matvec(u))
-        if out.shape != (self.rows,):
+        if out.shape != (self.cols,):
             raise ValueError("matvec returned a wrong-shaped vector")
         return out
 
 
-def dense_matrix(lm: LinearMap, max_size: int = 4096) -> np.ndarray:
+def dense_matrix(lm: LinearMap) -> np.ndarray:
     """Explicit matrix of the map, the input of the dense eigensolver.
 
     Uses lm.dense when the constructor set it (the result may be the
     map's own storage: do not modify it) and otherwise applies the map
-    to each unit vector in turn.
+    to each unit vector in turn.  Refuses orders above MAX_DENSE.
     """
-    if max(lm.rows, lm.cols) > max_size:
-        raise ValueError(f"refusing to densify beyond {max_size}")
+    _check_dense_order(lm.cols)
     if lm.dense is not None:
         return lm.dense()
-    out = np.zeros((lm.rows, lm.cols))
+    out = np.zeros((lm.cols, lm.cols))
     e = np.zeros(lm.cols)
     for k in range(lm.cols):
         e[k] = 1.0
@@ -183,9 +190,7 @@ def build_hankel(b) -> LinearMap:
     N = (b.size + 1) // 2
     conv = _overlap_save(b, N - 1, N)
     idx = np.arange(N)
-    return LinearMap(rows=N, cols=N, symmetric=True,
-                     matvec=lambda u: conv(u[::-1]),
-                     description=f"hankel section N={N} (overlap-save matvec)",
+    return LinearMap(cols=N, matvec=lambda u: conv(u[::-1]),
                      dense=lambda: b[idx[:, None] + idx[None, :]])
 
 
@@ -194,8 +199,11 @@ def build_hankel(b) -> LinearMap:
 
 
 def _product_contract(a) -> Callable:
-    """Vectorized n -> a(n) on integers, from a SymbolSpec or a callable."""
+    """Vectorized n -> a(n) on integers, from a SymbolSpec of a
+    multiplicative kind or a callable."""
     if isinstance(a, SymbolSpec):
+        if a.kind not in SIDE_KINDS["product"]:
+            raise ValueError(f"{a.kind!r} is not a multiplicative symbol")
         return lambda n: sequence_values(a, n)
     if callable(a):
         return lambda n: np.asarray(a(np.asarray(n)), dtype=float)
@@ -239,9 +247,8 @@ class HelsonTruncation:
                 ) from exc
         return out
 
-    def dense(self, max_size: int = 4096) -> np.ndarray:
-        if self.N > max_size:
-            raise ValueError(f"refusing to densify beyond {max_size}")
+    def dense(self) -> np.ndarray:
+        _check_dense_order(self.N)
         return self._row_block(0, self.N)
 
     def matvec(self, u):
@@ -267,15 +274,13 @@ def build_helson(a, N: int) -> LinearMap:
     N <= 2^18; a matvec costs O(N R) and dense() returns the factor's own
     matrix.  Index 1 stays out of the Gram part: the sum diverges at
     jk = 2, and the smallest product left, 4, is where it converges.
-    Every other input (callables, other kinds) streams rows through
-    HelsonTruncation in O(N^2) per matvec.
+    Every other input (callables, the other multiplicative kinds)
+    streams rows through HelsonTruncation in O(N^2) per matvec.
     """
     if isinstance(a, SymbolSpec) and a.kind == "helson_a":
         return _helson_gram(a, N)
     T = HelsonTruncation(a, N)
-    return LinearMap(rows=N, cols=N, symmetric=True, matvec=T.matvec,
-                     description=f"multiplicative section N={N} (streamed matvec)",
-                     dense=T.dense)
+    return LinearMap(cols=N, matvec=T.matvec, dense=T.dense)
 
 
 def _dirichlet_factor(x, s, log_m) -> np.ndarray:
@@ -306,15 +311,12 @@ class GramSection(LinearMap):
     head: Optional[np.ndarray] = None
 
 
-def _gram_section(plus: np.ndarray, minus, head, what: str) -> GramSection:
-    """Symmetric GramSection; head, when given, is added to row 1 and to
-    column 1 (entry (1,1) once) on top of the Gram part."""
+def _gram_section(plus: np.ndarray, minus, head) -> GramSection:
+    """GramSection; head, when given, is added to row 1 and to column 1
+    (entry (1,1) once) on top of the Gram part."""
     N = plus.shape[0]
 
     def mv(u):
-        u = np.asarray(u)
-        if u.shape != (N,):
-            raise ValueError(f"expected a length-{N} vector, got {u.shape}")
         out = plus @ (plus.T @ u)
         if minus is not None:
             out -= minus @ (minus.T @ u)
@@ -332,11 +334,8 @@ def _gram_section(plus: np.ndarray, minus, head, what: str) -> GramSection:
             M[1:, 0] += head[1:]
         return M
 
-    nodes = plus.shape[1] + (0 if minus is None else minus.shape[1])
-    return GramSection(rows=N, cols=N, symmetric=True, matvec=mv,
-                       description=f"{what} N={N} (Gram factor, "
-                                   f"{nodes} nodes)",
-                       dense=dense, plus=plus, minus=minus, head=head)
+    return GramSection(cols=N, matvec=mv, dense=dense, plus=plus,
+                       minus=minus, head=head)
 
 
 def _smooth_nodes(spec: SymbolSpec):
@@ -357,7 +356,7 @@ def _helson_gram(spec: SymbolSpec, N: int) -> GramSection:
     F = _dirichlet_factor(np.arange(1, N + 1, dtype=float), s, log_c)
     F[0] = 0.0
     head = sequence_values(spec, np.arange(1, N + 1))
-    return _gram_section(F, None, head, "multiplicative section")
+    return _gram_section(F, None, head)
 
 
 def difference_section(full: GramSection, smooth: GramSection) -> GramSection:
@@ -374,8 +373,7 @@ def difference_section(full: GramSection, smooth: GramSection) -> GramSection:
             smooth.head is not None:
         raise ValueError("difference_section takes two positive Gram "
                          "sections, the second without a head")
-    return _gram_section(full.plus, smooth.plus, full.head,
-                         "difference multiplicative section")
+    return _gram_section(full.plus, smooth.plus, full.head)
 
 
 def build_smooth_helson(spec: SymbolSpec, N: int) -> GramSection:
@@ -392,4 +390,4 @@ def build_smooth_helson(spec: SymbolSpec, N: int) -> GramSection:
         raise ValueError("N must be positive")
     lam, log_rho = _smooth_nodes(spec)
     F = _dirichlet_factor(np.arange(1, N + 1, dtype=float), lam, log_rho)
-    return _gram_section(F, None, None, "smooth multiplicative section")
+    return _gram_section(F, None, None)

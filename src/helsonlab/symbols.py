@@ -46,6 +46,10 @@ T0 = 16.0
 
 KINDS = ("helson_a", "hankel_b", "weight_w", "a0", "a1", "b0", "b1", "custom")
 
+# kernels a(jk), a(ts) of the product side and b(x+y) of the sum side
+SIDE_KINDS = {"product": ("helson_a", "a0", "a1", "custom"),
+              "sum": ("hankel_b", "b0", "b1", "custom")}
+
 
 class DomainError(ValueError):
     """Argument outside the symbol's real-valued domain."""

@@ -1,6 +1,8 @@
 import importlib.util
+import numbers
 import pathlib
 import sys
+import time
 
 import pytest
 
@@ -40,3 +42,24 @@ def test_every_layer_span_attaches_and_is_undone(spans):
     assert tracer._patches == []
     for owner, attr, orig in patched:
         assert _current(owner, attr) is orig, attr
+
+
+def test_traced_tiny_chain_reports_every_layer(spans, tmp_path):
+    # the hooks read package attributes (LinearMap.cols, Grid.n,
+    # NystromOperator.map) that only a traced run touches
+    from helsonlab.pipeline import RunConfig, run_chain
+
+    cfg = RunConfig(alpha=1.0, sizes=(16, 48), nystrom_n=32,
+                    out_dir=str(tmp_path))
+    tracer = spans.Tracer()
+    t0 = time.perf_counter()
+    with tracer.installed(spans.install_layers):
+        report = run_chain(cfg)
+    metrics = spans.layer_metrics(tracer, time.perf_counter() - t0)
+    assert report["stages"][-1] == "negativity"
+    # trace.overhead_s needs an untraced run to compare against
+    assert set(metrics) == set(spans.LAYER_UNITS) - {"trace.overhead_s"}
+    for name, value in metrics.items():
+        assert isinstance(value, numbers.Real), name
+    assert metrics["discretize.nystrom.entries"] == 4 * 32 ** 2
+    assert metrics["eigen.dense_eig.max_dim"] == 48

@@ -85,6 +85,14 @@ class TestSpectrum:
         rows = out.strip().splitlines()
         assert len(rows) == 6  # header + 5
 
+    def test_negative_topk_is_usage_error(self, capsys):
+        # a negative count would cut entries off the end of each column
+        code, out, err = _run(capsys, "spectrum", "--operator", "helson",
+                              "--size", "8", "--topk", "-3")
+        assert code == 2
+        assert out == ""
+        assert "--topk" in err
+
     def test_smooth_matrix_section_is_psd(self, tmp_path, capsys):
         out_csv = tmp_path / "smooth.csv"
         code, _, _ = _run(capsys, "spectrum", "--operator", "hankel",
@@ -347,6 +355,21 @@ class TestChainVerb:
         code, _, err = _run(capsys, "chain", "--config", str(cfg_path))
         assert code == 2
         assert "weight_zero" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("cfg, field", [
+        ({"sizes": [32, 64], "helson_cap": "64"}, "helson_cap"),
+        ({"sizes": [32, 64], "solver": {"seed": "abc"}}, "seed"),
+        ({"sizes": [32, 64.0]}, "sizes"),
+        ({"alpha": "1", "sizes": [32, 64]}, "alpha"),
+    ])
+    def test_wrong_config_type_exits_two(self, cfg, field, tmp_path, capsys):
+        cfg = dict(cfg, outputs={"dir": str(tmp_path / "o")})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, err = _run(capsys, "chain", "--config", str(cfg_path))
+        assert code == 2
+        assert field in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("part, key", [

@@ -93,13 +93,13 @@ class TestMakeGrid:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             Grid(nodes=np.array([1.0, 0.5]), weights=np.array([1.0, 1.0]),
-                 spacing="uniform", domain=(0.0, 1.0))
+                 domain=(0.0, 1.0))
         with pytest.raises(ValueError):
             Grid(nodes=np.array([0.0, 1.0]), weights=np.array([1.0, -1.0]),
-                 spacing="uniform", domain=(0.0, 1.0))
+                 domain=(0.0, 1.0))
         with pytest.raises(ValueError):
             Grid(nodes=np.array([0.0, 2.0]), weights=np.array([1.0, 1.0]),
-                 spacing="uniform", domain=(0.0, 1.0))
+                 domain=(0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +221,28 @@ class TestNystromHelson:
         top_a = ea.lambda_plus[:10]
         top_b = eb.lambda_plus[:10]
         assert np.abs(top_a - top_b).max() <= 1e-10 * top_a[0]
+
+
+class TestSideKinds:
+    # a section takes callables and the kinds of its own side; the other
+    # side's kinds and the weight are refused by name
+    @pytest.mark.parametrize("build, kind", [
+        ("hankel", "a0"), ("hankel", "helson_a"), ("hankel", "a1"),
+        ("hankel", "weight_w"), ("helson", "b0"), ("helson", "hankel_b"),
+        ("helson", "b1"), ("helson", "weight_w"),
+    ])
+    def test_other_sides_kind_refused_by_name(self, build, kind):
+        gx, gt = v_matched_grids((0.0, 18.0), 16)
+        build, grid = {"hankel": (nystrom_hankel, gx),
+                       "helson": (nystrom_helson, gt)}[build]
+        with pytest.raises(ValueError, match=repr(kind)):
+            build(SymbolSpec(kind, alpha=1.0), grid)
+
+    def test_custom_accepted_on_both_sides(self):
+        gx, gt = v_matched_grids((0.0, 18.0), 16)
+        spec = SymbolSpec("custom", fn=lambda x: 1.0 / (1.0 + x))
+        assert nystrom_hankel(spec, gx).map.cols == 16
+        assert nystrom_helson(spec, gt).map.cols == 16
 
 
 class TestDifferenceKernels:

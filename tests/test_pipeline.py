@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 import os
@@ -10,6 +9,7 @@ import numpy as np
 import pytest
 
 import helsonlab.discretize as discretize
+import helsonlab.eigen as eigen
 import helsonlab.pipeline as pipeline
 import helsonlab.structured_ops as structured_ops
 from helsonlab.eigen import Spectrum, spectrum_from_csv
@@ -33,6 +33,30 @@ class TestRunConfig:
     def test_invalid_fields(self, kw):
         with pytest.raises(ValueError):
             RunConfig(**kw)
+
+    @pytest.mark.parametrize("kw, field", [
+        (dict(alpha=True), "alpha"), (dict(alpha="1"), "alpha"),
+        (dict(sizes=(32, 64.0)), "sizes"), (dict(sizes=(32, "64")), "sizes"),
+        (dict(sizes=(True, 64)), "sizes"), (dict(sizes="64"), "sizes"),
+        (dict(helson_cap="64"), "helson_cap"),
+        (dict(helson_cap=64.0), "helson_cap"),
+        (dict(nystrom_n=True), "nystrom_n"),
+        (dict(nystrom_n=48.5), "nystrom_n"),
+        (dict(solver={"seed": "abc"}), "seed"),
+        (dict(solver={"seed": 1.0}), "seed"),
+        (dict(solver={"seed": False}), "seed"),
+    ])
+    def test_wrong_types_refused_by_name(self, kw, field):
+        with pytest.raises(ValueError, match=field):
+            RunConfig(**kw)
+
+    def test_integer_like_values_accepted(self):
+        cfg = RunConfig(alpha=2, sizes=[np.int64(32), 64],
+                        helson_cap=np.int64(32), solver={"seed": np.int32(4)})
+        assert cfg.sizes == (32, 64)
+        assert type(cfg.helson_cap) is int
+        assert type(cfg.solver["seed"]) is int
+        json.dumps(cfg.to_json())
 
     def test_from_json_validates(self):
         with pytest.raises(ValueError, match="sizes"):
@@ -239,11 +263,13 @@ def test_negativity_window_ignores_fit_window(monkeypatch, tmp_path):
 
 def test_unconverged_solve_listed_in_report(monkeypatch, tmp_path):
     # the headline at n = 1024 takes the Lanczos route with k = 24 pairs
-    # (the fit window's top index) and at most 45 iterations, which stop
+    # (the fit window's top index) and sweeps cut to 45 steps, which stop
     # before the first Ritz check at step 2k + 16 = 64 and cannot converge
-    monkeypatch.setattr(pipeline, "lanczos_extreme",
-                        functools.partial(pipeline.lanczos_extreme,
-                                          max_iter=45))
+    sweep = eigen._lanczos_sweep
+    monkeypatch.setattr(
+        eigen, "_lanczos_sweep",
+        lambda lm, k, max_iter, rng, negate=False:
+            sweep(lm, k, min(max_iter, 45), rng, negate=negate))
     monkeypatch.setattr(pipeline, "_FIT_WINDOW", (4, 24))
     cfg = RunConfig(alpha=1.0, sizes=(24, 1024), helson_cap=24,
                     nystrom_n=48, out_dir=str(tmp_path))
@@ -320,13 +346,13 @@ def test_integral_row1_is_closed_form_minus_row0_gram(monkeypatch, tmp_path):
 
 
 def _row1_without_head(full, smooth):
-    return structured_ops._gram_section(full.plus, smooth.plus, None,
-                                        "row 1 without row and column 1")
+    # row 1 without its exact row and column 1
+    return structured_ops._gram_section(full.plus, smooth.plus, None)
 
 
 def _row1_without_minus(full, smooth):
-    return structured_ops._gram_section(full.plus, None, full.head,
-                                        "row 1 without the smooth factor")
+    # row 1 without the smooth factor
+    return structured_ops._gram_section(full.plus, None, full.head)
 
 
 @pytest.mark.parametrize("broken", [_row1_without_head, _row1_without_minus])
@@ -397,7 +423,7 @@ def test_shipped_defaults_finish_under_memory_cap(tmp_path):
 
 
 def _identity(n: int) -> LinearMap:
-    return LinearMap(n, n, True, lambda u: u, "identity")
+    return LinearMap(n, lambda u: u)
 
 
 class TestSolvePolicy:

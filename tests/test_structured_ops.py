@@ -3,10 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+import helsonlab.structured_ops as structured_ops
 from helsonlab.discretize import (log_window_smooth_section, nystrom_hankel,
                                   nystrom_helson, v_matched_grids)
 from helsonlab.structured_ops import (
-    HelsonTruncation, LinearMap, build_hankel, build_helson,
+    GramSection, HelsonTruncation, LinearMap, build_hankel, build_helson,
     build_smooth_helson, dense_matrix, difference_section,
 )
 from helsonlab.symbols import DomainError, SymbolSpec, sequence_values
@@ -19,13 +20,15 @@ def hilbert_b(N):
 
 class TestLinearMap:
     def test_shape_checks(self):
-        lm = LinearMap(2, 3, False, lambda u: np.zeros(2))
+        lm = LinearMap(3, lambda u: np.zeros(3))
         with pytest.raises(ValueError):
             lm.apply(np.zeros(2))
-        assert lm.apply(np.zeros(3)).shape == (2,)
+        assert lm.apply(np.zeros(3)).shape == (3,)
+        with pytest.raises(ValueError):
+            LinearMap(0, lambda u: u)
 
     def test_bad_matvec_shape_detected(self):
-        lm = LinearMap(2, 2, False, lambda u: np.zeros(3))
+        lm = LinearMap(2, lambda u: np.zeros(3))
         with pytest.raises(ValueError):
             lm.apply(np.zeros(2))
 
@@ -54,20 +57,20 @@ class TestDenseShortcut:
         assert lm.dense is not None
         by_columns = dense_matrix(dataclasses.replace(lm, dense=None))
         got = dense_matrix(lm)
-        assert got.shape == (lm.rows, lm.cols)
+        assert got.shape == (lm.cols, lm.cols)
         scale = np.abs(by_columns).max()
         assert scale > 0
         assert np.abs(got - by_columns).max() <= 1e-14 * scale
-        if lm.symmetric:
-            assert np.abs(by_columns - by_columns.T).max() <= 1e-14 * scale
+        assert np.abs(by_columns - by_columns.T).max() <= 1e-14 * scale
         u = np.random.default_rng(7).standard_normal(lm.cols)
         want = got @ u
         assert np.abs(lm.apply(u) - want).max() <= 1e-14 * np.abs(want).max()
 
-    def test_size_cap_applies_before_shortcut(self):
+    def test_size_cap_applies_before_shortcut(self, monkeypatch):
         lm = build_hankel(hilbert_b(40))
-        with pytest.raises(ValueError):
-            dense_matrix(lm, max_size=39)
+        monkeypatch.setattr(structured_ops, "MAX_DENSE", 39)
+        with pytest.raises(ValueError, match="beyond 39"):
+            dense_matrix(lm)
 
 
 class TestHankel:
@@ -217,6 +220,23 @@ class TestHelson:
         lm = build_helson(bad, 4)
         with pytest.raises(DomainError, match="rows"):
             lm.apply(np.ones(4))
+
+
+    @pytest.mark.parametrize("kind", ["hankel_b", "b0", "b1", "weight_w"])
+    def test_additive_kind_refused_by_name(self, kind):
+        with pytest.raises(ValueError, match=repr(kind)):
+            build_helson(SymbolSpec(kind, alpha=1.0), 8)
+        with pytest.raises(ValueError, match=repr(kind)):
+            HelsonTruncation(SymbolSpec(kind, alpha=1.0), 8)
+
+    @pytest.mark.parametrize("kind", ["a0", "custom"])
+    def test_other_multiplicative_kinds_stream(self, kind):
+        spec = SymbolSpec(kind, alpha=1.0, fn=lambda n: 1.0 / n)
+        lm = build_helson(spec, 8)
+        assert not isinstance(lm, GramSection)
+        M = dense_matrix(lm)
+        n = np.multiply.outer(np.arange(1, 9), np.arange(1, 9))
+        assert np.allclose(M, sequence_values(spec, n), rtol=1e-14, atol=0)
 
 
 class TestDifferenceSection:
