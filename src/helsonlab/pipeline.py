@@ -1,14 +1,18 @@
 """End-to-end orchestration: decomposition rows, spectra, fits, reports.
 
-run_chain drives the whole reduction for one exponent: matrix sections
-of the multiplicative symbol and both of its parts, the matched pair of
+run_chain drives the whole reduction for one exponent: the headline
+section's tail fit against the closed-form constant, matrix sections of
+the multiplicative symbol and both of its parts, the matched pair of
 integral-operator discretizations for each part (row 1 as the closed
 form minus row 0's Gram product on the same grid), cross-checks between
-the rows, the tail fit against the closed-form constant, and the
-negative-part domination check.  The split is always a = a0 + a1 with
-the symbol's own weight; there is no zero-weight mode.  Every stage
-writes its artifacts before the next one starts, so a failure leaves a
-usable partial run.
+the rows, and the negative-part domination check.  The split is always
+a = a0 + a1 with the symbol's own weight; there is no zero-weight mode.
+The headline goes first: its Lanczos basis is the largest block a run
+allocates, and made on a fresh heap it sets a lower peak RSS than on
+top of what the matrix stages leave behind.  Every stage writes its
+artifacts before the next one starts, so a failure leaves a usable
+partial run, and records its seconds and the peak RSS so far under
+"stage_stats".
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ import contextlib
 import json
 import numbers
 import pathlib
+import resource
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -206,10 +212,58 @@ def _top_agreement(sa: Spectrum, sb: Spectrum) -> dict:
             "max_rel_diff": float(np.max(rel)), "floor": NOISE_FLOOR}
 
 
+def _headline_fit(alpha: float, n_top: int, seed: int,
+                  out_dir: pathlib.Path, report: dict) -> None:
+    """Headline section, its spectrum and tail fit into report["fits"].
+
+    The headline is the smooth additive kernel in log coordinates at the
+    top ladder size, the one object whose tail corrections shrink fast
+    enough to observe the power law at desk scale.  Matrix sections get
+    no fit: they resolve only 8-9 eigenvalues above the noise floor, in
+    geometric rather than power-law decay.  The section and its Lanczos
+    basis are dead when this returns.
+    """
+    artifacts = report["artifacts"]
+    fits = {}
+    sec = log_window_smooth_section(alpha, n_top)
+    sp_head = solve(sec.map, k=_FIT_WINDOW[1], seed=seed, which="largest")
+    _write_spectrum(sp_head, out_dir, f"headline_section_n{n_top}", report)
+    lam = sp_head.lambda_plus
+    n0 = min(_FIT_WINDOW[0], max(1, lam.size // 2))
+    n1 = min(_FIT_WINDOW[1], lam.size)
+    if n1 - n0 < 8:
+        report["fit_skipped"] = {"available": int(lam.size),
+                                 "window": list(_FIT_WINDOW)}
+    else:
+        fit = fit_power_tail(lam, (n0, n1))
+        fits["headline"] = dict(fit.to_json(),
+                                object="log_window_smooth_section",
+                                n_nodes=n_top, window=[n0, n1],
+                                kappa_ref=kappa(alpha))
+        ref_n = np.arange(n0, n1 + 1, dtype=float)
+        loglog_figure(
+            out_dir / "fit_figure.svg",
+            [("positive spectrum", np.arange(1, lam.size + 1), lam)],
+            reference=("reference decay", ref_n,
+                       kappa(alpha) / ref_n**alpha),
+            title=f"tail fit, alpha={alpha:g}",
+            x_label="n", y_label="lambda_n")
+        artifacts.append(str(out_dir / "fit_figure.svg"))
+    report["fits"] = fits
+    fit_path = out_dir / "fit_report.json"
+    fit_path.write_text(json.dumps(fits, indent=1, sort_keys=True))
+    artifacts.append(str(fit_path))
+
+
 def run_chain(config: RunConfig) -> dict:
     """Execute the full decomposition run; returns the report bundle.
 
-    Each section is solved only at the sizes a report number reads: row 0
+    Stages run in the order fit, row_matrices, row_integrals,
+    combined_matrix, negativity.  The headline fit comes first so that
+    its Lanczos basis, the largest block of the run, is allocated before
+    the matrix stages grow the heap; negativity comes last, since it
+    reads the row and combined spectra.  Each section is solved only at the sizes a
+    report number reads: row 0
     and the combined section at every matrix size, row 1 once, at the
     negativity size, which is the largest matrix size on the dense route
     (the smallest matrix size if none is); the headline asks for the fit
@@ -217,11 +271,20 @@ def run_chain(config: RunConfig) -> dict:
     gets its CSV and sidecar.  A headline too short for the fit window
     is reported under "fit_skipped" instead of a fit.
     """
+    matrix_sizes = [s for s in config.sizes if s <= config.helson_cap]
+    if not matrix_sizes:
+        raise StageError("config", "no sizes at or below the matrix cap")
+    # the negativity check reads full spectra: the largest matrix size on
+    # the dense route, or the smallest one if every size is above it
+    dense_sizes = [s for s in matrix_sizes if s <= _DENSE_LIMIT]
+    neg_size = dense_sizes[-1] if dense_sizes else matrix_sizes[0]
+
     out_dir = pathlib.Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts: list = []
     report: dict = {"config": config.to_json(), "stages": [],
-                    "artifacts": artifacts, "unconverged": []}
+                    "stage_stats": {}, "artifacts": artifacts,
+                    "unconverged": []}
     alpha = config.alpha
     seed = config.solver["seed"]
 
@@ -229,12 +292,20 @@ def run_chain(config: RunConfig) -> dict:
     def stage(name: str):
         # a StageError keeps its own tag; any other failure gets this one
         report["stages"].append(name)
+        t0 = time.perf_counter()
         try:
             yield
         except StageError:
             raise
         except Exception as exc:
             raise StageError(name, str(exc)) from exc
+        # the process's peak so far: ru_maxrss is in KiB on Linux
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        report["stage_stats"][name] = {
+            "seconds": time.perf_counter() - t0, "peak_rss_mb": peak}
+
+    with stage("fit"):
+        _headline_fit(alpha, config.sizes[-1], seed, out_dir, report)
 
     # row 0 is the smooth part a0 and row 1 the rest a - a0.  Both matrix
     # rows are factored sections: row 0 is the positive Gram matrix over
@@ -247,14 +318,6 @@ def run_chain(config: RunConfig) -> dict:
             return build_smooth_helson(full_spec, size)
         return difference_section(build_helson(full_spec, size),
                                   build_smooth_helson(full_spec, size))
-
-    matrix_sizes = [s for s in config.sizes if s <= config.helson_cap]
-    if not matrix_sizes:
-        raise StageError("config", "no sizes at or below the matrix cap")
-    # the negativity check reads full spectra: the largest matrix size on
-    # the dense route, or the smallest one if every size is above it
-    dense_sizes = [s for s in matrix_sizes if s <= _DENSE_LIMIT]
-    neg_size = dense_sizes[-1] if dense_sizes else matrix_sizes[0]
 
     # row 0 is solved at every matrix size; row 1 only at neg_size, where
     # the negativity stage reads it (the additivity check builds its own)
@@ -328,46 +391,6 @@ def run_chain(config: RunConfig) -> dict:
             spec_sum.singular[:m] - spec_asm.singular[:m]))) / top if m else 0.0
         report["additivity"] = {"size": check_size, "max_rel_diff": add_diff,
                                 "ok": bool(add_diff <= 1e-12)}
-
-    with stage("fit"):
-        fits = {}
-        # headline: the smooth additive kernel in log coordinates at the
-        # top ladder size, the one object whose tail corrections shrink
-        # fast enough to observe the power law at desk scale.  Matrix
-        # sections get no fit: they resolve only 8-9 eigenvalues above
-        # the noise floor, in geometric rather than power-law decay.
-        n_top = config.sizes[-1]
-        sec = log_window_smooth_section(alpha, n_top)
-        sp_head = solve(sec.map, k=_FIT_WINDOW[1], seed=seed,
-                        which="largest")
-        _write_spectrum(sp_head, out_dir, f"headline_section_n{n_top}",
-                        report)
-        lam = sp_head.lambda_plus
-        n0 = min(_FIT_WINDOW[0], max(1, lam.size // 2))
-        n1 = min(_FIT_WINDOW[1], lam.size)
-        if n1 - n0 < 8:
-            report["fit_skipped"] = {"available": int(lam.size),
-                                     "window": list(_FIT_WINDOW)}
-        else:
-            fit = fit_power_tail(lam, (n0, n1))
-            fits["headline"] = dict(fit.to_json(),
-                                    object="log_window_smooth_section",
-                                    n_nodes=n_top, window=[n0, n1],
-                                    kappa_ref=kappa(alpha))
-            ref_n = np.arange(n0, n1 + 1, dtype=float)
-            loglog_figure(
-                out_dir / "fit_figure.svg",
-                [("positive spectrum",
-                  np.arange(1, lam.size + 1), lam)],
-                reference=("reference decay", ref_n,
-                           kappa(alpha) / ref_n**alpha),
-                title=f"tail fit, alpha={alpha:g}",
-                x_label="n", y_label="lambda_n")
-            artifacts.append(str(out_dir / "fit_figure.svg"))
-        report["fits"] = fits
-        fit_path = out_dir / "fit_report.json"
-        fit_path.write_text(json.dumps(fits, indent=1, sort_keys=True))
-        artifacts.append(str(fit_path))
 
     with stage("negativity"):
         spec_full = combined[neg_size]

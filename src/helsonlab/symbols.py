@@ -19,7 +19,10 @@ gauss_panels is the package's one composite Gauss-Legendre rule.  Every
 value, kernel and Gram factor of one weight's smooth part shares its
 cached weight rule of RULE_NODES nodes (a0_quadrature alone takes other
 sizes, to measure convergence); the full symbol's exponential-sum rule
-is cached per alpha.
+is cached per alpha.  The weight rule's panels end at the cutoff band's
+edges CHI_LO and CHI_HI, where w is smooth but not analytic, so that
+RULE_NODES = 605 nodes integrate a0 and b0 to rounding; every smooth
+Gram factor is that many columns wide.
 
 sequence_values restricts one symbol to the integers.  There are no
 per-product sequences of the smooth or difference part: matrix sections
@@ -132,11 +135,23 @@ def _weight_of(spec: SymbolSpec) -> SymbolSpec:
 _RULE_CACHE: dict = {}
 
 # node count of the weight rule, the one size every operator built from a
-# weight uses (Gram consistency)
-RULE_NODES = 2000
+# weight uses (Gram consistency): 11 Gauss nodes on each of the shipped
+# weight's 55 panels, which give a0 and b0 to rounding for x = log t up
+# to 700 at alpha in {0.5, 1, 2}; at 10 nodes per panel the error is
+# already 2-3 times rounding, at 9 it reaches 3.5e-14
+RULE_NODES = 605
 
-# bytes of the points x nodes exponential a Laplace sum holds at once
-_LAPLACE_BLOCK_BYTES = 32 << 20
+# halvings of the weight rule's panels toward the lower end of the
+# support, and toward each end of the cutoff band.  The smallest panel at
+# 0 is 0.25 * 2^-44 ~ 1.4e-14 wide: its share of b0(700) is below
+# rounding, while 40 halvings leave 1e-14.  Four halvings at the band
+# edges are the fewest that resolve exp(-1/s) there.
+_ZERO_HALVINGS = 45
+_EDGE_HALVINGS = 5
+
+# bytes of the points x terms array a blocked evaluation (a Laplace sum,
+# zeta1's partial sums) holds at once
+_BLOCK_BYTES = 32 << 20
 
 
 def gauss_panels(edges, per):
@@ -158,29 +173,51 @@ def gauss_panels(edges, per):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+def _rule_edges(spec_w: SymbolSpec) -> np.ndarray:
+    """Panel edges of the weight rule on supp w.
+
+    Panels halve _ZERO_HALVINGS times toward the lower end of the
+    support, where the shipped weight |log l|^(-alpha) is not analytic
+    at 0.  For the shipped weight that run stops at CHI_LO, and the band
+    [CHI_LO, CHI_HI] gets panels that halve _EDGE_HALVINGS times toward
+    each of its ends: there the smoothstep's exp(-1/s) join is flat but
+    not analytic.  A panel across an edge converges only algebraically:
+    halving panels from CHI_HI to 0 need 2000 nodes for the accuracy
+    these panels reach with RULE_NODES.
+    """
+    lo, hi = _weight_support(spec_w)
+    lo = max(lo, 0.0)
+    top = CHI_LO if spec_w.kind == "weight_w" else hi
+    edges = [[lo], lo + (top - lo) * 0.5 ** np.arange(_ZERO_HALVINGS - 1,
+                                                      -1, -1)]
+    if spec_w.kind == "weight_w":
+        half = 0.5 * (CHI_HI - CHI_LO)
+        steps = half * 0.5 ** np.arange(_EDGE_HALVINGS - 1, 0, -1)
+        edges += [CHI_LO + steps, [CHI_LO + half], CHI_HI - steps[::-1],
+                  [CHI_HI]]
+    return np.concatenate(edges)
+
+
 def _weight_rule(spec_w: SymbolSpec, Q: int):
-    """Composite Gauss-Legendre rule on supp w, panels halving toward its
-    lower end.
+    """Composite Gauss-Legendre rule of exactly Q nodes on supp w, over
+    the panels of _rule_edges, Q spread over them as evenly as it goes.
 
     Returns (nodes, weights * w(nodes)); cached so that every operator
     built from the same weight shares one rule (Gram consistency).
     """
-    if Q < 16:
-        raise ValueError("need Q >= 16 quadrature nodes")
     # keying by the frozen spec keeps custom fn objects alive, so the
     # identity-based hash of a callable can never be recycled
     key = (spec_w, Q)
     hit = _RULE_CACHE.get(key)
     if hit is not None:
         return hit
-    lo, hi = _weight_support(spec_w)
-    lo = max(lo, 0.0)
-    # geometric panels toward the lower endpoint (log-type feature at 0
-    # for the shipped weight)
-    n_panels = max(8, min(40, Q // 16))
-    halvings = (hi - lo) * 0.5 ** np.arange(n_panels - 1, 0, -1)
-    edges = np.concatenate(([lo], lo + halvings, [hi]))
-    x, om = gauss_panels(edges, Q // n_panels)
+    edges = _rule_edges(spec_w)
+    panels = edges.size - 1
+    if Q < 2 * panels:
+        raise ValueError(f"need Q >= {2 * panels} quadrature nodes, two "
+                         f"per panel")
+    base, extra = divmod(Q, panels)
+    x, om = gauss_panels(edges, [base + (i < extra) for i in range(panels)])
     om = om * np.atleast_1d(_weight_values(spec_w, x))
     _RULE_CACHE[key] = (x, om)
     return x, om
@@ -189,7 +226,7 @@ def _weight_rule(spec_w: SymbolSpec, Q: int):
 def _laplace_sum(x, nodes, om):
     """sum_q om_q e^(-x nodes_q) at every point x, any shape.
 
-    Walks the points in blocks of at most _LAPLACE_BLOCK_BYTES of
+    Walks the points in blocks of at most _BLOCK_BYTES of
     exponentials, however many points are asked for.  Every block is
     written into one reused points x nodes buffer: the exponent goes in
     with multiply.outer(x, -nodes, out=) and exp overwrites it in place,
@@ -200,7 +237,7 @@ def _laplace_sum(x, nodes, om):
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
     out = np.empty(flat.size)
-    step = max(1, _LAPLACE_BLOCK_BYTES // (8 * nodes.size))
+    step = max(1, _BLOCK_BYTES // (8 * nodes.size))
     buf = np.empty((min(step, flat.size), nodes.size))
     neg = -nodes
     for lo in range(0, flat.size, step):
@@ -283,14 +320,25 @@ _BERNOULLI = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66)
 
 
 def zeta1(x):
-    """zeta(1+x) for x > 0, absolute error below 1e-13."""
+    """zeta(1+x) for x > 0, any shape, absolute error below 1e-13.
+
+    The partial sums walk the points in blocks of at most _BLOCK_BYTES
+    of points x terms, however many points are asked for; each point's
+    terms are summed in the same order whatever its block, so the values
+    do not depend on the blocking.
+    """
     x_in = np.asarray(x, dtype=float)
     if np.any(x_in <= 0.0):
         raise DomainError("zeta1 needs x > 0")
-    x_arr = np.atleast_1d(x_in)
+    x_arr = x_in.ravel()
     s = 1.0 + x_arr
     j = np.arange(1, _ZETA_J, dtype=float)
-    head = np.sum(np.power(j[None, :], -s[:, None]), axis=-1)
+    head = np.empty(s.size)
+    step = max(1, _BLOCK_BYTES // (8 * j.size))
+    for lo in range(0, s.size, step):
+        blk = s[lo:lo + step]
+        head[lo:lo + step] = np.sum(np.power(j[None, :], -blk[:, None]),
+                                    axis=-1)
     J = float(_ZETA_J)
     val = head + J ** (-x_arr) / x_arr + 0.5 * J ** (-s)
     # Euler-Maclaurin corrections: B_2k/(2k)! * s(s+1)...(s+2k-2) * J^(-s-2k+1)
@@ -301,7 +349,7 @@ def zeta1(x):
             rising = rising * (s + (2 * k - 3)) * (s + (2 * k - 2))
         fact *= (2 * k) * (2 * k - 1)
         val = val + (b2k / fact) * rising * J ** (-s - (2 * k - 1))
-    return val if x_in.ndim else float(val[0])
+    return val.reshape(x_in.shape) if x_in.ndim else float(val[0])
 
 
 # ---------------------------------------------------------------------------
@@ -421,15 +469,16 @@ def kernel_fn(spec: SymbolSpec) -> Callable:
 def sequence_values(spec: SymbolSpec, n):
     """a(n) on arbitrary positive integers under the restriction convention.
 
-    Index 1 maps to 0; the full multiplicative symbol also zeroes index 2
-    and applies its closed form from n = 3 (log log n is real and positive
-    there); every other kind applies eval_symbol from n = 2.
+    Index 1 maps to 0; the full multiplicative symbol and its residual
+    a1 = a - a0 also zero index 2 and start at n = 3, the first integer
+    past e, where log log n is real and positive; every other kind
+    applies eval_symbol from n = 2.
     """
     n_arr = np.asarray(n)
     if np.any(n_arr < 1):
         raise DomainError("sequence indices start at 1")
     values = np.zeros(n_arr.shape, dtype=float)
-    head = 3 if spec.kind == "helson_a" else 2
+    head = 3 if spec.kind in ("helson_a", "a1") else 2
     m = n_arr >= head
     if np.any(m):
         if spec.kind == "helson_a":

@@ -311,8 +311,8 @@ class TestChainVerb:
         code, out, _ = _run(capsys, "chain", "--config", str(cfg_path))
         assert code == 0
         rec = json.loads(out)
-        assert rec["stages"] == ["row_matrices", "row_integrals",
-                                 "combined_matrix", "fit", "negativity"]
+        assert rec["stages"] == ["fit", "row_matrices", "row_integrals",
+                                 "combined_matrix", "negativity"]
         assert (out_dir / "run_report.json").is_file()
 
     def test_report_verb_emits_svg(self, chain_cfg, capsys):

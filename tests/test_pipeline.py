@@ -113,8 +113,19 @@ def small_run(tmp_path_factory):
 class TestRunChain:
     def test_stages_complete_in_order(self, small_run):
         _, rep = small_run
-        assert rep["stages"] == ["row_matrices", "row_integrals",
-                                 "combined_matrix", "fit", "negativity"]
+        assert rep["stages"] == ["fit", "row_matrices", "row_integrals",
+                                 "combined_matrix", "negativity"]
+
+    def test_stage_stats_time_and_peak_every_stage(self, small_run):
+        # one entry per stage: its seconds and the process's peak RSS at
+        # its end, which can only grow from stage to stage
+        _, rep = small_run
+        stats = rep["stage_stats"]
+        assert list(stats) == rep["stages"]
+        assert all(s["seconds"] >= 0.0 for s in stats.values())
+        peaks = [stats[name]["peak_rss_mb"] for name in rep["stages"]]
+        assert peaks[0] > 1.0
+        assert peaks == sorted(peaks)
 
     def test_smooth_hankel_psd(self, small_run):
         _, rep = small_run

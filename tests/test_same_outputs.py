@@ -39,6 +39,34 @@ def test_same_outputs_ignore_the_output_directory(tool, tmp_path):
     assert tool.differing_files(tmp_path / "a", tmp_path / "b") == []
 
 
+def test_stage_stats_are_not_compared(tool, tmp_path):
+    timed = dict(REPORT, stage_stats={"fit": {"seconds": 0.5,
+                                              "peak_rss_mb": 70.0}})
+    write_run(tmp_path / "a", REPORT, CSV)
+    write_run(tmp_path / "b", timed, CSV)
+    assert tool.differing_files(tmp_path / "a", tmp_path / "b") == []
+
+
+def test_spectrum_change_reads_the_sorted_algebraic_spectrum(tool, tmp_path):
+    # a rounding-level eigenvalue that switches from lambda_plus to
+    # lambda_minus moves the sorted spectrum by 2e-17, not by a column
+    a = "n,lambda_plus,lambda_minus,s_n\n1,2.0,3e-17,2.0\n2,1e-17,,3e-17\n"
+    b = "n,lambda_plus,lambda_minus,s_n\n1,2.0,3e-17,2.0\n2,,1e-17,3e-17\n"
+    (tmp_path / "a.csv").write_text(a)
+    (tmp_path / "b.csv").write_text(b)
+    note = tool.spectrum_change(tmp_path / "a.csv", tmp_path / "b.csv")
+    assert note == "max |Δ| / λ₁ = 1e-17"
+    (tmp_path / "short.csv").write_text("n,lambda_plus,lambda_minus,s_n\n"
+                                        "1,2.0,,2.0\n")
+    assert tool.spectrum_change(tmp_path / "a.csv", tmp_path / "short.csv") \
+        == "3 against 1 eigenvalues"
+    (tmp_path / "other.csv").write_text("x,y\n1,2\n")
+    assert tool.spectrum_change(tmp_path / "a.csv",
+                                tmp_path / "other.csv") is None
+    assert tool.spectrum_change(tmp_path / "a.csv",
+                                tmp_path / "missing.csv") is None
+
+
 def test_every_kind_of_difference_is_listed(tool, tmp_path):
     changed = dict(REPORT, fits={"headline": {"kappa_hat": 0.5000001}})
     write_run(tmp_path / "a", REPORT, CSV)

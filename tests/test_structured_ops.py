@@ -10,7 +10,8 @@ from helsonlab.structured_ops import (
     GramSection, HelsonTruncation, LinearMap, build_hankel, build_helson,
     build_smooth_helson, dense_matrix, difference_section,
 )
-from helsonlab.symbols import DomainError, SymbolSpec, sequence_values
+from helsonlab.symbols import (DomainError, SymbolSpec, a0_quadrature,
+                               sequence_values)
 
 
 def hilbert_b(N):
@@ -160,6 +161,20 @@ class TestHelson:
         want = T.dense() @ u
         got = lm.apply(u)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_residual_section_is_full_minus_smooth(self):
+        # a1 = a - a0 lives where a does: zero at jk = 1, 2 and the
+        # difference of the two closed forms from jk = 3 on
+        N = 40
+        got = build_helson(SymbolSpec("a1", alpha=1.0), N).dense()
+        full = HelsonTruncation(SymbolSpec("helson_a", alpha=1.0), N).dense()
+        jk = np.multiply.outer(np.arange(1, N + 1), np.arange(1, N + 1))
+        smooth = a0_quadrature(SymbolSpec("weight_w", alpha=1.0),
+                               jk.astype(float))
+        want = full - np.where(jk >= 3, smooth, 0.0)
+        assert got[0, 0] == got[0, 1] == got[1, 0] == 0.0
+        np.testing.assert_allclose(got, want, rtol=1e-14,
+                                   atol=1e-15 * np.abs(full).max())
 
     def test_symmetry_exact(self):
         T = HelsonTruncation(SymbolSpec("helson_a", alpha=2.0), 50)

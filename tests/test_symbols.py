@@ -243,6 +243,35 @@ class TestWeightRule:
         want = (t ** -1.0 - t ** -1.5) / math.log(t)
         assert a0_quadrature(w, t) == pytest.approx(want, rel=1e-13)
 
+    def test_band_edges_are_panel_edges(self):
+        # no panel straddles CHI_LO, and the last one ends at CHI_HI: the
+        # rule's plain Gauss weights (its masses over w, which is 1/|log l|
+        # below CHI_LO) sum to CHI_LO there
+        w = SymbolSpec("weight_w", alpha=1.0)
+        edges = symbols._rule_edges(w)
+        assert symbols.CHI_LO in edges
+        assert edges[0] == 0.0 and edges[-1] == symbols.CHI_HI
+        x, om = symbols._weight_rule(w, symbols.RULE_NODES)
+        assert x.size == symbols.RULE_NODES <= 650
+        assert x.max() < symbols.CHI_HI
+        below = x < symbols.CHI_LO
+        plain = om[below] * np.abs(np.log(x[below]))
+        assert plain.sum() == pytest.approx(symbols.CHI_LO, rel=1e-14)
+
+    @pytest.mark.parametrize("spec", [
+        SymbolSpec("weight_w", alpha=2.0),
+        SymbolSpec("custom", fn=lambda l: np.ones_like(l), support=(0.5, 1.0)),
+    ])
+    def test_keeps_exactly_q_nodes(self, spec):
+        # Q need not be a multiple of the panel count
+        panels = symbols._rule_edges(spec).size - 1
+        for Q in (2 * panels, 617, 1000):
+            x, om = symbols._weight_rule(spec, Q)
+            assert x.size == om.size == Q
+            assert np.all(np.diff(x) > 0)
+        with pytest.raises(ValueError, match="two per panel"):
+            symbols._weight_rule(spec, 2 * panels - 1)
+
     def test_gauss_panels_per_panel_counts(self):
         # 2 and 5 nodes on [0, 1] and [1, 3]: both panels are exact for
         # cubics, so the rule integrates x^3 over [0, 3] to 81/4
@@ -252,13 +281,55 @@ class TestWeightRule:
         assert wt @ x ** 3 == pytest.approx(81.0 / 4.0, rel=1e-14)
 
 
+class TestWeightRuleAccuracy:
+    # points x = log t: at most 60 the bound is 5e-15 relative, up to
+    # X_MAX = 700 it is 1e-14
+    NEAR = (0.0, 0.5, 2.0, 7.0, 20.0, 60.0)
+    FAR = (150.0, 400.0, 700.0)
+
+    @staticmethod
+    def laplace_reference(mp, alpha, x):
+        """integral of e^(-x l) w(l) dl at 20 digits, split where the
+        integrand changes scale: 4^k / x below CHI_LO and the band."""
+        def w(lam):
+            if lam >= 0.75:
+                return mp.mpf(0)
+            val = (-mp.log(lam)) ** (-alpha)
+            if lam <= 0.25:
+                return val
+            s = 2 * (0.75 - lam)
+            a, b = mp.exp(-1 / s), mp.exp(-1 / (1 - s))
+            return val * a / (a + b)
+
+        cuts = [mp.mpf(0)]
+        while x > 0 and 4 ** len(cuts) / x < 0.25:
+            cuts.append(4 ** len(cuts) / x)
+        cuts += [mp.mpf(0.25), mp.mpf(0.5), mp.mpf(0.75)]
+        return mp.quad(lambda lam: mp.exp(-x * lam) * w(lam), cuts)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_a0_and_b0_against_mpmath(self, alpha):
+        mp = pytest.importorskip("mpmath")
+        w = SymbolSpec("weight_w", alpha=alpha)
+        with mp.workdps(20):
+            for x in self.NEAR + self.FAR:
+                tol = 5e-15 if x <= 60.0 else 1e-14
+                t = math.exp(x)
+                ref_a0 = self.laplace_reference(mp, alpha, mp.log(t)) \
+                    / mp.sqrt(t)
+                assert abs(a0_quadrature(w, t) / ref_a0 - 1) <= tol, x
+                if x > 0:
+                    ref_b0 = self.laplace_reference(mp, alpha, mp.mpf(x))
+                    assert abs(b0_quadrature(w, x) / ref_b0 - 1) <= tol, x
+
+
 class TestLaplaceSum:
     def test_holds_one_block_and_matches_one_shot_formula(self):
-        # 20k points x 2,000 nodes is 320 MB of exponentials; the sum may
-        # hold one _LAPLACE_BLOCK_BYTES buffer and its output at a time
+        # 20k points x RULE_NODES = 605 nodes is 97 MB of exponentials;
+        # the sum may hold one _BLOCK_BYTES buffer and its output at a time
         x = np.linspace(0.0, 40.0, 20000)
-        nodes, om = symbols._weight_rule(SymbolSpec("weight_w"), 2000)
-        assert nodes.size == 2000
+        nodes, om = symbols._weight_rule(SymbolSpec("weight_w"),
+                                         symbols.RULE_NODES)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -267,7 +338,7 @@ class TestLaplaceSum:
         finally:
             tracemalloc.stop()
         # 1 MB of slack covers the ufunc's own iteration buffers (~128 kB)
-        assert peak <= symbols._LAPLACE_BLOCK_BYTES + got.nbytes + (1 << 20)
+        assert peak <= symbols._BLOCK_BYTES + got.nbytes + (1 << 20)
         # one-shot formula on every 7th point, which reaches every block
         sub = slice(None, None, 7)
         want = np.exp(-np.multiply.outer(x[sub], nodes)) @ om
@@ -332,6 +403,25 @@ class TestZeta1:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             zeta1(0.0)
+
+    def test_holds_one_block_and_keeps_its_values(self, monkeypatch):
+        # 50k points x 63 terms is 25 MB of partial sums in one shot; in
+        # 1 MB blocks the evaluation holds one block plus a few per-point
+        # arrays, and every value is bitwise the one-shot one
+        x = np.linspace(0.01, 5.0, 50000).reshape(250, 200)
+        monkeypatch.setattr(symbols, "_BLOCK_BYTES", 1 << 40)
+        one_shot = zeta1(x)
+        monkeypatch.setattr(symbols, "_BLOCK_BYTES", 1 << 20)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = zeta1(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert got.shape == x.shape
+        assert np.array_equal(got, one_shot)
+        assert peak <= (1 << 20) + 8 * x.nbytes + (1 << 20)
 
 
 class TestKernelContracts:

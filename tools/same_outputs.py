@@ -11,15 +11,21 @@ in a fresh interpreter with one BLAS thread, into
 .bench_build/same_outputs/<workload>/<side>/. Every output file that
 differs between the two sides is listed, and so is a file that only one
 side wrote. run_report.json is compared without `artifacts` and
-`config.outputs`, which name the output directory; every other file
-byte for byte. The outputs stay on disk for inspection. Exit status 1
-if any file differs or a chain fails, 0 otherwise.
+`config.outputs`, which name the output directory, and without
+`stage_stats`, which holds timings and memory; every other file byte
+for byte. For a spectrum CSV that differs, the line also gives
+max |Δ| / λ₁ over the sorted algebraic spectrum, λ⁺ together with −λ⁻:
+eigenvalues at rounding level can switch between the two columns, so
+the columns alone would overstate the change. The outputs stay on disk
+for inspection. Exit status 1 if any file differs or a chain fails, 0
+otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import csv
 import json
 import os
 import pathlib
@@ -51,6 +57,7 @@ def workloads() -> dict:
 def _comparable_report(path: pathlib.Path) -> dict:
     report = json.loads(path.read_text())
     report.pop("artifacts", None)
+    report.pop("stage_stats", None)
     report.get("config", {}).pop("outputs", None)
     return report
 
@@ -71,6 +78,34 @@ def differing_files(a: pathlib.Path, b: pathlib.Path) -> list:
         if not same:
             out.append(str(rel))
     return out
+
+
+def _algebraic_spectrum(path: pathlib.Path):
+    """λ⁺ and −λ⁻ of a spectrum CSV in one list, largest first, or None
+    when the file is not a spectrum CSV."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    if not rows or not {"lambda_plus", "lambda_minus"} <= set(rows[0]):
+        return None
+    values = [float(r["lambda_plus"]) for r in rows if r["lambda_plus"]]
+    values += [-float(r["lambda_minus"]) for r in rows if r["lambda_minus"]]
+    return sorted(values, reverse=True)
+
+
+def spectrum_change(a: pathlib.Path, b: pathlib.Path):
+    """max |Δ| / λ₁ between the sorted algebraic spectra of two spectrum
+    CSVs, λ₁ the first one's largest eigenvalue in modulus, as a
+    printable note; None for any other pair of files."""
+    if a.suffix != ".csv" or not (a.is_file() and b.is_file()):
+        return None
+    sa, sb = _algebraic_spectrum(a), _algebraic_spectrum(b)
+    if sa is None or sb is None:
+        return None
+    if len(sa) != len(sb):
+        return f"{len(sa)} against {len(sb)} eigenvalues"
+    top = max((abs(v) for v in sa), default=0.0)
+    gap = max((abs(x - y) for x, y in zip(sa, sb)), default=0.0)
+    return f"max |Δ| / λ₁ = {gap / top if top else gap:.3g}"
 
 
 def run_chain_in(tree: pathlib.Path, config: dict,
@@ -106,7 +141,8 @@ def main(argv=None) -> int:
         count = sum(1 for p in dirs["change"].rglob("*") if p.is_file())
         print(f"{name}: {len(diff)} of {count} output files differ")
         for rel in diff:
-            print(f"  {rel}")
+            note = spectrum_change(dirs["parent"] / rel, dirs["change"] / rel)
+            print(f"  {rel}" + (f": {note}" if note else ""))
         if diff:
             status = 1
     return status
