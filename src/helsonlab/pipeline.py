@@ -262,8 +262,9 @@ def run_chain(config: RunConfig) -> dict:
     combined_matrix, negativity.  The headline fit comes first so that
     its Lanczos basis, the largest block of the run, is allocated before
     the matrix stages grow the heap; negativity comes last, since it
-    reads the row and combined spectra.  Each section is solved only at the sizes a
-    report number reads: row 0
+    reads the row and combined spectra.
+
+    Each section is solved only at the sizes a report number reads: row 0
     and the combined section at every matrix size, row 1 once, at the
     negativity size, which is the largest matrix size on the dense route
     (the smallest matrix size if none is); the headline asks for the fit
@@ -281,10 +282,8 @@ def run_chain(config: RunConfig) -> dict:
 
     out_dir = pathlib.Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    artifacts: list = []
     report: dict = {"config": config.to_json(), "stages": [],
-                    "stage_stats": {}, "artifacts": artifacts,
-                    "unconverged": []}
+                    "stage_stats": {}, "artifacts": [], "unconverged": []}
     alpha = config.alpha
     seed = config.solver["seed"]
 
