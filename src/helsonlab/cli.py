@@ -19,6 +19,7 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,15 +30,15 @@ from helsonlab.discretize import (ConstructionError, factor_N_dense,
                                   make_grid, nystrom_hankel, nystrom_helson,
                                   v_matched_grids, weighted_operator)
 from helsonlab.eigen import (Spectrum, dense_eig_oracle, lanczos_extreme,
-                             spectrum_from_csv, spectrum_to_csv)
+                             spectrum_from_csv, spectrum_to_csv,
+                             write_meta_sidecar)
 from helsonlab.pipeline import (RunConfig, StageError, _top_agreement,
                                 run_chain, solve)
 from helsonlab.schatten import schatten_report
 from helsonlab.structured_ops import (LinearMap, build_hankel, build_helson,
                                       build_smooth_helson)
-from helsonlab.symbols import (DomainError, SymbolSpec, _weight_of,
-                               _weight_values, a0_quadrature, sequence_values,
-                               zeta1)
+from helsonlab.symbols import (DomainError, SymbolSpec, _weight_values,
+                               a0_quadrature, sequence_values, zeta1)
 from helsonlab._svg import loglog_figure
 
 
@@ -119,18 +120,6 @@ def _build_operator(args):
     return op.map
 
 
-def _jsonable_meta(meta: dict) -> dict:
-    out = {}
-    for k, v in meta.items():
-        if isinstance(v, np.integer):
-            v = int(v)
-        elif isinstance(v, np.floating):
-            v = float(v)
-        if isinstance(v, (int, float, str, bool, type(None))):
-            out[k] = v
-    return out
-
-
 def _cmd_spectrum(args) -> int:
     if args.topk < 0:
         raise _UsageError(f"--topk must be >= 0, got {args.topk}")
@@ -152,8 +141,7 @@ def _cmd_spectrum(args) -> int:
         meta = out.with_name(out.stem + ".meta.json")
         with _partial_on_interrupt(out, meta):
             spectrum_to_csv(spec, out)
-            meta.write_text(json.dumps(_jsonable_meta(spec.meta),
-                                       sort_keys=True))
+            write_meta_sidecar(spec, meta)
         print(out)
         return 0
     # no --out: stream the same CSV schema to stdout
@@ -236,8 +224,7 @@ def _suite_factorization(seed: int):
     F = factor_N_dense(w, 64, g)
     P = F @ F.T
     jk = np.multiply.outer(np.arange(1, 65), np.arange(1, 65)).astype(float)
-    target = np.asarray(a0_quadrature(_weight_of(w), jk.ravel()),
-                        dtype=float).reshape(64, 64)
+    target = a0_quadrature(w, jk)
     entry_err = float(np.abs(P - target).max())
     checks = [(entry_err <= 1e-8,
                f"row-product entries vs smooth-part values: max abs diff "
@@ -316,15 +303,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_chain(args) -> int:
-    blob = json.loads(Path(args.config).read_text())
+    config = RunConfig.from_json(json.loads(Path(args.config).read_text()))
     # precedence: flags > config file > defaults
-    if args.alpha is not None:
-        blob["alpha"] = args.alpha
-    if args.out_dir is not None:
-        blob.setdefault("outputs", {})["dir"] = args.out_dir
+    flags = {k: v for k, v in (("alpha", args.alpha),
+                               ("out_dir", args.out_dir)) if v is not None}
     if args.seed is not None:
-        blob.setdefault("solver", {})["seed"] = args.seed
-    config = RunConfig.from_json(blob)
+        flags["solver"] = {"seed": args.seed}
+    config = replace(config, **flags)
     t_start = time.time()
     try:
         report = run_chain(config)

@@ -13,10 +13,11 @@ quadrature rule of the weight, which makes positive semidefiniteness a
 property of the construction rather than a numerical accident; on the
 multiplicative side E is the Dirichlet-exponential factor of
 structured_ops, as is the integer-side factor of factor_N_dense.  The
-difference kernels a1 = a - a0 and b1 = b - b0 reuse that product:
+difference kernels a - a0 and b - b0 reuse that product:
 nystrom_difference subtracts the smooth section E E^T from the
 closed-form full kernel's section, assembled entrywise on the same grid,
-so no entry is ever a quadrature sum of its own.
+so no entry is ever a quadrature sum of its own.  Any other kernel is
+passed as a callable and assembled entrywise.
 weighted_operator gives the quadrature-side sections of the
 factorization, the weighted zeta(1+s) and 1/s kernels, through the same
 blocked entrywise assembly.  The headline section,
@@ -52,13 +53,13 @@ X_MAX = 700.0
 # through _GRAM_KINDS, the difference parts through nystrom_difference);
 # a kernel that expands each element, such as zeta1 into its 63-term
 # partial sum, holds one block's worth of that expansion, and a
-# quadrature closure passed in as a callable, such as kernel_fn of a0,
-# blocks its own expansion in _laplace_sum
+# quadrature closure passed in as a callable, such as
+# lambda t: a0_quadrature(w, t), blocks its own expansion in _laplace_sum
 _ASSEMBLY_BUDGET = 1 << 13
 
-# (combine rule, spec kind) of the smooth parts, whose section is the
-# weight's Gram product E E^T
-_GRAM_KINDS = {("product", "a0"), ("sum", "b0")}
+# kinds of the smooth parts, whose section is the weight's Gram product
+# E E^T
+_GRAM_KINDS = ("a0", "b0")
 
 # kernels of weighted_operator, by name; both are singular at 0
 _WEIGHTED_KERNELS = {"zeta1": zeta1, "carleman": lambda s: 1.0 / s}
@@ -222,11 +223,11 @@ def _gram_fast_path(spec: SymbolSpec, grid: Grid, combine: str) -> np.ndarray:
 def _section(kernel, grid: Grid, combine: str) -> np.ndarray:
     """Dense symmetric section of a callable kernel, or a spec of one of
     the combine rule's SIDE_KINDS, on the grid."""
-    key = (combine, kernel.kind if isinstance(kernel, SymbolSpec) else None)
-    if key[1] is not None and key[1] not in SIDE_KINDS[combine]:
-        raise ValueError(f"{key[1]!r} is not a {combine}-side kernel")
-    if key in _GRAM_KINDS:
-        return _gram_fast_path(kernel, grid, combine)
+    if isinstance(kernel, SymbolSpec):
+        if kernel.kind not in SIDE_KINDS[combine]:
+            raise ValueError(f"{kernel.kind!r} is not a {combine}-side kernel")
+        if kernel.kind in _GRAM_KINDS:
+            return _gram_fast_path(kernel, grid, combine)
     return _assemble(_kernel_callable(kernel), grid.nodes,
                      np.sqrt(grid.weights), combine)
 
@@ -240,8 +241,8 @@ def _wrap_operator(matrix: np.ndarray, grid: Grid) -> NystromOperator:
 def nystrom_hankel(b, grid: Grid, max_nodes=MAX_DENSE) -> NystromOperator:
     """Section of the additive kernel: entries sqrt(w_m) b(x_m+x_n) sqrt(w_n).
 
-    b0 is the Gram factor E E^T of its weight rule; b1 = hankel_b - b0
-    comes from nystrom_difference.
+    b0 is the Gram factor E E^T of its weight rule; hankel_b - b0 comes
+    from nystrom_difference.
     """
     if grid.n > max_nodes:
         raise ConstructionError(f"dense assembly capped at {max_nodes} nodes")
@@ -251,8 +252,8 @@ def nystrom_hankel(b, grid: Grid, max_nodes=MAX_DENSE) -> NystromOperator:
 def nystrom_helson(a, grid: Grid, max_nodes=MAX_DENSE) -> NystromOperator:
     """Section of the multiplicative kernel: sqrt(w_m) a(t_m t_n) sqrt(w_n).
 
-    a0 is the Gram factor E E^T of its weight rule; a1 = helson_a - a0
-    comes from nystrom_difference.
+    a0 is the Gram factor E E^T of its weight rule; helson_a - a0 comes
+    from nystrom_difference.
     """
     if grid.domain[0] < 1.0:
         raise ConstructionError("multiplicative sections need lo >= 1")
@@ -266,8 +267,8 @@ def nystrom_difference(full: NystromOperator,
     """Section of the difference kernel full - smooth on their shared grid.
 
     full is the closed-form full kernel's section and smooth its smooth
-    part's Gram product E E^T, so a1 and b1 reuse a product already made
-    for row 0 instead of forming it again.
+    part's Gram product E E^T, so the rough parts reuse a product already
+    made for row 0 instead of forming it again.
     """
     if full.grid is not smooth.grid:
         raise ValueError("difference of sections on different grids")

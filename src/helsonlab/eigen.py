@@ -94,9 +94,20 @@ def spectrum_to_csv(spec: Spectrum, path) -> None:
 
 
 def spectrum_from_csv(path) -> Spectrum:
+    """Inverse of spectrum_to_csv; a file without the schema's value
+    columns, or with a row shorter than its header, raises ValueError
+    naming the file."""
     cols = {"lambda_plus": [], "lambda_minus": [], "s_n": []}
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        missing = [k for k in cols if k not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path} lacks the spectrum column(s) "
+                             f"{', '.join(missing)}")
+        for row in reader:
+            if None in row.values():
+                raise ValueError(f"{path}, line {reader.line_num}: fewer "
+                                 f"cells than the header")
             for key, acc in cols.items():
                 if row[key] != "":
                     acc.append(float(row[key]))
@@ -108,12 +119,14 @@ def spectrum_from_csv(path) -> Spectrum:
 
 def write_meta_sidecar(spec: Spectrum, path) -> None:
     """Solver metadata next to a spectrum CSV: convergence flag, route,
-    Lanczos steps and how many of them reorthogonalized, and the noise
-    floor and resolved count when the spectrum carries them."""
+    Lanczos steps and how many of them reorthogonalized, the noise floor
+    and resolved count, and the spectrum verb's operator, kernel, alpha,
+    size and topk, each when the spectrum carries it."""
     keep = {k: spec.meta[k] for k in ("dim", "iterations", "reorthogonalized",
                                       "seed", "tol", "converged", "method",
                                       "lambda_max_alg", "lambda_min_alg",
-                                      "noise_floor", "resolved")
+                                      "noise_floor", "resolved", "operator",
+                                      "kernel", "alpha", "size", "topk")
             if k in spec.meta}
     with open(path, "w") as fh:
         json.dump(keep, fh)

@@ -71,6 +71,11 @@ def _need_int(name: str, value) -> int:
     return int(value)
 
 
+def _need_object(where: str, blob) -> None:
+    if not isinstance(blob, dict):
+        raise ValueError(f"{where} must be an object, got {blob!r}")
+
+
 def _refuse_unknown(where: str, blob: dict, known) -> None:
     unknown = sorted(set(blob) - set(known))
     if unknown:
@@ -103,6 +108,7 @@ class RunConfig:
             raise ValueError("alpha must be positive")
         if self.nystrom_n < 8:
             raise ValueError("nystrom_n too small")
+        _need_object("solver", self.solver)
         _refuse_unknown("solver", self.solver, ("seed",))
         self.solver = {"seed": _need_int("seed", self.solver.get("seed", 0))}
 
@@ -118,11 +124,14 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, blob: dict) -> "RunConfig":
-        """Inverse of to_json; a missing key keeps the field's default and
-        a key that to_json does not write raises ValueError."""
+        """Inverse of to_json; a missing key keeps the field's default, and
+        a key that to_json does not write, a config that is not an object
+        or a block of one that is not an object raises ValueError."""
         known = cls().to_json()
+        _need_object("config", blob)
         _refuse_unknown("config", blob, known)
         for part in ("grids", "outputs"):
+            _need_object(part, blob.get(part, {}))
             _refuse_unknown(part, blob.get(part, {}), known[part])
         kwargs = {k: blob[k] for k in ("alpha", "sizes", "helson_cap",
                                        "solver") if k in blob}

@@ -15,9 +15,10 @@ signed Gram map, GramSection, serves every such section: the smooth
 part (build_smooth_helson), the full symbol (build_helson, with an
 exact row and column 1) and the full symbol minus its smooth part
 (difference_section, the factor of the first with sign + and that of
-the second with sign -).  Any other multiplicative symbol streams rows
-through HelsonTruncation in O(N^2) time with O(N) memory; that path
-also serves as the entrywise oracle of the factored ones.  All are
+the second with sign -).  A callable symbol, and the a0 spec under the
+restriction convention of symbols.sequence_values, stream rows through
+HelsonTruncation in O(N^2) time with O(N) memory; that path also serves
+as the entrywise oracle of the factored ones.  All are
 wrapped in the same LinearMap, a square symmetric map (every section
 here is self-adjoint), so the eigensolver does not care which one it
 is driving.
@@ -274,7 +275,8 @@ def build_helson(a, N: int) -> LinearMap:
     N <= 2^18; a matvec costs O(N R) and dense() returns the factor's own
     matrix.  Index 1 stays out of the Gram part: the sum diverges at
     jk = 2, and the smallest product left, 4, is where it converges.
-    Every other input (callables, the other multiplicative kinds)
+    A callable, or SymbolSpec(kind="a0") restricted to the integers by
+    symbols.sequence_values (index 1 zeroed, unlike build_smooth_helson),
     streams rows through HelsonTruncation in O(N^2) per matvec.
     """
     if isinstance(a, SymbolSpec) and a.kind == "helson_a":

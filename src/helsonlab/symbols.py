@@ -9,17 +9,20 @@ smooth/rough decomposition:
     a0(t) = integral of t^(-1/2-l) w(l) dl   over l > 0      (smooth part)
     a1    = a - a0                                           (residual)
 
-with b0, b1 the additive-variable counterparts under x = log t,
-b(x) = e^(x/2) a(e^x).  A SymbolSpec names one of these seven kinds or
-a custom weight given as a callable; zeta1, zeta(1+x), is a plain
-function, the kernel of discretize.weighted_operator.  Everything here
-is a pure function of its inputs.
+with b0 the additive-variable counterpart of a0 under x = log t,
+b(x) = e^(x/2) a(e^x).  A SymbolSpec names a, b, w, a0 or b0, or a
+custom weight given as a callable.  The residual has no kind: it is
+only ever a difference of two sections (structured_ops.
+difference_section, discretize.nystrom_difference).  An ad-hoc kernel
+is a plain callable, not a spec.  zeta1, zeta(1+x), is a plain function,
+the kernel of discretize.weighted_operator.  Everything here is a pure
+function of its inputs.
 
 gauss_panels is the package's one composite Gauss-Legendre rule.  Every
-value, kernel and Gram factor of one weight's smooth part shares its
-cached weight rule of RULE_NODES nodes (a0_quadrature alone takes other
-sizes, to measure convergence); the full symbol's exponential-sum rule
-is cached per alpha.  The weight rule's panels end at the cutoff band's
+value and Gram factor of one weight's smooth part shares its cached
+weight rule of RULE_NODES nodes (a0_quadrature alone takes other sizes,
+to measure convergence); the full symbol's exponential-sum rule is
+cached per alpha.  The weight rule's panels end at the cutoff band's
 edges CHI_LO and CHI_HI, where w is smooth but not analytic, so that
 RULE_NODES = 605 nodes integrate a0 and b0 to rounding; every smooth
 Gram factor is that many columns wide.
@@ -33,7 +36,7 @@ a0's weight rule and the full symbol's exponential-sum rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -47,11 +50,10 @@ CHI_LO, CHI_HI = 0.25, 0.75
 # kernel_fn is the closed form at t >= T0 and zero below
 T0 = 16.0
 
-KINDS = ("helson_a", "hankel_b", "weight_w", "a0", "a1", "b0", "b1", "custom")
+KINDS = ("helson_a", "hankel_b", "weight_w", "a0", "b0", "custom")
 
 # kernels a(jk), a(ts) of the product side and b(x+y) of the sum side
-SIDE_KINDS = {"product": ("helson_a", "a0", "a1", "custom"),
-              "sum": ("hankel_b", "b0", "b1", "custom")}
+SIDE_KINDS = {"product": ("helson_a", "a0"), "sum": ("hankel_b", "b0")}
 
 
 class DomainError(ValueError):
@@ -383,102 +385,60 @@ def eval_symbol(spec: SymbolSpec, t):
             raise DomainError("weight_w needs lambda > 0")
         val = _weight_values(spec, t_arr)
     elif k == "a0":
-        val = a0_quadrature(_weight_of(spec), t_arr)
-        val = np.asarray(val, dtype=float)
-    elif k == "a1":
-        if np.any(t_arr <= E):
-            raise DomainError("a1 = a - a0 is defined where a is, t > e")
-        val = _helson_a_values(spec.alpha, t_arr) - np.asarray(
-            a0_quadrature(_weight_of(spec), t_arr), dtype=float)
+        val = np.asarray(a0_quadrature(_weight_of(spec), t_arr), dtype=float)
     elif k == "b0":
         val = np.asarray(b0_quadrature(_weight_of(spec), t_arr), dtype=float)
-    elif k == "b1":
-        if np.any(t_arr <= 1.0):
-            raise DomainError("b1 = b - b0 is defined where b is, x > 1")
-        val = _hankel_b_values(spec.alpha, t_arr) - np.asarray(
-            b0_quadrature(_weight_of(spec), t_arr), dtype=float)
-    elif k == "custom":
-        val = np.asarray(spec.fn(t_arr), dtype=float)
-    else:  # pragma: no cover
-        raise ValueError(k)
+    else:
+        raise ValueError(f"{k!r} is a weight only, not a symbol; pass an "
+                         f"ad-hoc symbol as a callable")
     if np.any(~np.isfinite(np.atleast_1d(val))):
         raise DomainError(f"{k} evaluated to a non-finite value")
     return val if np.ndim(val) else float(val)
 
 
 def kernel_fn(spec: SymbolSpec) -> Callable:
-    """Total kernel function for integral-operator assembly.
+    """Total kernel function of a full symbol, helson_a or hankel_b, for
+    integral-operator assembly.
 
     Unlike eval_symbol, the returned callable is defined on the whole
     half-line: the full symbols activate at T0 (zero below), so that
     b_kernel(x) = e^(x/2) a_kernel(e^x) holds identically; the additive
-    form is computed directly in x and stays finite past x = 709.
+    form is computed directly in x and stays finite past x = 709.  The
+    smooth parts have no kernel_fn: their sections are Gram products
+    (discretize._gram_fast_path), their values a0_quadrature and
+    b0_quadrature.
     """
     k = spec.kind
     if k == "helson_a":
-        def f(t, alpha=spec.alpha):
-            t_in = np.asarray(t, dtype=float)
-            t = np.atleast_1d(t_in)
-            out = np.zeros_like(t)
-            m = t >= T0
-            out[m] = _helson_a_values(alpha, t[m])
-            return out if t_in.ndim else float(out[0])
-        return f
-    if k == "hankel_b":
-        x0 = math.log(T0)
+        lo, values = T0, _helson_a_values
+    elif k == "hankel_b":
+        lo, values = math.log(T0), _hankel_b_values
+    else:
+        raise ValueError(f"no kernel_fn for {k!r}: only helson_a and "
+                         f"hankel_b are total kernels")
 
-        def f(x, alpha=spec.alpha):
-            x_in = np.asarray(x, dtype=float)
-            x = np.atleast_1d(x_in)
-            out = np.zeros_like(x)
-            m = x >= x0
-            out[m] = _hankel_b_values(alpha, x[m])
-            return out if x_in.ndim else float(out[0])
-        return f
-    if k == "a0":
-        w = _weight_of(spec)
-        nodes, om = _weight_rule(w, RULE_NODES)
-
-        def f(t, nodes=nodes, om=om):
-            t = np.asarray(t, dtype=float)
-            return np.sqrt(1.0 / t) * _laplace_sum(np.log(t), nodes, om)
-        return f
-    if k == "b0":
-        w = _weight_of(spec)
-        nodes, om = _weight_rule(w, RULE_NODES)
-
-        def f(x, nodes=nodes, om=om):
-            x = np.asarray(x, dtype=float)
-            return _laplace_sum(x, nodes, om)
-        return f
-    if k == "a1":
-        fa = kernel_fn(replace(spec, kind="helson_a"))
-        f0 = kernel_fn(replace(spec, kind="a0"))
-        return lambda t: fa(t) - f0(t)
-    if k == "b1":
-        fb = kernel_fn(replace(spec, kind="hankel_b"))
-        f0 = kernel_fn(replace(spec, kind="b0"))
-        return lambda x: fb(x) - f0(x)
-    if k == "weight_w":
-        return lambda lam: _weight_values(spec, lam)
-    if k == "custom":
-        return spec.fn
-    raise ValueError(k)  # pragma: no cover
+    def f(t, alpha=spec.alpha):
+        t_in = np.asarray(t, dtype=float)
+        t = np.atleast_1d(t_in)
+        out = np.zeros_like(t)
+        m = t >= lo
+        out[m] = values(alpha, t[m])
+        return out if t_in.ndim else float(out[0])
+    return f
 
 
 def sequence_values(spec: SymbolSpec, n):
     """a(n) on arbitrary positive integers under the restriction convention.
 
-    Index 1 maps to 0; the full multiplicative symbol and its residual
-    a1 = a - a0 also zero index 2 and start at n = 3, the first integer
-    past e, where log log n is real and positive; every other kind
-    applies eval_symbol from n = 2.
+    Index 1 maps to 0; the full multiplicative symbol also zeroes index 2
+    and starts at n = 3, the first integer past e, where log log n is
+    real and positive; every other kind applies eval_symbol from n = 2.
     """
     n_arr = np.asarray(n)
     if np.any(n_arr < 1):
         raise DomainError("sequence indices start at 1")
     values = np.zeros(n_arr.shape, dtype=float)
-    head = 3 if spec.kind in ("helson_a", "a1") else 2
+    head = 3 if spec.kind == "helson_a" else 2
     m = n_arr >= head
     if np.any(m):
         if spec.kind == "helson_a":

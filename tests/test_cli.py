@@ -77,6 +77,9 @@ class TestSpectrum:
         meta = json.loads((tmp_path / "spec.meta.json").read_text())
         assert meta["operator"] == "hankel"
         assert meta["size"] == 24
+        # the chain's sidecar writer: solver keys plus the verb's own
+        assert set(meta) == {"dim", "iterations", "seed", "tol", "converged",
+                             "method", "operator", "kernel", "alpha", "size"}
 
     def test_topk_truncates(self, capsys):
         code, out, _ = _run(capsys, "spectrum", "--operator", "helson",
@@ -188,6 +191,19 @@ class TestFit:
                           str(tmp_path / "nope.csv"))
         assert code == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n1,2\n",
+         " lacks the spectrum column(s) lambda_plus, lambda_minus, s_n"),
+        ("n,lambda_plus,lambda_minus,s_n\n1,2,,\n2\n",
+         ", line 3: fewer cells than the header"),
+    ])
+    def test_malformed_csv(self, text, message, tmp_path, capsys):
+        path = tmp_path / "x.csv"
+        path.write_text(text)
+        code, out, err = _run(capsys, "fit", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}{message}\n"
+
 
 class TestSchatten:
     def test_euclidean_value(self, tmp_path, capsys):
@@ -207,6 +223,15 @@ class TestSchatten:
                             str(synthetic_csv), "--p", "1", "--q", "2")
         assert code == 0
         assert json.loads(out)["q"] == 2.0
+
+    def test_csv_without_spectrum_columns(self, tmp_path, capsys):
+        path = tmp_path / "x.csv"
+        path.write_text("n,lambda_plus\n1,2\n")
+        code, out, err = _run(capsys, "schatten", "--input", str(path),
+                              "--p", "1")
+        assert code == 2 and out == ""
+        assert err == (f"error: {path} lacks the spectrum column(s) "
+                       f"lambda_minus, s_n\n")
 
     def test_header_only_csv(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
@@ -387,6 +412,26 @@ class TestChainVerb:
         code, _, err = _run(capsys, "chain", "--config", str(cfg_path))
         assert code == 2
         assert f"keys: {key}\n" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("blob, where", [
+        ({"grids": 5}, "grids"), ([1, 2], "config"),
+        ({"solver": [1]}, "solver"),
+    ])
+    @pytest.mark.parametrize("verb", ["chain", "report"])
+    def test_config_of_the_wrong_shape_exits_two(self, blob, where, verb,
+                                                 tmp_path, capsys):
+        # refused before any flag is merged into it or any stage starts
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(blob))
+        flags = {"chain": ["--out-dir", str(tmp_path / "o"), "--seed", "1",
+                           "--alpha", "1"],
+                 "report": ["--svg", str(tmp_path / "x.svg")]}[verb]
+        code, out, err = _run(capsys, verb, "--config", str(cfg_path),
+                              *flags)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {where} must be an object")
+        assert err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
     def test_report_without_fit_reads_the_capped_combined_section(

@@ -16,7 +16,8 @@ from helsonlab.discretize import (
 )
 from helsonlab.eigen import dense_eig_oracle, lanczos_extreme
 from helsonlab.structured_ops import dense_matrix
-from helsonlab.symbols import SymbolSpec, _weight_values, kernel_fn, zeta1
+from helsonlab.symbols import (SymbolSpec, _weight_values, a0_quadrature,
+                               b0_quadrature, kernel_fn, zeta1)
 
 RNG = np.random.default_rng(7)
 
@@ -165,9 +166,10 @@ class TestNystromHankel:
 
     def test_smooth_kernel_gram_path_matches_direct(self):
         spec = SymbolSpec("b0", alpha=1.0)
+        w = SymbolSpec("weight_w", alpha=1.0)
         g = make_grid((1e-4, 50.0), 96, "geometric")
         fast = nystrom_hankel(spec, g).dense()
-        direct = nystrom_hankel(kernel_fn(spec), g).dense()
+        direct = nystrom_hankel(lambda x: b0_quadrature(w, x), g).dense()
         scale = np.abs(direct).max()
         assert np.abs(fast - direct).max() <= 1e-13 * scale
 
@@ -194,9 +196,10 @@ class TestNystromHelson:
 
     def test_smooth_kernel_gram_path_matches_direct(self):
         spec = SymbolSpec("a0", alpha=1.0)
+        w = SymbolSpec("weight_w", alpha=1.0)
         g = make_grid((1.0, 1e6), 80, "geometric")
         fast = nystrom_helson(spec, g).dense()
-        direct = nystrom_helson(kernel_fn(spec), g).dense()
+        direct = nystrom_helson(lambda t: a0_quadrature(w, t), g).dense()
         scale = np.abs(direct).max()
         assert np.abs(fast - direct).max() <= 1e-13 * scale
 
@@ -225,11 +228,10 @@ class TestNystromHelson:
 
 class TestSideKinds:
     # a section takes callables and the kinds of its own side; the other
-    # side's kinds and the weight are refused by name
+    # side's kinds, the weight and a custom spec are refused by name
     @pytest.mark.parametrize("build, kind", [
-        ("hankel", "a0"), ("hankel", "helson_a"), ("hankel", "a1"),
-        ("hankel", "weight_w"), ("helson", "b0"), ("helson", "hankel_b"),
-        ("helson", "b1"), ("helson", "weight_w"),
+        ("hankel", "a0"), ("hankel", "helson_a"), ("hankel", "weight_w"),
+        ("helson", "b0"), ("helson", "hankel_b"), ("helson", "weight_w"),
     ])
     def test_other_sides_kind_refused_by_name(self, build, kind):
         gx, gt = v_matched_grids((0.0, 18.0), 16)
@@ -238,16 +240,20 @@ class TestSideKinds:
         with pytest.raises(ValueError, match=repr(kind)):
             build(SymbolSpec(kind, alpha=1.0), grid)
 
-    def test_custom_accepted_on_both_sides(self):
+    def test_callable_accepted_and_custom_refused_on_both_sides(self):
         gx, gt = v_matched_grids((0.0, 18.0), 16)
-        spec = SymbolSpec("custom", fn=lambda x: 1.0 / (1.0 + x))
-        assert nystrom_hankel(spec, gx).map.cols == 16
-        assert nystrom_helson(spec, gt).map.cols == 16
+        fn = lambda x: 1.0 / (1.0 + x)  # noqa: E731
+        assert nystrom_hankel(fn, gx).map.cols == 16
+        assert nystrom_helson(fn, gt).map.cols == 16
+        spec = SymbolSpec("custom", fn=fn)
+        for build, grid in ((nystrom_hankel, gx), (nystrom_helson, gt)):
+            with pytest.raises(ValueError, match="'custom'"):
+                build(spec, grid)
 
 
 class TestDifferenceKernels:
-    # a1 = a - a0 and b1 = b - b0 are sectioned as the closed-form full
-    # kernel minus the Gram product of the smooth part, on one grid
+    # a - a0 and b - b0 are sectioned as the closed-form full kernel minus
+    # the Gram product of the smooth part, on one grid
 
     @staticmethod
     def _difference(build, grid, full, smooth, alpha):
@@ -258,20 +264,26 @@ class TestDifferenceKernels:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_gram_difference_matches_direct(self, alpha):
         gx, gt = v_matched_grids((0.0, 30.0), 160)
+        fa = kernel_fn(SymbolSpec("helson_a", alpha=alpha))
+        fb = kernel_fn(SymbolSpec("hankel_b", alpha=alpha))
+        w = SymbolSpec("weight_w", alpha=alpha)
+        rule = symbols._weight_rule(w, symbols.RULE_NODES)
+        # callable kernels take the entrywise quadrature path; the sum
+        # side's Laplace sum is taken directly, since x = 0 is on gx
+        rough = {"a": lambda t: fa(t) - a0_quadrature(w, t),
+                 "b": lambda x: fb(x) - symbols._laplace_sum(x, *rule)}
         sections = {}
         for kind, build, g, full, smooth in (
-                ("a1", nystrom_helson, gt, "helson_a", "a0"),
-                ("b1", nystrom_hankel, gx, "hankel_b", "b0")):
+                ("a", nystrom_helson, gt, "helson_a", "a0"),
+                ("b", nystrom_hankel, gx, "hankel_b", "b0")):
             M = self._difference(build, g, full, smooth, alpha).dense()
-            # a callable kernel takes the entrywise quadrature path
-            direct = build(kernel_fn(SymbolSpec(kind, alpha=alpha)),
-                           g).dense()
+            direct = build(rough[kind], g).dense()
             scale = np.abs(direct).max()
             assert np.abs(M - direct).max() <= 1e-13 * scale, kind
             assert np.array_equal(M, M.T), kind
             sections[kind] = M
-        scale = np.abs(sections["b1"]).max()
-        assert np.abs(sections["a1"] - sections["b1"]).max() <= 1e-12 * scale
+        scale = np.abs(sections["b"]).max()
+        assert np.abs(sections["a"] - sections["b"]).max() <= 1e-12 * scale
 
     def test_no_per_entry_laplace_sums(self, monkeypatch):
         calls = []

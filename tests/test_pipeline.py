@@ -343,12 +343,12 @@ def test_integral_row1_is_closed_form_minus_row0_gram(monkeypatch, tmp_path):
                         out_dir=str(tmp_path)))
     gx, gt = discretize.v_matched_grids(pipeline._X_DOMAIN, 120)
     want = []
-    for combine, grid, full, rough in (("product", gt, "helson_a", "a1"),
-                                       ("sum", gx, "hankel_b", "b1")):
+    for combine, grid, full, smooth in (("product", gt, "helson_a", "a0"),
+                                        ("sum", gx, "hankel_b", "b0")):
         closed = discretize._assemble(
             kernel_fn(SymbolSpec(full, alpha=alpha)), grid.nodes,
             np.sqrt(grid.weights), combine)
-        gram = discretize._gram_fast_path(SymbolSpec(rough, alpha=alpha),
+        gram = discretize._gram_fast_path(SymbolSpec(smooth, alpha=alpha),
                                           grid, combine)
         want.append(closed - gram)
     assert len(made) == 2
