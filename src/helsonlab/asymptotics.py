@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from helsonlab.eigen import Spectrum
+from helsonlab.symbols import check_alpha
 
 # eigenvalues below this fraction of lambda_1^+ are solver noise: the
 # pipeline's resolved counts, sidecars and cross-row checks and the
@@ -27,8 +28,7 @@ def kappa(alpha: float) -> float:
     Beta goes through log-Gamma so small alpha (huge first argument)
     cannot overflow.
     """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    check_alpha(alpha)
     a = 1.0 / (2.0 * alpha)
     log_beta = math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
     return math.exp(-alpha * math.log(2.0)

@@ -21,11 +21,10 @@ passed as a callable and assembled entrywise.
 weighted_operator gives the quadrature-side sections of the
 factorization, the weighted zeta(1+s) and 1/s kernels, through the same
 blocked entrywise assembly.  The headline section,
-log_window_smooth_section, is never assembled: in log coordinates its
-Gram factor is Toeplitz in taps of a kernel that decays exponentially,
-so its matvec applies two short filters through the package's one
-convolution, structured_ops._overlap_save, in transforms whose length
-the kernel sets, not the window.
+log_window_smooth_section, is the smooth additive kernel's Gram kernel
+in log coordinates on a uniform grid: a symmetric Toeplitz map
+diag(d) T diag(d) (structured_ops.toeplitz_section), whose matvec is one
+convolution with taps that decay exponentially.
 """
 
 from __future__ import annotations
@@ -37,8 +36,8 @@ from typing import Callable
 import numpy as np
 
 from helsonlab.structured_ops import (MAX_DENSE, LinearMap,
-                                      _dirichlet_factor, _overlap_save,
-                                      _smooth_nodes)
+                                      _dirichlet_factor, _smooth_nodes,
+                                      dense_matrix, toeplitz_section)
 from helsonlab.symbols import (
     CHI_HI, SIDE_KINDS, SymbolSpec, _weight_support, _weight_values,
     chi_cutoff, gauss_panels, kernel_fn, zeta1,
@@ -166,7 +165,7 @@ class NystromOperator:
     map: LinearMap
 
     def dense(self) -> np.ndarray:
-        return self.map.dense()
+        return dense_matrix(self.map)
 
 
 def _kernel_callable(kernel) -> Callable:
@@ -238,18 +237,18 @@ def _wrap_operator(matrix: np.ndarray, grid: Grid) -> NystromOperator:
     return NystromOperator(grid=grid, map=lm)
 
 
-def nystrom_hankel(b, grid: Grid, max_nodes=MAX_DENSE) -> NystromOperator:
+def nystrom_hankel(b, grid: Grid) -> NystromOperator:
     """Section of the additive kernel: entries sqrt(w_m) b(x_m+x_n) sqrt(w_n).
 
     b0 is the Gram factor E E^T of its weight rule; hankel_b - b0 comes
     from nystrom_difference.
     """
-    if grid.n > max_nodes:
-        raise ConstructionError(f"dense assembly capped at {max_nodes} nodes")
+    if grid.n > MAX_DENSE:
+        raise ConstructionError(f"dense assembly capped at {MAX_DENSE} nodes")
     return _wrap_operator(_section(b, grid, "sum"), grid)
 
 
-def nystrom_helson(a, grid: Grid, max_nodes=MAX_DENSE) -> NystromOperator:
+def nystrom_helson(a, grid: Grid) -> NystromOperator:
     """Section of the multiplicative kernel: sqrt(w_m) a(t_m t_n) sqrt(w_n).
 
     a0 is the Gram factor E E^T of its weight rule; helson_a - a0 comes
@@ -257,8 +256,8 @@ def nystrom_helson(a, grid: Grid, max_nodes=MAX_DENSE) -> NystromOperator:
     """
     if grid.domain[0] < 1.0:
         raise ConstructionError("multiplicative sections need lo >= 1")
-    if grid.n > max_nodes:
-        raise ConstructionError(f"dense assembly capped at {max_nodes} nodes")
+    if grid.n > MAX_DENSE:
+        raise ConstructionError(f"dense assembly capped at {MAX_DENSE} nodes")
     return _wrap_operator(_section(a, grid, "product"), grid)
 
 
@@ -327,71 +326,36 @@ def weighted_operator(kind: str, w_spec: SymbolSpec, grid: Grid) -> NystromOpera
 
 
 # ---------------------------------------------------------------------------
-# wide-window section of the smooth additive kernel in log coordinates
+# the smooth additive kernel's Gram operator in log coordinates
 
-# u-grid step, first node, and width of mu beyond the last node
+# node step in mu
 _LOG_STEP = 0.135
-_LOG_U_LO = -6.0
-_LOG_PAD = 80.0
 
 
 def log_window_smooth_section(alpha: float, n: int) -> NystromOperator:
     """Smooth additive-kernel section in log coordinates, window grown with n.
 
-    The additive smooth kernel conjugated to u = log x has the exact form
-    K(u,v) = integral of g(u-mu) g(v-mu) W(mu) dmu with g(d) = e^(d/2-e^d)
-    and W(mu) = w(e^-mu), so the section over a uniform u-grid is E E^T
-    for E = T diag(s), T Toeplitz in the taps g(u_m - mu_q) and s the
-    quadrature weights in mu.  The matvec applies E^T and then E as one
-    correlation and one convolution with the taps, each by overlap-save
-    over g's numerical support (structured_ops._overlap_save), so nothing
-    n x n or of length n + Q is transformed: g decays like e^(d/2) to the
-    left and like e^(-e^d) to the right, so its support is d in
-    [-92.3, 3.7], 712 taps at step _LOG_STEP, whatever n is.  The grid
-    (_LOG_STEP, _LOG_U_LO, _LOG_PAD) is fixed and the cutoff band is
-    symbols.CHI_LO, CHI_HI.
-    map.dense forms E E^T explicitly from every tap and refuses windows
-    with n * Q > 2^24 factor entries (Q quadrature nodes in mu).  Keeping
-    the step fixed while n grows widens the window, which is the actual
-    accuracy knob: truncation error falls like 1/width^2 while the
-    quadrature error in mu is already superexponentially small at this
-    step.
+    The smooth additive kernel, integral of e^(-lambda (x+y)) w(lambda)
+    dlambda, is a Gram operator, so its nonzero spectrum is that of the
+    kernel sqrt(W(mu) W(nu)) / (2 cosh((mu - nu)/2)) in mu = -log(lambda),
+    W(mu) = w(e^-mu) (Pushnitski and Yafaev, IMRN 2015).  The section is
+    that kernel on the nodes mu_q = -log(CHI_HI) + h q, q < n, where W
+    starts: structured_ops.toeplitz_section with d_q^2 = h W(mu_q) and
+    taps c_k = e^(-kh/2) / (1 + e^(-kh)), the form of 1/(2 cosh(kh/2))
+    that cannot overflow.  Keeping the step h = _LOG_STEP fixed while n
+    grows widens the window, which is the actual accuracy knob:
+    truncation error falls like 1/width^2 while the quadrature error in
+    mu is already superexponentially small at this step.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     h = _LOG_STEP
-    u = _LOG_U_LO + h * np.arange(n)
-    # W(mu) = w(e^-mu) vanishes for mu <= -log(CHI_HI); align mu to step h
-    mu_lo = -math.log(CHI_HI) + 1e-12
-    mu_hi = u[-1] + _LOG_PAD
-    Q = int(math.ceil((mu_hi - mu_lo) / h)) + 1
-    mu = mu_lo + h * np.arange(Q)
+    mu = -math.log(CHI_HI) + h * np.arange(n)
     # evaluated in mu as mu^-alpha chi(e^-mu): w(e^-mu) itself reads 0 once
     # e^-mu underflows (mu > ~745), which would stop the window growing
-    W = mu ** -alpha * chi_cutoff(np.exp(-mu))
-    s = h * np.sqrt(W)
-
-    # T[k] = g(delta + k h), k in [-(Q-1), n-1]
-    k = np.arange(-(Q - 1), n)
-    d = (u[0] - mu[0]) + h * k
-    expo = 0.5 * d - np.exp(np.minimum(d, 40.0))
-    tvals = np.exp(expo)
-    # E y = (tvals * y)[Q-1 : Q-1+n] and E^T v = (rev(tvals) * v)[n-1 : n-1+Q]
-    conv = _overlap_save(tvals, Q - 1, n)
-    corr = _overlap_save(tvals[::-1], n - 1, Q)
-
-    def mv(vec):
-        vec = np.asarray(vec, dtype=float)
-        return conv(s * (s * corr(vec)))
-
-    def dense():
-        if n * Q > 1 << 24:
-            raise ConstructionError("window too large to materialize")
-        E = tvals[(np.arange(n)[:, None] - np.arange(Q)[None, :]) + Q - 1]
-        E = E * s[None, :]
-        return E @ E.T
-
-    grid = Grid(nodes=u, weights=np.full(n, h),
-                domain=(float(u[0]), float(u[-1])))
-    return NystromOperator(grid=grid,
-                           map=LinearMap(cols=n, matvec=mv, dense=dense))
+    d = np.sqrt(h * mu ** -alpha * chi_cutoff(np.exp(-mu)))
+    t = h * np.arange(n)
+    c = np.exp(-0.5 * t) / (1.0 + np.exp(-t))
+    grid = Grid(nodes=mu, weights=np.full(n, h),
+                domain=(float(mu[0]), float(mu[-1])))
+    return NystromOperator(grid=grid, map=toeplitz_section(c, d))

@@ -95,8 +95,8 @@ def spectrum_to_csv(spec: Spectrum, path) -> None:
 
 def spectrum_from_csv(path) -> Spectrum:
     """Inverse of spectrum_to_csv; a file without the schema's value
-    columns, or with a row shorter than its header, raises ValueError
-    naming the file."""
+    columns, a row shorter than its header or a cell that is not a
+    finite number raises ValueError naming the file."""
     cols = {"lambda_plus": [], "lambda_minus": [], "s_n": []}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -109,8 +109,16 @@ def spectrum_from_csv(path) -> Spectrum:
                 raise ValueError(f"{path}, line {reader.line_num}: fewer "
                                  f"cells than the header")
             for key, acc in cols.items():
-                if row[key] != "":
+                if row[key] == "":
+                    continue
+                try:
                     acc.append(float(row[key]))
+                except ValueError:
+                    acc.append(math.nan)
+                if not math.isfinite(acc[-1]):
+                    raise ValueError(f"{path}, line {reader.line_num}, column "
+                                     f"{key}: {row[key]!r} is not a finite "
+                                     f"number")
     return Spectrum(lambda_plus=np.array(cols["lambda_plus"]),
                     lambda_minus=np.array(cols["lambda_minus"]),
                     singular=np.array(cols["s_n"]),

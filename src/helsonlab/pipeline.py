@@ -42,7 +42,7 @@ from helsonlab.eigen import (Spectrum, dense_eig_oracle, lanczos_extreme,
 from helsonlab.structured_ops import (MAX_DENSE, HelsonTruncation,
                                       LinearMap, build_helson,
                                       build_smooth_helson, difference_section)
-from helsonlab.symbols import SymbolSpec
+from helsonlab.symbols import SymbolSpec, check_alpha
 
 # solve() gives sections at or below this order the full dense spectrum;
 # above it Lanczos reports k (default _LANCZOS_K) certified extreme pairs
@@ -104,10 +104,10 @@ class RunConfig:
             raise ValueError("sizes must be >= 2")
         if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
             raise ValueError("sizes must be strictly increasing")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        if self.nystrom_n < 8:
-            raise ValueError("nystrom_n too small")
+        check_alpha(self.alpha)
+        if not 8 <= self.nystrom_n <= MAX_DENSE:
+            raise ValueError(f"nystrom_n must lie in [8, {MAX_DENSE}], "
+                             f"got {self.nystrom_n}")
         _need_object("solver", self.solver)
         _refuse_unknown("solver", self.solver, ("seed",))
         self.solver = {"seed": _need_int("seed", self.solver.get("seed", 0))}
@@ -225,12 +225,14 @@ def _headline_fit(alpha: float, n_top: int, seed: int,
                   out_dir: pathlib.Path, report: dict) -> None:
     """Headline section, its spectrum and tail fit into report["fits"].
 
-    The headline is the smooth additive kernel in log coordinates at the
-    top ladder size, the one object whose tail corrections shrink fast
-    enough to observe the power law at desk scale.  Matrix sections get
-    no fit: they resolve only 8-9 eigenvalues above the noise floor, in
-    geometric rather than power-law decay.  The section and its Lanczos
-    basis are dead when this returns.
+    The headline is log_window_smooth_section on n_top nodes, the smooth
+    part's integral Hankel operator as the Toeplitz map diag(d) T diag(d)
+    in mu = -log(lambda), whose kernel carries the reference kappa(alpha):
+    the one object whose tail corrections shrink fast enough to observe
+    the power law at desk scale.  Matrix sections get no fit: they
+    resolve only 8-9 eigenvalues above the noise floor, in geometric
+    rather than power-law decay.  The section and its Lanczos basis are
+    dead when this returns.
     """
     artifacts = report["artifacts"]
     fits = {}
@@ -339,27 +341,20 @@ def run_chain(config: RunConfig) -> dict:
 
     with stage("row_integrals"):
         gx, gt = v_matched_grids(_X_DOMAIN, config.nystrom_n)
-        max_nodes = max(MAX_DENSE, config.nystrom_n)
         integral_spectra: dict = {}
         # per grid, row 0 is the smooth part's Gram product E E^T, built
         # once, and row 1 the closed-form full kernel minus that product
         for name, build, grid, full, smooth in (
                 ("helson", nystrom_helson, gt, "helson_a", "a0"),
                 ("hankel", nystrom_hankel, gx, "hankel_b", "b0")):
-            op0 = build(SymbolSpec(kind=smooth, alpha=alpha), grid,
-                        max_nodes=max_nodes)
+            op0 = build(SymbolSpec(kind=smooth, alpha=alpha), grid)
             op1 = nystrom_difference(
-                build(SymbolSpec(kind=full, alpha=alpha), grid,
-                      max_nodes=max_nodes), op0)
+                build(SymbolSpec(kind=full, alpha=alpha), grid), op0)
             for i, op in enumerate((op0, op1)):
                 spec = solve(op.map, seed=seed)
                 integral_spectra[(i, name)] = spec
                 _write_spectrum(spec, out_dir, f"row{i}_integral_{name}",
                                 report)
-            # solved sections are dead: left bound until the headline
-            # solve, the last grid's two pin the heap freed below them
-            # (integral peak RSS 88 -> 75 MB)
-            del op0, op1, op
         report["cross_row"] = {
             f"row{i}": _top_agreement(integral_spectra[(i, "helson")],
                                       integral_spectra[(i, "hankel")])

@@ -1,10 +1,12 @@
-"""Finite Hankel and multiplicative-Hankel truncations with fast matvecs.
+"""Hankel, Toeplitz and multiplicative-Hankel sections with fast matvecs.
 
 _overlap_save is the package's one convolution: every Toeplitz or
-Hankel product, here and in discretize, goes through it, over the
-numerical support of its taps (_support), in 5-smooth transform lengths
-(_fft_length).  A Hankel section {b(j+k)} (build_hankel) multiplies a
-vector as one such convolution with the reversed vector, in O(N log N).
+Hankel product goes through it, over the numerical support of its taps
+(_support), in 5-smooth transform lengths (_fft_length).  A Hankel
+section {b(j+k)} (build_hankel) multiplies a vector as one such
+convolution with the reversed vector, and a symmetric Toeplitz section
+d_j c(|j-k|) d_k (toeplitz_section, the headline section of discretize)
+as one with its two-sided taps, in O(N log N) either way.
 
 A multiplicative section {a(jk)} whose symbol is a sum of Dirichlet
 exponentials, a(n) = sum_q m_q n^(-1/2-s_q), is a Gram matrix E E^T
@@ -116,9 +118,9 @@ def _fft_length(L: int) -> int:
 # share of a filter's l1 mass that _overlap_save may drop from its head,
 # and again from its tail.  By Young's inequality the Toeplitz operator of
 # the dropped taps has norm at most their l1 mass, 2 * _TAIL_MASS *
-# ||f||_1, against the bound ||f||_1 on that of all taps; a product
-# E E^T with E = T diag(s) moves by at most twice that share, 4e-20 of
-# its own bound ||f||_1^2 max(s)^2, far below rounding
+# ||f||_1, against the bound ||f||_1 on that of all taps; a section
+# diag(d) T diag(d) moves by the same share, 2e-20 of its own bound
+# ||f||_1 max(d)^2, far below rounding
 _TAIL_MASS = 1e-20
 
 
@@ -193,6 +195,30 @@ def build_hankel(b) -> LinearMap:
     idx = np.arange(N)
     return LinearMap(cols=N, matvec=lambda u: conv(u[::-1]),
                      dense=lambda: b[idx[:, None] + idx[None, :]])
+
+
+# ---------------------------------------------------------------------------
+# Toeplitz structure: diag(d) T diag(d), T = {c(|j-k|)}
+
+
+def toeplitz_section(c, d) -> LinearMap:
+    """Symmetric N x N map x -> d * T(d * x), T_jk = c[|j-k|].
+
+    The matvec is one convolution with the two-sided taps c[N-1], ...,
+    c[1], c[0], c[1], ..., c[N-1] by _overlap_save; dense() scales them
+    by d_j d_k, formed first so that the matrix is bitwise symmetric.
+    """
+    c = np.asarray(c, dtype=float)
+    d = np.asarray(d, dtype=float)
+    if c.ndim != 1 or c.shape != d.shape:
+        raise ValueError("need taps c and weights d of one length N")
+    N = c.size
+    taps = np.concatenate([c[:0:-1], c])
+    conv = _overlap_save(taps, N - 1, N)
+    # row j is taps[N-1-j : 2N-1-j], that is c[|j-k|] in column k
+    rows = np.lib.stride_tricks.sliding_window_view(taps, N)[::-1]
+    return LinearMap(cols=N, matvec=lambda x: d * conv(d * x),
+                     dense=lambda: np.outer(d, d) * rows)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,12 @@ class DomainError(ValueError):
     """Argument outside the symbol's real-valued domain."""
 
 
+def check_alpha(alpha) -> None:
+    """Refuse an exponent that is not a positive finite number."""
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+
+
 @dataclass(frozen=True)
 class SymbolSpec:
     """Descriptor of one closed-form kernel: its kind and exponent, or a
@@ -73,8 +79,7 @@ class SymbolSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown symbol kind {self.kind!r}")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        check_alpha(self.alpha)
         if self.kind == "custom" and self.fn is None:
             raise ValueError("custom spec needs fn")
 

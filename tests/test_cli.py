@@ -49,6 +49,32 @@ class TestKappa:
         assert code == 2
 
 
+class TestNonFiniteAlpha:
+    @pytest.mark.parametrize("verb", ["kappa", "spectrum", "chain-flag",
+                                      "chain-config"])
+    @pytest.mark.parametrize("alpha", ["inf", "nan"])
+    def test_non_finite_alpha_refused_by_name(self, verb, alpha, tmp_path,
+                                              capsys):
+        # asymptotics.kappa, SymbolSpec and RunConfig each refuse it
+        # before any work starts
+        cfg_path = tmp_path / "cfg.json"
+        cfg = {"sizes": [32, 64], "outputs": {"dir": str(tmp_path / "o")}}
+        if verb == "chain-config":
+            cfg["alpha"] = float(alpha)
+        cfg_path.write_text(json.dumps(cfg))
+        argv = {"kappa": ["kappa", "--alpha", alpha],
+                "spectrum": ["spectrum", "--operator", "helson", "--size",
+                             "16", "--alpha", alpha],
+                "chain-flag": ["chain", "--config", str(cfg_path),
+                               "--alpha", alpha],
+                "chain-config": ["chain", "--config", str(cfg_path)]}[verb]
+        code, out, err = _run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: alpha must be positive and finite, " \
+                      f"got {float(alpha)!r}\n"
+        assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 
@@ -196,6 +222,12 @@ class TestFit:
          " lacks the spectrum column(s) lambda_plus, lambda_minus, s_n"),
         ("n,lambda_plus,lambda_minus,s_n\n1,2,,\n2\n",
          ", line 3: fewer cells than the header"),
+        ("n,lambda_plus,lambda_minus,s_n\n1,abc,,\n",
+         ", line 2, column lambda_plus: 'abc' is not a finite number"),
+        ("n,lambda_plus,lambda_minus,s_n\n1,nan,,\n",
+         ", line 2, column lambda_plus: 'nan' is not a finite number"),
+        ("n,lambda_plus,lambda_minus,s_n\n1,2,,\n2,1,-inf,\n",
+         ", line 3, column lambda_minus: '-inf' is not a finite number"),
     ])
     def test_malformed_csv(self, text, message, tmp_path, capsys):
         path = tmp_path / "x.csv"
@@ -232,6 +264,21 @@ class TestSchatten:
         assert code == 2 and out == ""
         assert err == (f"error: {path} lacks the spectrum column(s) "
                        f"lambda_minus, s_n\n")
+
+    @pytest.mark.parametrize("row, column", [
+        ("1,nan,,", "lambda_plus"), ("1,inf,,", "lambda_plus"),
+        ("1,2,,Infinity", "s_n"),
+    ])
+    def test_non_finite_cell(self, row, column, tmp_path, capsys):
+        # json.dumps would print NaN or Infinity, which is not JSON
+        path = tmp_path / "x.csv"
+        path.write_text(f"n,lambda_plus,lambda_minus,s_n\n{row}\n")
+        code, out, err = _run(capsys, "schatten", "--input", str(path),
+                              "--p", "1")
+        assert code == 2 and out == ""
+        cell = row.split(",")[("lambda_plus", "s_n").index(column) * 2 + 1]
+        assert err == (f"error: {path}, line 2, column {column}: "
+                       f"{cell!r} is not a finite number\n")
 
     def test_header_only_csv(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"

@@ -160,9 +160,13 @@ class TestNystromHankel:
             nystrom_hankel(lambda x: 1.0 / x, g)
 
     def test_node_cap(self):
-        g = make_grid((0.1, 1.0), 64, "uniform")
-        with pytest.raises(ConstructionError):
-            nystrom_hankel(lambda x: np.exp(-x), g, max_nodes=32)
+        # one cap for every caller, MAX_DENSE nodes, checked before any
+        # kernel value is computed
+        g = make_grid((1.0, 2.0), structured_ops.MAX_DENSE + 1, "uniform")
+        with pytest.raises(ConstructionError, match="capped at 4096"):
+            nystrom_hankel(lambda x: np.exp(-x), g)
+        with pytest.raises(ConstructionError, match="capped at 4096"):
+            nystrom_helson(lambda t: 1.0 / t, g)
 
     def test_smooth_kernel_gram_path_matches_direct(self):
         spec = SymbolSpec("b0", alpha=1.0)
@@ -429,18 +433,19 @@ class TestWeightedOperator:
 # wide-window section in log coordinates
 
 
-def _log_window_factor(alpha, n, h=0.135, u_lo=-6.0, pad=80.0,
-                       chi_lo=0.25, chi_hi=0.75):
-    """Every tap g(u_0 - mu_0 + k h), k in [-(Q-1), n-1], the weights s_q
-    and Q of log_window_smooth_section, from its docstring's formulas."""
-    u = u_lo + h * np.arange(n)
-    mu_lo = -math.log(chi_hi) + 1e-12
-    Q = int(math.ceil((u[-1] + pad - mu_lo) / h)) + 1
-    mu = mu_lo + h * np.arange(Q)
+def _log_window_factor(alpha, n, h=0.135, chi_lo=0.25, chi_hi=0.75):
+    """Taps c_k = 1/(2 cosh(kh/2)), k < n, and weights d_q of
+    log_window_smooth_section, from its docstring's formulas."""
+    mu = -math.log(chi_hi) + h * np.arange(n)
     chi = symbols.smoothstep((chi_hi - np.exp(-mu)) / (chi_hi - chi_lo))
-    s = h * np.sqrt(mu ** -alpha * chi)
-    d = (u[0] - mu_lo) + h * np.arange(-(Q - 1), n)
-    return np.exp(0.5 * d - np.exp(np.minimum(d, 40.0))), s, Q
+    with np.errstate(over="ignore"):
+        c = 1.0 / (2.0 * np.cosh(0.5 * h * np.arange(n)))
+    return c, np.sqrt(h * mu ** -alpha * chi)
+
+
+def _g(d):
+    """The u-window factor's kernel g(d) = e^(d/2 - e^d)."""
+    return np.exp(0.5 * d - np.exp(np.minimum(d, 40.0)))
 
 
 class TestOverlapSave:
@@ -504,19 +509,16 @@ class TestLogWindowSection:
     @pytest.mark.parametrize("alpha, n", [(0.5, 8192), (1.0, 16384)])
     def test_matvec_at_chain_sizes(self, alpha, n):
         # the headline sizes of both benchmark chains, where dense() is
-        # refused: E E^T v from every tap by one unwrapped FFT each way
-        tvals, s, Q = _log_window_factor(alpha, n)
-        M = 1 << (tvals.size + max(n, Q)).bit_length()
-
-        def conv(f, x, lo, count):
-            y = np.fft.irfft(np.fft.rfft(f, n=M) * np.fft.rfft(x, n=M), n=M)
-            return y[lo:lo + count]
-
+        # refused: d * T(d * v) by one unwrapped FFT of every two-sided tap
+        c, d = _log_window_factor(alpha, n)
+        taps = np.concatenate([c[:0:-1], c])
+        M = 1 << (taps.size + n).bit_length()
         op = log_window_smooth_section(alpha, n)
         for _ in range(2):
             v = RNG.standard_normal(n)
-            want = conv(tvals, s * s * conv(tvals[::-1], v, n - 1, Q),
-                        Q - 1, n)
+            full = np.fft.irfft(np.fft.rfft(taps, n=M) *
+                                np.fft.rfft(d * v, n=M), n=M)
+            want = d * full[n - 1:2 * n - 1]
             got = op.map.apply(v)
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -524,12 +526,37 @@ class TestLogWindowSection:
     def test_dropped_tap_mass_within_bound(self, n):
         # Young's inequality: the dropped l1 mass bounds the change of the
         # section in operator norm, relative to the kept mass
-        tvals, _, _ = _log_window_factor(1.0, n)
-        lo, hi = structured_ops._support(tvals)
-        dropped = tvals[:lo].sum() + tvals[hi:].sum()
-        assert dropped <= 2e-20 * tvals.sum()
-        # the support is g's, a few hundred taps, not the window's
-        assert 0 < hi - lo <= 1000
+        c, _ = _log_window_factor(1.0, n)
+        taps = np.concatenate([c[:0:-1], c])
+        lo, hi = structured_ops._support(taps)
+        dropped = taps[:lo].sum() + taps[hi:].sum()
+        assert dropped <= 2e-20 * taps.sum()
+        # the support is the kernel's, ~1350 taps, not the window's
+        assert 1000 < hi - lo <= 1500
+
+    def test_taps_are_the_u_window_gram_kernel(self):
+        # h sum_m g(u_m - mu) g(u_m - nu) over a wide u-grid is the
+        # kernel 1/(2 cosh((mu - nu)/2)) whose taps the section holds, at
+        # any offset of the u-grid against the mu-nodes
+        h = discretize._LOG_STEP
+        c, _ = _log_window_factor(1.0, 300)
+        mu = h * np.arange(300)
+        u = -100.0 + 0.37 * h + h * np.arange(int(150.0 / h))
+        G = _g(u[:, None] - mu[None, :])
+        gram = h * (G.T @ G)
+        idx = np.arange(300)
+        assert np.abs(gram - c[np.abs(idx[:, None] - idx[None, :])]).max() \
+            <= 1e-13
+
+    def test_widest_chain_section_builds_without_overflow(self):
+        # at n = 16384 the taps reach t = kh = 2212, past the t ~ 1420
+        # where the cosh form overflows
+        with np.errstate(over="raise", invalid="raise"):
+            op = log_window_smooth_section(1.0, 16384)
+            e = np.zeros(16384)
+            e[-1] = 1.0
+            col = op.map.apply(e)
+        assert np.all(np.isfinite(col)) and col[-1] > 0
 
     def test_materialized_section_is_psd(self):
         op = log_window_smooth_section(0.5, 128)
@@ -553,8 +580,8 @@ class TestLogWindowSection:
         assert abs(a - b) <= 1e-3 * b
 
     def test_window_keeps_growing_past_exp_underflow(self):
-        # the last node's diagonal entry tracks W(u_last) ~ u_last^-alpha;
-        # at n = 8192 the window reaches mu ~ 1180, where e^-mu underflows
+        # the last node's diagonal entry tracks W(mu_last) ~ mu_last^-alpha;
+        # at n = 8192 the window reaches mu ~ 1106, where e^-mu underflows
         # and w(e^-mu) would read 0
         diag = {}
         for n in (4096, 8192):
@@ -566,12 +593,16 @@ class TestLogWindowSection:
         assert d8 == pytest.approx(d4 * (u4 / u8), rel=0.01)
 
     def test_dense_refused_when_not_materialized(self):
-        # n = 4096 needs n * Q > 2^24 factor entries: the explicit matrix
-        # is refused, with no fall-back to one matvec per column
-        op = log_window_smooth_section(1.0, 4096)
-        with pytest.raises(ConstructionError):
+        # the explicit matrix is allowed up to MAX_DENSE and refused past
+        # it, with no fall-back to one matvec per column
+        n = structured_ops.MAX_DENSE
+        M = log_window_smooth_section(1.0, n).dense()
+        assert M.shape == (n, n)
+        del M
+        op = log_window_smooth_section(1.0, n + 1)
+        with pytest.raises(ValueError, match="beyond 4096"):
             op.dense()
-        with pytest.raises(ConstructionError):
+        with pytest.raises(ValueError, match="beyond 4096"):
             dense_matrix(op.map)
 
     def test_bad_parameters(self):

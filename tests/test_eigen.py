@@ -245,7 +245,7 @@ class TestLanczos:
     @pytest.mark.parametrize("n", [700, 1024])
     def test_semi_orthogonal_on_log_window_sections(self, alpha, n):
         # these sections are numerically low rank (at alpha = 1, n = 700,
-        # lambda_216 is 8e-12 lambda_1 and 275 eigenvalues lie above
+        # lambda_216 is 4.8e-11 lambda_1 and 297 eigenvalues lie above
         # 1e-14 lambda_1): the sweep runs into the noise floor, where the
         # textbook omega rounding model lets orthogonality go
         lm = log_window_smooth_section(alpha, n).map

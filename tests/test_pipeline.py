@@ -50,6 +50,14 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=field):
             RunConfig(**kw)
 
+    def test_nystrom_n_capped_at_max_dense(self):
+        # the Nystrom builders' one node cap, refused before any stage
+        cap = structured_ops.MAX_DENSE
+        assert RunConfig(nystrom_n=cap).nystrom_n == cap
+        with pytest.raises(ValueError,
+                           match=r"nystrom_n must lie in \[8, 4096\], got 4097"):
+            RunConfig(nystrom_n=cap + 1)
+
     def test_integer_like_values_accepted(self):
         cfg = RunConfig(alpha=2, sizes=[np.int64(32), 64],
                         helson_cap=np.int64(32), solver={"seed": np.int32(4)})
