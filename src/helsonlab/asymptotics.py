@@ -25,15 +25,23 @@ NOISE_FLOOR = 1e-8
 def kappa(alpha: float) -> float:
     """Tail constant: 2^-a pi^(1-2a) Beta(1/(2a), 1/2)^a.
 
-    Beta goes through log-Gamma so small alpha (huge first argument)
-    cannot overflow.
+    Beta goes through log-Gamma; an alpha whose constant or log-Gamma
+    overflows a double (above about 226, below about 2e-306) raises
+    ValueError.
     """
     check_alpha(alpha)
     a = 1.0 / (2.0 * alpha)
-    log_beta = math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
-    return math.exp(-alpha * math.log(2.0)
-                    + (1.0 - 2.0 * alpha) * math.log(math.pi)
-                    + alpha * log_beta)
+    try:
+        log_beta = math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
+        value = math.exp(-alpha * math.log(2.0)
+                         + (1.0 - 2.0 * alpha) * math.log(math.pi)
+                         + alpha * log_beta)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"alpha={alpha!r} is out of range: kappa(alpha) "
+                         f"is not a finite double")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,7 @@ def _cmd_schatten(args) -> int:
     if s.size == 0:
         raise _UsageError(f"{args.input} holds no spectral data")
     report = schatten_report(s, args.p, args.q)
-    print(json.dumps(report.to_json(), sort_keys=True))
+    print(json.dumps(report.to_json(), sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -394,7 +394,8 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--input", required=True)
     f.add_argument("--window", default=None, help="n0:n1")
 
-    sc = sub.add_parser("schatten", help="Schatten functional of a CSV")
+    sc = sub.add_parser("schatten", help="Schatten functional of a CSV, "
+                        "as JSON; an infinite value prints as \"inf\"")
     sc.add_argument("--input", required=True)
     sc.add_argument("--p", type=float, required=True)
     sc.add_argument("--q", type=float, default=None)

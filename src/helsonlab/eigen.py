@@ -17,7 +17,8 @@ such a random direction is itself mapped below that floor, the operator
 is at its noise floor on the rest of the space and the sweep stops:
 the matrix sections of this package resolve only a handful of
 eigenvalues and use up their Krylov space within a few dozen steps.
-Every reported Ritz pair carries its residual bound, |beta_m| |last
+One sweep gives both ends of the spectrum from one basis.  Every
+reported Ritz pair carries its residual bound, |beta_m| |last
 eigenvector component| plus the couplings dropped at deflations; under
 semi-orthogonality it holds up to O(eps |A|), and a sweep converges
 once every bound it reports is at most _TOL.
@@ -198,13 +199,6 @@ def tridiag_eigenvalues(d, e):
     return vals, V[-1]
 
 
-def _split_signs(vals_desc: np.ndarray):
-    """(lambda_plus desc, lambda_minus desc) from algebraic eigenvalues."""
-    pos = vals_desc[vals_desc > 0.0]
-    neg = -vals_desc[vals_desc < 0.0]
-    return np.sort(pos)[::-1], np.sort(neg)[::-1]
-
-
 def dense_eig_oracle(target: Union[LinearMap, np.ndarray]) -> Spectrum:
     """Full spectrum of a real symmetric map or matrix (LAPACK eigvalsh).
 
@@ -226,8 +220,8 @@ def dense_eig_oracle(target: Union[LinearMap, np.ndarray]) -> Spectrum:
         raise ValueError("matrix is not symmetric")
     M = 0.5 * (M + M.T)
     vals = np.linalg.eigvalsh(M)[::-1]
-    plus, minus = _split_signs(vals)
-    return Spectrum(lambda_plus=plus, lambda_minus=minus,
+    return Spectrum(lambda_plus=vals[vals > 0.0],
+                    lambda_minus=-vals[vals < 0.0][::-1],
                     singular=np.sort(np.abs(vals))[::-1],
                     residuals=np.zeros(vals.size),
                     meta={"dim": int(M.shape[0]), "iterations": int(M.shape[0]),
@@ -250,8 +244,8 @@ _SEMI_ORTH = math.sqrt(_EPS)
 
 
 def _lanczos_sweep(lm: LinearMap, k: int, max_iter: int, rng,
-                   negate: bool = False):
-    """Top-k algebraic Ritz values of (-1)^negate * lm with residuals.
+                   both_ends: bool = False):
+    """Top-k (and with both_ends bottom-k) Ritz values of lm, residuals.
 
     The basis is kept semi-orthogonal, |q_i.q_j| <= sqrt(eps), by
     Simon's partial reorthogonalization (H. D. Simon, "The Lanczos
@@ -300,12 +294,14 @@ def _lanczos_sweep(lm: LinearMap, k: int, max_iter: int, rng,
     O(eps |A|) (Simon 1984), so |beta_last z_i| + sqrt(sum of the dropped
     beta^2) bounds the residual of Ritz pair i up to that level; it is
     reported relative to the largest |Ritz value| and is never 0 for a
-    sweep that dropped anything.  Returns the Ritz values, residuals,
-    steps, convergence flag and the number of steps that ran a
-    Gram-Schmidt pass against the basis.
+    sweep that dropped anything.  One basis approximates both ends at
+    once (Kaniel-Paige-Saad; Saad, SIAM J. Numer. Anal. 17 (1980)).
+    Returns the selected Ritz values, non-increasing and each once where
+    top and bottom meet, their residuals, the steps, the convergence
+    flag (every selected residual at most _TOL) and the number of steps
+    that ran a Gram-Schmidt pass against the basis.
     """
     n = lm.cols
-    sign = -1.0 if negate else 1.0
     q = rng.standard_normal(n)
     q /= np.linalg.norm(q)
     basis = np.empty((max_iter, n))
@@ -330,11 +326,15 @@ def _lanczos_sweep(lm: LinearMap, k: int, max_iter: int, rng,
         vals, z = tridiag_eigenvalues(alphas[:m], betas[:m - 1])
         scale = max(float(np.max(np.abs(vals))), 1e-300)
         res = (np.abs(beta_last * z) + math.sqrt(dropped2)) / scale
-        return vals, res, np.argsort(vals)[::-1][:k]
+        order = np.argsort(vals)[::-1]
+        if both_ends:
+            # vals ascend, so descending indices are descending values
+            return vals, res, np.union1d(order[:k], order[-k:])[::-1]
+        return vals, res, order[:k]
 
     while m < max_iter:
         basis[m] = q
-        v = sign * lm.apply(q)
+        v = lm.apply(q)
         a = float(q @ v)
         v -= a * q
         if m > 0:
@@ -403,25 +403,26 @@ def _lanczos_sweep(lm: LinearMap, k: int, max_iter: int, rng,
     if checked != m:
         vals, res, top = ritz()
     converged = bool(np.all(res[top] <= _TOL))
-    return sign * vals[top], res[top], m, converged, passes
+    return vals[top], res[top], m, converged, passes
 
 
 def lanczos_extreme(lm: LinearMap, k: int, which: str = "largest",
                     seed: int = 0) -> Spectrum:
     """Extreme eigenvalues of a symmetric map, residual-certified.
 
-    which = largest | both_ends.  The largest-end sweep always runs;
-    both_ends adds a sweep of the negated map for the bottom end.
+    which = largest | both_ends.  One Lanczos sweep finds the top k
+    Ritz values, and for both_ends the bottom k from the same basis.
     Deterministic for a fixed seed (start vectors from one PCG64 stream,
-    fixed reduction order).  Each end runs at most min(n, max(4k + 32,
-    128)) steps and converges once every residual bound is at most _TOL;
-    non-convergence is reported through meta["converged"], not raised.  meta["iterations"] counts the Lanczos
-    steps of both ends and meta["reorthogonalized"] those of them that
-    ran a Gram-Schmidt pass against the basis.
-    lambda_minus (and, for both_ends, singular) lists only negative Ritz
-    values of size at least _NEG_SNAP * lambda_1^+; a smallest Ritz
-    value smaller than that in size is rounding noise and reads 0 in
-    meta["lambda_min_alg"].
+    fixed reduction order).  The sweep runs at most min(n, max(4k + 32,
+    128)) steps and converges once every residual bound it selects is at
+    most _TOL; non-convergence is reported through meta["converged"],
+    not raised.  meta["iterations"] counts the Lanczos steps and
+    meta["reorthogonalized"] those of them that ran a Gram-Schmidt pass
+    against the basis.
+    lambda_plus lists the positives among the top k; lambda_minus (and,
+    for both_ends, singular) the negatives among the bottom k of size at
+    least _NEG_SNAP * lambda_1^+.  A smallest Ritz value smaller than
+    that in size is rounding noise and reads 0 in meta["lambda_min_alg"].
     An end may return fewer than k pairs: a sweep stops once its Krylov
     space is used up, so an operator with fewer than k eigenvalues above
     the deflation floor (1e-14 of its largest Lanczos coefficient) gives
@@ -434,36 +435,24 @@ def lanczos_extreme(lm: LinearMap, k: int, which: str = "largest",
     n = lm.cols
     max_iter = min(n, max(4 * k + 32, 128))
     rng = np.random.default_rng(seed)
-
-    meta = {"dim": n, "seed": seed, "tol": _TOL, "iterations": 0,
-            "reorthogonalized": 0, "converged": True, "method": "lanczos"}
-
-    def sweep(negate: bool):
-        vals, res, it, ok, passes = _lanczos_sweep(lm, k, max_iter, rng,
-                                                   negate=negate)
-        meta["iterations"] += it
-        meta["reorthogonalized"] += passes
-        meta["converged"] &= ok
-        return vals, res
-
-    # the top sweep's Ritz values come non-increasing, positives first
-    vals, res = sweep(False)
-    meta["lambda_max_alg"] = float(vals[0])
-    plus = vals[vals > 0.0]
+    vals, res, it, ok, passes = _lanczos_sweep(
+        lm, k, max_iter, rng, both_ends=which == "both_ends")
+    meta = {"dim": n, "seed": seed, "tol": _TOL, "iterations": it,
+            "reorthogonalized": passes, "converged": ok, "method": "lanczos",
+            "lambda_max_alg": float(vals[0])}
+    # vals come non-increasing: the top k lead, the bottom k close
+    plus = vals[:k][vals[:k] > 0.0]
     res_plus = res[:plus.size]
     snap = _NEG_SNAP * plus[0] if plus.size else 0.0
     if which == "both_ends":
-        # the smallest algebraic eigenvalues of A, ascending
-        vals, res = sweep(True)
-        lam_min = float(vals[0])
+        lam_min = float(vals[-1])
         meta["lambda_min_alg"] = 0.0 if abs(lam_min) < snap else lam_min
-    else:
-        # ascending too: the negatives of the top sweep, largest size first
-        vals, res = vals[::-1], res[::-1]
-    keep = (vals < 0.0) & (vals <= -snap)
-    minus = -vals[keep]
+    # ascending: the most negative first
+    low, res_low = vals[-k:][::-1], res[-k:][::-1]
+    keep = (low < 0.0) & (low <= -snap)
+    minus = -low[keep]
     singular = np.sort(np.concatenate([plus, minus]))[::-1] \
         if which == "both_ends" else np.array([])
     return Spectrum(lambda_plus=plus, lambda_minus=minus, singular=singular,
-                    residuals=np.concatenate([res_plus, res[keep]]),
+                    residuals=np.concatenate([res_plus, res_low[keep]]),
                     meta=meta)

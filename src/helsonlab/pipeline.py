@@ -42,7 +42,7 @@ from helsonlab.eigen import (Spectrum, dense_eig_oracle, lanczos_extreme,
 from helsonlab.structured_ops import (MAX_DENSE, HelsonTruncation,
                                       LinearMap, build_helson,
                                       build_smooth_helson, difference_section)
-from helsonlab.symbols import SymbolSpec, check_alpha
+from helsonlab.symbols import SymbolSpec
 
 # solve() gives sections at or below this order the full dense spectrum;
 # above it Lanczos reports k (default _LANCZOS_K) certified extreme pairs
@@ -104,7 +104,7 @@ class RunConfig:
             raise ValueError("sizes must be >= 2")
         if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
             raise ValueError("sizes must be strictly increasing")
-        check_alpha(self.alpha)
+        kappa(self.alpha)  # refuses an alpha without a finite tail constant
         if not 8 <= self.nystrom_n <= MAX_DENSE:
             raise ValueError(f"nystrom_n must lie in [8, {MAX_DENSE}], "
                              f"got {self.nystrom_n}")

@@ -57,8 +57,9 @@ class SchattenReport:
     tail_estimate: float
 
     def to_json(self) -> dict:
-        return {"p": self.p, "q": self.q, "value": self.value,
-                "n_used": self.n_used, "tail_estimate": self.tail_estimate}
+        """The fields by name, an infinite one as "inf" (JSON has none)."""
+        return {k: "inf" if v == math.inf else v
+                for k, v in vars(self).items()}
 
 
 def schatten_report(s, p: float, q: Optional[float] = None) -> SchattenReport:

@@ -74,6 +74,30 @@ class TestNonFiniteAlpha:
                       f"got {float(alpha)!r}\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("verb", ["kappa", "chain-flag", "chain-config",
+                                      "report"])
+    @pytest.mark.parametrize("alpha", ["250", "1e-310"])
+    def test_alpha_without_finite_kappa_refused(self, verb, alpha, tmp_path,
+                                                capsys):
+        # kappa(250) overflowed a double and kappa(1e-310) read nan; chain
+        # solved the headline and then failed in its fit stage
+        cfg_path = tmp_path / "cfg.json"
+        cfg = {"sizes": [32, 64], "outputs": {"dir": str(tmp_path / "o")}}
+        if verb in ("chain-config", "report"):
+            cfg["alpha"] = float(alpha)
+        cfg_path.write_text(json.dumps(cfg))
+        argv = {"kappa": ["kappa", "--alpha", alpha],
+                "chain-flag": ["chain", "--config", str(cfg_path),
+                               "--alpha", alpha],
+                "chain-config": ["chain", "--config", str(cfg_path)],
+                "report": ["report", "--config", str(cfg_path), "--svg",
+                           str(tmp_path / "f.svg")]}[verb]
+        code, out, err = _run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: alpha={float(alpha)!r} is out of range: " \
+                      f"kappa(alpha) is not a finite double\n"
+        assert not (tmp_path / "o").exists()
+
 
 # ---------------------------------------------------------------------------
 # spectrum
@@ -255,6 +279,24 @@ class TestSchatten:
                             str(synthetic_csv), "--p", "1", "--q", "2")
         assert code == 0
         assert json.loads(out)["q"] == 2.0
+
+    @pytest.mark.parametrize("flags, key", [
+        (("--p", "1", "--q", "inf"), "q"),
+        (("--p", "1"), "tail_estimate"),
+    ])
+    def test_infinity_prints_as_strict_json(self, flags, key, tmp_path,
+                                            capsys):
+        # lambda_n = n^-1/2 decays too slowly for a finite p = 1 tail
+        s = np.arange(1, 201, dtype=float) ** -0.5
+        path = tmp_path / "s.csv"
+        spectrum_to_csv(Spectrum(s, np.empty(0), s, np.empty(0)), path)
+        code, out, _ = _run(capsys, "schatten", "--input", str(path), *flags)
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        assert code == 0
+        assert json.loads(out, parse_constant=refuse)[key] == "inf"
 
     def test_csv_without_spectrum_columns(self, tmp_path, capsys):
         path = tmp_path / "x.csv"

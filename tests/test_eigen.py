@@ -26,8 +26,8 @@ def cap_sweeps(monkeypatch, steps):
     sweep = eigen._lanczos_sweep
     monkeypatch.setattr(
         eigen, "_lanczos_sweep",
-        lambda lm, k, max_iter, rng, negate=False:
-            sweep(lm, k, min(max_iter, steps), rng, negate=negate))
+        lambda lm, k, max_iter, rng, both_ends=False:
+            sweep(lm, k, min(max_iter, steps), rng, both_ends=both_ends))
 
 
 HILBERT2 = np.array([[1.0, 0.5], [0.5, 1.0 / 3.0]])
@@ -204,6 +204,23 @@ class TestLanczos:
                            rtol=1e-9)
         assert spec.meta["lambda_min_alg"] == pytest.approx(want[0], rel=1e-9)
         assert spec.meta["lambda_max_alg"] == pytest.approx(want[-1], rel=1e-9)
+
+    def test_both_ends_from_one_sweep(self):
+        # geometric spectra at both ends: a sweep for each end took 72
+        # steps here, 144 matvecs in all against max_iter = 112
+        n, k = 1500, 20
+        d = np.concatenate([0.85 ** np.arange(n // 2),
+                            -0.6 * 0.85 ** np.arange(n // 2)])
+        calls = []
+        lm = LinearMap(n, lambda u: calls.append(1) or d * u)
+        spec = lanczos_extreme(lm, k, which="both_ends", seed=0)
+        want = np.linalg.eigvalsh(np.diag(d))
+        assert spec.meta["converged"] is True
+        assert len(calls) == spec.meta["iterations"] <= 4 * k + 32
+        assert np.allclose(spec.lambda_plus, want[::-1][:k], rtol=0,
+                           atol=1e-12 * want[-1])
+        assert np.allclose(spec.lambda_minus, -want[:k], rtol=0,
+                           atol=1e-12 * want[-1])
 
     def test_determinism_bitwise(self):
         lm = build_helson(SymbolSpec("helson_a", alpha=1.0), 120)

@@ -287,8 +287,8 @@ def test_unconverged_solve_listed_in_report(monkeypatch, tmp_path):
     sweep = eigen._lanczos_sweep
     monkeypatch.setattr(
         eigen, "_lanczos_sweep",
-        lambda lm, k, max_iter, rng, negate=False:
-            sweep(lm, k, min(max_iter, 45), rng, negate=negate))
+        lambda lm, k, max_iter, rng, both_ends=False:
+            sweep(lm, k, min(max_iter, 45), rng, both_ends=both_ends))
     monkeypatch.setattr(pipeline, "_FIT_WINDOW", (4, 24))
     cfg = RunConfig(alpha=1.0, sizes=(24, 1024), helson_cap=24,
                     nystrom_n=48, out_dir=str(tmp_path))

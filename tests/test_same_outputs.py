@@ -82,3 +82,29 @@ def test_workloads_are_the_benchmarks(tool):
     configs = tool.workloads()
     assert set(configs) == names
     assert all("alpha" in c and "sizes" in c for c in configs.values())
+
+
+def test_json_changes_name_the_moved_values(tool, tmp_path):
+    for side, steps in (("a", 31), ("b", 15)):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "s.meta.json").write_text(json.dumps(
+            {"dim": 1024, "iterations": steps, "converged": True}))
+    assert tool.json_changes(tmp_path / "a" / "s.meta.json",
+                             tmp_path / "b" / "s.meta.json") \
+        == ["iterations: 31 → 15"]
+
+
+def test_json_changes_reach_into_report_blocks(tool, tmp_path):
+    # the output directory and stage_stats stay out, as in differing_files
+    changed = dict(REPORT, artifacts=["/b/x.csv"],
+                   stage_stats={"fit": {"seconds": 0.5}},
+                   fits={"headline": {"kappa_hat": 0.25}}, extra=[1])
+    write_run(tmp_path / "a", REPORT, CSV)
+    write_run(tmp_path / "b", changed, CSV)
+    assert tool.json_changes(tmp_path / "a" / "run_report.json",
+                             tmp_path / "b" / "run_report.json") == [
+        'fits.headline: {"kappa_hat": 0.5} → {"kappa_hat": 0.25}',
+        "extra: (absent) → [1]"]
+    assert tool.json_changes(tmp_path / "a" / "sub" / "row0_matrix_N48.csv",
+                             tmp_path / "b" / "sub" / "row0_matrix_N48.csv") \
+        == []

@@ -16,9 +16,12 @@ side wrote. run_report.json is compared without `artifacts` and
 for byte. For a spectrum CSV that differs, the line also gives
 max |Δ| / λ₁ over the sorted algebraic spectrum, λ⁺ together with −λ⁻:
 eigenvalues at rounding level can switch between the two columns, so
-the columns alone would overstate the change. The outputs stay on disk
-for inspection. Exit status 1 if any file differs or a chain fails, 0
-otherwise.
+the columns alone would overstate the change. For a JSON file that
+differs (run_report.json after the exclusions above), one line per
+differing key reads `key: parent → change`, with a key of a nested
+block, such as run_report.json's `fits`, spelled `block.key`. The
+outputs stay on disk for inspection. Exit status 1 if any file differs
+or a chain fails, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -108,6 +111,41 @@ def spectrum_change(a: pathlib.Path, b: pathlib.Path):
     return f"max |Δ| / λ₁ = {gap / top if top else gap:.3g}"
 
 
+_ABSENT = object()
+
+
+def _show(value) -> str:
+    return "(absent)" if value is _ABSENT else json.dumps(value)
+
+
+def json_changes(a: pathlib.Path, b: pathlib.Path) -> list:
+    """`key: parent → change` for each key whose value differs between
+    two JSON objects, one level of nested objects deep (`block.key`);
+    [] for any other pair of files."""
+    if a.suffix != ".json" or not (a.is_file() and b.is_file()):
+        return []
+    if a.name == REPORT:
+        ja, jb = _comparable_report(a), _comparable_report(b)
+    else:
+        ja, jb = json.loads(a.read_text()), json.loads(b.read_text())
+    if not (isinstance(ja, dict) and isinstance(jb, dict)):
+        return []
+    return _key_changes(ja, jb, nested=True)
+
+
+def _key_changes(ja: dict, jb: dict, nested: bool) -> list:
+    out = []
+    for key in dict.fromkeys([*ja, *jb]):
+        va, vb = ja.get(key, _ABSENT), jb.get(key, _ABSENT)
+        if va == vb:
+            continue
+        if nested and isinstance(va, dict) and isinstance(vb, dict):
+            out += [f"{key}.{line}" for line in _key_changes(va, vb, False)]
+        else:
+            out.append(f"{key}: {_show(va)} → {_show(vb)}")
+    return out
+
+
 def run_chain_in(tree: pathlib.Path, config: dict,
                  out_dir: pathlib.Path) -> subprocess.CompletedProcess:
     shutil.rmtree(out_dir, ignore_errors=True)
@@ -143,6 +181,9 @@ def main(argv=None) -> int:
         for rel in diff:
             note = spectrum_change(dirs["parent"] / rel, dirs["change"] / rel)
             print(f"  {rel}" + (f": {note}" if note else ""))
+            for line in json_changes(dirs["parent"] / rel,
+                                     dirs["change"] / rel):
+                print(f"    {line}")
         if diff:
             status = 1
     return status
