@@ -219,12 +219,12 @@ def _suite_chain(seed: int):
 
 
 def _suite_factorization(seed: int):
-    w = SymbolSpec("weight_w", alpha=1.0)
+    alpha = 1.0
     g = make_grid((1e-12, 0.75), 2000, "geometric")
-    F = factor_N_dense(w, 64, g)
+    F = factor_N_dense(alpha, 64, g)
     P = F @ F.T
     jk = np.multiply.outer(np.arange(1, 65), np.arange(1, 65)).astype(float)
-    target = a0_quadrature(w, jk)
+    target = a0_quadrature(alpha, jk)
     entry_err = float(np.abs(P - target).max())
     checks = [(entry_err <= 1e-8,
                f"row-product entries vs smooth-part values: max abs diff "
@@ -245,11 +245,11 @@ def _suite_factorization(seed: int):
 
 def _suite_s0diff(seed: int):
     del seed
-    w = SymbolSpec("weight_w", alpha=1.0)
+    alpha = 1.0
     g = make_grid((1e-8, 0.75), 1024, "geometric")
-    D = (weighted_operator("zeta1", w, g).dense()
-         - weighted_operator("carleman", w, g).dense())
-    sq = np.sqrt(np.atleast_1d(_weight_values(w, g.nodes)) * g.weights)
+    D = (weighted_operator("zeta1", alpha, g).dense()
+         - weighted_operator("carleman", alpha, g).dense())
+    sq = np.sqrt(_weight_values(alpha, g.nodes) * g.weights)
     D -= np.outer(sq, sq)
     s = dense_eig_oracle(D).singular
     # the remainder is entire, so its singular values fall

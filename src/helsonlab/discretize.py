@@ -39,7 +39,7 @@ from helsonlab.structured_ops import (MAX_DENSE, LinearMap,
                                       _dirichlet_factor, _smooth_nodes,
                                       dense_matrix, toeplitz_section)
 from helsonlab.symbols import (
-    CHI_HI, SIDE_KINDS, SymbolSpec, _weight_support, _weight_values,
+    CHI_HI, SIDE_KINDS, SymbolSpec, _weight_values,
     chi_cutoff, gauss_panels, kernel_fn, zeta1,
 )
 
@@ -53,7 +53,7 @@ X_MAX = 700.0
 # a kernel that expands each element, such as zeta1 into its 63-term
 # partial sum, holds one block's worth of that expansion, and a
 # quadrature closure passed in as a callable, such as
-# lambda t: a0_quadrature(w, t), blocks its own expansion in _laplace_sum
+# lambda t: a0_quadrature(alpha, t), blocks its own expansion in _laplace_sum
 _ASSEMBLY_BUDGET = 1 << 13
 
 # kinds of the smooth parts, whose section is the weight's Gram product
@@ -278,37 +278,36 @@ def nystrom_difference(full: NystromOperator,
 # factorization of the smooth part
 
 
-def _coverage_check(w_spec: SymbolSpec, grid: Grid) -> None:
-    lo, hi = _weight_support(w_spec)
-    span = hi - lo
-    if grid.domain[1] < hi - 1e-12 * max(1.0, abs(hi)) or \
-       grid.domain[0] > lo + 0.05 * span:
+def _coverage_check(grid: Grid) -> None:
+    """Refuse a grid that misses the top of supp w = [0, CHI_HI] or more
+    than its bottom 5%, where w vanishes."""
+    if grid.domain[1] < CHI_HI - 1e-12 or grid.domain[0] > 0.05 * CHI_HI:
         raise ConstructionError(
             f"grid [{grid.domain[0]:g}, {grid.domain[1]:g}] does not cover "
-            f"the weight support [{lo:g}, {hi:g}]")
+            f"the weight support [0, {CHI_HI:g}]")
 
 
-def factor_N_dense(w_spec: SymbolSpec, J: int, grid: Grid) -> np.ndarray:
-    """Rectangular factor F_jq = j^(-x_q - 1/2) sqrt(w(x_q) omega_q).
+def factor_N_dense(alpha: float, J: int, grid: Grid) -> np.ndarray:
+    """Rectangular factor F_jq = j^(-x_q - 1/2) sqrt(w(x_q) omega_q) of
+    the weight at alpha on a grid that covers its support.
 
-    F F^T reproduces the smooth multiplicative section on integers and
-    F^T F is the weighted finite zeta sum; both products share every
-    nonzero singular value.
+    F F^T reproduces the smooth multiplicative section [a0(jk)] on
+    integers and F^T F is the weighted finite zeta sum; both products
+    share every nonzero singular value.
     """
     if J < 1:
         raise ValueError("J must be positive")
-    _coverage_check(w_spec, grid)
-    wvals = np.atleast_1d(_weight_values(w_spec, grid.nodes))
-    if np.any(wvals < 0):
-        raise ConstructionError("weight takes negative values on the grid")
+    _coverage_check(grid)
+    wvals = _weight_values(alpha, grid.nodes)
     with np.errstate(divide="ignore"):
         return _dirichlet_factor(np.arange(1, J + 1, dtype=float),
                                  grid.nodes, np.log(wvals * grid.weights))
 
 
-def weighted_operator(kind: str, w_spec: SymbolSpec, grid: Grid) -> NystromOperator:
+def weighted_operator(kind: str, alpha: float, grid: Grid) -> NystromOperator:
     """Section sqrt(w om)_m K(x_m + x_n) sqrt(w om)_n for a named kernel,
-    zeta1 (K(s) = zeta(1+s)) or carleman (K(s) = 1/s).
+    zeta1 (K(s) = zeta(1+s)) or carleman (K(s) = 1/s), weighted by the
+    weight at alpha.
 
     The kernel argument stays strictly positive (lo > 0 enforced: both
     kernels have a 1/x-type singularity at the origin).
@@ -317,9 +316,7 @@ def weighted_operator(kind: str, w_spec: SymbolSpec, grid: Grid) -> NystromOpera
         raise ValueError(f"unknown weighted kernel {kind!r}")
     if grid.domain[0] <= 0:
         raise ConstructionError(f"{kind} kernel is singular at 0: need lo > 0")
-    wvals = np.atleast_1d(_weight_values(w_spec, grid.nodes))
-    if np.any(wvals < 0):
-        raise ConstructionError("weight takes negative values on the grid")
+    wvals = _weight_values(alpha, grid.nodes)
     M = _assemble(_WEIGHTED_KERNELS[kind], grid.nodes,
                   np.sqrt(wvals * grid.weights), "sum")
     return _wrap_operator(M, grid)

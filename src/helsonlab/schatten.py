@@ -22,10 +22,15 @@ def _check_singular(s) -> np.ndarray:
     return s
 
 
+def _check_p(p) -> None:
+    """Refuse p unless positive and finite (at p = inf, 1/p reads 0)."""
+    if not (p > 0 and math.isfinite(p)):
+        raise ValueError(f"p must be positive and finite, got {p!r}")
+
+
 def schatten_norm(s, p: float) -> float:
     """(sum s_n^p)^(1/p)."""
-    if not p > 0:
-        raise ValueError("p must be positive")
+    _check_p(p)
     s = _check_singular(s)
     if s.size == 0:
         return 0.0
@@ -37,8 +42,9 @@ def schatten_lorentz_norm(s, p: float, q: float) -> float:
 
     Indexing starts at n = 1 for the leading singular value.
     """
-    if not p > 0 or not (q > 0 or q == math.inf):
-        raise ValueError("need p > 0 and q > 0 (or inf)")
+    _check_p(p)
+    if not (q > 0 or q == math.inf):
+        raise ValueError(f"q must be positive (or inf), got {q!r}")
     s = _check_singular(s)
     if s.size == 0:
         return 0.0

@@ -34,7 +34,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from helsonlab.symbols import (RULE_NODES, SIDE_KINDS, DomainError,
-                               SymbolSpec, _exponential_sum_rule, _weight_of,
+                               SymbolSpec, _exponential_sum_rule,
                                _weight_rule, sequence_values)
 
 # rows per evaluation block in the streaming multiplicative matvec;
@@ -368,9 +368,7 @@ def _gram_section(plus: np.ndarray, minus, head) -> GramSection:
 
 def _smooth_nodes(spec: SymbolSpec):
     """Nodes and log masses of the smooth part's cached weight rule."""
-    lam, rho = _weight_rule(_weight_of(spec), RULE_NODES)
-    if np.any(rho < 0):
-        raise ValueError("weight rule produced negative masses")
+    lam, rho = _weight_rule(spec.alpha, RULE_NODES)
     with np.errstate(divide="ignore"):
         return lam, np.log(rho)
 

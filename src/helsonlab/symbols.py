@@ -10,22 +10,24 @@ smooth/rough decomposition:
     a1    = a - a0                                           (residual)
 
 with b0 the additive-variable counterpart of a0 under x = log t,
-b(x) = e^(x/2) a(e^x).  A SymbolSpec names a, b, w, a0 or b0, or a
-custom weight given as a callable.  The residual has no kind: it is
-only ever a difference of two sections (structured_ops.
-difference_section, discretize.nystrom_difference).  An ad-hoc kernel
-is a plain callable, not a spec.  zeta1, zeta(1+x), is a plain function,
-the kernel of discretize.weighted_operator.  Everything here is a pure
-function of its inputs.
+b(x) = e^(x/2) a(e^x).  A SymbolSpec names a, b, a0 or b0 at one alpha.
+The weight has no kind: alpha fixes it, and the functions that need it
+(_weight_values, a0_quadrature, b0_quadrature, and discretize's
+factor_N_dense and weighted_operator) take alpha.  The residual has no
+kind either: it is only ever a difference of two sections
+(structured_ops.difference_section, discretize.nystrom_difference).  An
+ad-hoc kernel is a plain callable, not a spec.  zeta1, zeta(1+x), is a
+plain function, the kernel of discretize.weighted_operator.  Everything
+here is a pure function of its inputs.
 
 gauss_panels is the package's one composite Gauss-Legendre rule.  Every
-value and Gram factor of one weight's smooth part shares its cached
+value and Gram factor of the smooth part at one alpha shares its cached
 weight rule of RULE_NODES nodes (a0_quadrature alone takes other sizes,
 to measure convergence); the full symbol's exponential-sum rule is
-cached per alpha.  The weight rule's panels end at the cutoff band's
-edges CHI_LO and CHI_HI, where w is smooth but not analytic, so that
-RULE_NODES = 605 nodes integrate a0 and b0 to rounding; every smooth
-Gram factor is that many columns wide.
+cached per alpha as well.  The weight rule's panels, one fixed set for
+every alpha, end at the cutoff band's edges CHI_LO and CHI_HI, where w
+is smooth but not analytic, so that RULE_NODES = 605 nodes integrate a0
+and b0 to rounding; every smooth Gram factor is that many columns wide.
 
 sequence_values restricts one symbol to the integers.  There are no
 per-product sequences of the smooth or difference part: matrix sections
@@ -35,9 +37,10 @@ a0's weight rule and the full symbol's exponential-sum rule.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -50,7 +53,7 @@ CHI_LO, CHI_HI = 0.25, 0.75
 # kernel_fn is the closed form at t >= T0 and zero below
 T0 = 16.0
 
-KINDS = ("helson_a", "hankel_b", "weight_w", "a0", "b0", "custom")
+KINDS = ("helson_a", "hankel_b", "a0", "b0")
 
 # kernels a(jk), a(ts) of the product side and b(x+y) of the sum side
 SIDE_KINDS = {"product": ("helson_a", "a0"), "sum": ("hankel_b", "b0")}
@@ -68,20 +71,16 @@ def check_alpha(alpha) -> None:
 
 @dataclass(frozen=True)
 class SymbolSpec:
-    """Descriptor of one closed-form kernel: its kind and exponent, or a
-    custom weight fn with its support interval."""
+    """Descriptor of one closed-form kernel: its kind, one of KINDS, and
+    its exponent alpha."""
 
     kind: str
     alpha: float = 1.0
-    fn: Optional[Callable] = None
-    support: Optional[tuple] = None  # custom weights only
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown symbol kind {self.kind!r}")
         check_alpha(self.alpha)
-        if self.kind == "custom" and self.fn is None:
-            raise ValueError("custom spec needs fn")
 
 
 def smoothstep(s):
@@ -107,52 +106,33 @@ def chi_cutoff(lam):
                       / (CHI_HI - CHI_LO))
 
 
-def _weight_values(spec: SymbolSpec, lam):
-    """w(l) for the weight described by spec (weight_w or custom)."""
+def _weight_values(alpha: float, lam):
+    """w(l) = |log l|^(-alpha) chi(l) on (0, CHI_HI), and 0 elsewhere."""
+    check_alpha(alpha)
     lam_in = np.asarray(lam, dtype=float)
     lam = np.atleast_1d(lam_in)
-    if spec.kind == "custom":
-        out = np.asarray(spec.fn(lam), dtype=float)
-        return out if lam_in.ndim else float(out[0])
     out = np.zeros_like(lam)
     inside = (lam > 0.0) & (lam < CHI_HI)
     li = lam[inside]
-    out[inside] = np.abs(np.log(li)) ** (-spec.alpha) * chi_cutoff(li)
+    out[inside] = np.abs(np.log(li)) ** (-alpha) * chi_cutoff(li)
     return out if lam_in.ndim else float(out[0])
-
-
-def _weight_support(spec: SymbolSpec) -> tuple:
-    if spec.kind == "custom":
-        if spec.support is None:
-            raise ValueError("custom weight needs an explicit support interval")
-        return spec.support
-    return (0.0, CHI_HI)
-
-
-def _weight_of(spec: SymbolSpec) -> SymbolSpec:
-    """The weight spec implied by a full/decomposed symbol spec."""
-    if spec.kind in ("weight_w", "custom"):
-        return spec
-    return SymbolSpec(kind="weight_w", alpha=spec.alpha)
 
 
 # ---------------------------------------------------------------------------
 # fixed quadrature rule for the Laplace-type integrals
 
-_RULE_CACHE: dict = {}
-
-# node count of the weight rule, the one size every operator built from a
-# weight uses (Gram consistency): 11 Gauss nodes on each of the shipped
-# weight's 55 panels, which give a0 and b0 to rounding for x = log t up
+# node count of the weight rule, the one size every operator built from
+# the weight uses (Gram consistency): 11 Gauss nodes on each of the
+# rule's 55 panels, which give a0 and b0 to rounding for x = log t up
 # to 700 at alpha in {0.5, 1, 2}; at 10 nodes per panel the error is
 # already 2-3 times rounding, at 9 it reaches 3.5e-14
 RULE_NODES = 605
 
-# halvings of the weight rule's panels toward the lower end of the
-# support, and toward each end of the cutoff band.  The smallest panel at
-# 0 is 0.25 * 2^-44 ~ 1.4e-14 wide: its share of b0(700) is below
-# rounding, while 40 halvings leave 1e-14.  Four halvings at the band
-# edges are the fewest that resolve exp(-1/s) there.
+# halvings of the weight rule's panels toward 0, and toward each end of
+# the cutoff band.  The smallest panel at 0 is 0.25 * 2^-44 ~ 1.4e-14
+# wide: its share of b0(700) is below rounding, while 40 halvings leave
+# 1e-14.  Four halvings at the band edges are the fewest that resolve
+# exp(-1/s) there.
 _ZERO_HALVINGS = 45
 _EDGE_HALVINGS = 5
 
@@ -180,54 +160,42 @@ def gauss_panels(edges, per):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _rule_edges(spec_w: SymbolSpec) -> np.ndarray:
-    """Panel edges of the weight rule on supp w.
+def _rule_edges() -> np.ndarray:
+    """Panel edges of the weight rule on supp w = [0, CHI_HI], the same
+    for every alpha.
 
-    Panels halve _ZERO_HALVINGS times toward the lower end of the
-    support, where the shipped weight |log l|^(-alpha) is not analytic
-    at 0.  For the shipped weight that run stops at CHI_LO, and the band
-    [CHI_LO, CHI_HI] gets panels that halve _EDGE_HALVINGS times toward
-    each of its ends: there the smoothstep's exp(-1/s) join is flat but
-    not analytic.  A panel across an edge converges only algebraically:
-    halving panels from CHI_HI to 0 need 2000 nodes for the accuracy
-    these panels reach with RULE_NODES.
+    Panels halve _ZERO_HALVINGS times from CHI_LO toward 0, where
+    |log l|^(-alpha) is not analytic.  The band [CHI_LO, CHI_HI] gets
+    panels that halve _EDGE_HALVINGS times toward each of its ends: there
+    the smoothstep's exp(-1/s) join is flat but not analytic.  A panel
+    across an edge converges only algebraically: halving panels from
+    CHI_HI to 0 need 2000 nodes for the accuracy these panels reach with
+    RULE_NODES.
     """
-    lo, hi = _weight_support(spec_w)
-    lo = max(lo, 0.0)
-    top = CHI_LO if spec_w.kind == "weight_w" else hi
-    edges = [[lo], lo + (top - lo) * 0.5 ** np.arange(_ZERO_HALVINGS - 1,
-                                                      -1, -1)]
-    if spec_w.kind == "weight_w":
-        half = 0.5 * (CHI_HI - CHI_LO)
-        steps = half * 0.5 ** np.arange(_EDGE_HALVINGS - 1, 0, -1)
-        edges += [CHI_LO + steps, [CHI_LO + half], CHI_HI - steps[::-1],
-                  [CHI_HI]]
-    return np.concatenate(edges)
+    half = 0.5 * (CHI_HI - CHI_LO)
+    steps = half * 0.5 ** np.arange(_EDGE_HALVINGS - 1, 0, -1)
+    return np.concatenate([
+        [0.0], CHI_LO * 0.5 ** np.arange(_ZERO_HALVINGS - 1, -1, -1),
+        CHI_LO + steps, [CHI_LO + half], CHI_HI - steps[::-1], [CHI_HI]])
 
 
-def _weight_rule(spec_w: SymbolSpec, Q: int):
-    """Composite Gauss-Legendre rule of exactly Q nodes on supp w, over
-    the panels of _rule_edges, Q spread over them as evenly as it goes.
+@functools.cache
+def _weight_rule(alpha: float, Q: int):
+    """Composite Gauss-Legendre rule of exactly Q nodes for the weight at
+    alpha, over the panels of _rule_edges, Q spread over them as evenly
+    as it goes.
 
     Returns (nodes, weights * w(nodes)); cached so that every operator
-    built from the same weight shares one rule (Gram consistency).
+    built at one alpha shares one rule (Gram consistency).
     """
-    # keying by the frozen spec keeps custom fn objects alive, so the
-    # identity-based hash of a callable can never be recycled
-    key = (spec_w, Q)
-    hit = _RULE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    edges = _rule_edges(spec_w)
+    edges = _rule_edges()
     panels = edges.size - 1
     if Q < 2 * panels:
         raise ValueError(f"need Q >= {2 * panels} quadrature nodes, two "
                          f"per panel")
     base, extra = divmod(Q, panels)
     x, om = gauss_panels(edges, [base + (i < extra) for i in range(panels)])
-    om = om * np.atleast_1d(_weight_values(spec_w, x))
-    _RULE_CACHE[key] = (x, om)
-    return x, om
+    return x, om * _weight_values(alpha, x)
 
 
 def _laplace_sum(x, nodes, om):
@@ -256,6 +224,7 @@ def _laplace_sum(x, nodes, om):
     return out.reshape(x.shape)
 
 
+@functools.cache
 def _exponential_sum_rule(alpha: float):
     """Positive exponential sum for F(x) = 1/(x (log x)^alpha), x > 1.
 
@@ -273,10 +242,6 @@ def _exponential_sum_rule(alpha: float):
     jk = 3 up to jk = 2^36, the error growing slowly with jk from the
     mass below the first node.  Built on first use and cached per alpha.
     """
-    key = ("exponential_sum", float(alpha))
-    hit = _RULE_CACHE.get(key)
-    if hit is not None:
-        return hit
     h = 0.25
     R = int(math.ceil(math.log(700.0 / 1e-12) / h)) + 1
     log_s = math.log(1e-12) + h * np.arange(R)
@@ -293,28 +258,29 @@ def _exponential_sum_rule(alpha: float):
         top = e.max()
         log_rho[q] = top + math.log(dy * np.exp(e - top).sum())
     log_rho -= math.lgamma(alpha)
-    rule = (np.exp(log_s), math.log(h) + log_s + log_rho)
-    _RULE_CACHE[key] = rule
-    return rule
+    return np.exp(log_s), math.log(h) + log_s + log_rho
 
 
-def a0_quadrature(spec_w: SymbolSpec, t, Q: int = RULE_NODES):
-    """Integral of t^(-1/2-l) w(l) dl by the fixed composite rule of Q
-    nodes (symbols.RULE_NODES unless a convergence study varies it)."""
+def a0_quadrature(alpha: float, t, Q: int = RULE_NODES):
+    """a0(t), the integral of t^(-1/2-l) w(l) dl for the weight at alpha,
+    at t >= 1, by the weight rule of Q nodes (RULE_NODES unless a
+    convergence study varies it)."""
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 1.0):
         raise DomainError("a0 integral is evaluated for t >= 1")
-    x, om = _weight_rule(spec_w, Q)
+    x, om = _weight_rule(alpha, Q)
     val = np.sqrt(1.0 / t_arr) * _laplace_sum(np.log(t_arr), x, om)
     return val if val.ndim else float(val)
 
 
-def b0_quadrature(spec_w: SymbolSpec, x):
-    """Laplace transform of w at x (> 0): integral of e^(-x l) w(l) dl."""
+def b0_quadrature(alpha: float, x):
+    """b0(x), the Laplace transform of the weight at alpha: the integral
+    of e^(-x l) w(l) dl at x > 0, by the weight rule of RULE_NODES
+    nodes."""
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr <= 0.0):
         raise DomainError("Laplace transform evaluated for x > 0")
-    xs, om = _weight_rule(spec_w, RULE_NODES)
+    xs, om = _weight_rule(alpha, RULE_NODES)
     val = _laplace_sum(x_arr, xs, om)
     return val if val.ndim else float(val)
 
@@ -385,17 +351,10 @@ def eval_symbol(spec: SymbolSpec, t):
         if np.any(t_arr <= 1.0):
             raise DomainError("hankel_b is real-valued for x > 1 only")
         val = _hankel_b_values(spec.alpha, t_arr)
-    elif k == "weight_w":
-        if np.any(t_arr <= 0.0):
-            raise DomainError("weight_w needs lambda > 0")
-        val = _weight_values(spec, t_arr)
     elif k == "a0":
-        val = np.asarray(a0_quadrature(_weight_of(spec), t_arr), dtype=float)
-    elif k == "b0":
-        val = np.asarray(b0_quadrature(_weight_of(spec), t_arr), dtype=float)
+        val = np.asarray(a0_quadrature(spec.alpha, t_arr), dtype=float)
     else:
-        raise ValueError(f"{k!r} is a weight only, not a symbol; pass an "
-                         f"ad-hoc symbol as a callable")
+        val = np.asarray(b0_quadrature(spec.alpha, t_arr), dtype=float)
     if np.any(~np.isfinite(np.atleast_1d(val))):
         raise DomainError(f"{k} evaluated to a non-finite value")
     return val if np.ndim(val) else float(val)

@@ -4,6 +4,7 @@ import pathlib
 import sys
 import time
 
+import numpy as np
 import pytest
 
 SPANS = pathlib.Path(__file__).parent.parent / "perfbench" / "spans.py"
@@ -63,3 +64,15 @@ def test_traced_tiny_chain_reports_every_layer(spans, tmp_path):
         assert isinstance(value, numbers.Real), name
     assert metrics["discretize.nystrom.entries"] == 4 * 32 ** 2
     assert metrics["eigen.dense_eig.max_dim"] == 48
+
+
+def test_traced_quadrature_reads_alpha_t_and_q(spans):
+    # the a0_quadrature hook binds the call's arguments and reads t and Q
+    # by name, so the traced call must take the package's signature
+    import helsonlab.symbols as symbols
+
+    tracer = spans.Tracer()
+    with tracer.installed(spans.install_layers):
+        symbols.a0_quadrature(1.0, np.array([2.0, 3.0]))
+    assert tracer.calls("symbols.a0_quadrature") == 1
+    assert tracer.totals["symbols.a0_quadrature.points"] == 2

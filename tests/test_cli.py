@@ -5,6 +5,7 @@ stdout/stderr split are asserted directly.
 """
 
 import json
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -298,6 +299,20 @@ class TestSchatten:
         assert code == 0
         assert json.loads(out, parse_constant=refuse)[key] == "inf"
 
+    @pytest.mark.parametrize("p", ["inf", "nan"])
+    def test_non_finite_p_refused_by_name(self, p, tmp_path, capsys):
+        # at p = inf the tail estimate was inf / inf, with a RuntimeWarning
+        s = np.linspace(20.0, 2.0, 30)
+        path = tmp_path / "s.csv"
+        spectrum_to_csv(Spectrum(s, np.empty(0), s, np.empty(0)), path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = _run(capsys, "schatten", "--input", str(path),
+                                  "--p", p)
+        assert caught == []
+        assert code == 2 and out == ""
+        assert err == f"error: p must be positive and finite, got {p}\n"
+
     def test_csv_without_spectrum_columns(self, tmp_path, capsys):
         path = tmp_path / "x.csv"
         path.write_text("n,lambda_plus\n1,2\n")
@@ -377,11 +392,11 @@ class TestVerify:
         # singular values above the floor and a head decay of order 0.1
         real = cli.weighted_operator
 
-        def no_carleman(kind, w_spec, grid):
+        def no_carleman(kind, alpha, grid):
             if kind == "carleman":
                 return SimpleNamespace(dense=lambda: np.zeros((grid.n,
                                                                grid.n)))
-            return real(kind, w_spec, grid)
+            return real(kind, alpha, grid)
 
         monkeypatch.setattr(cli, "weighted_operator", no_carleman)
         code, out, _ = _run(capsys, "verify", "--suite", "s0diff")

@@ -17,7 +17,7 @@ from helsonlab.discretize import (
 from helsonlab.eigen import dense_eig_oracle, lanczos_extreme
 from helsonlab.structured_ops import dense_matrix
 from helsonlab.symbols import (SymbolSpec, _weight_values, a0_quadrature,
-                               b0_quadrature, kernel_fn, zeta1)
+                               b0_quadrature, chi_cutoff, kernel_fn, zeta1)
 
 RNG = np.random.default_rng(7)
 
@@ -170,10 +170,9 @@ class TestNystromHankel:
 
     def test_smooth_kernel_gram_path_matches_direct(self):
         spec = SymbolSpec("b0", alpha=1.0)
-        w = SymbolSpec("weight_w", alpha=1.0)
         g = make_grid((1e-4, 50.0), 96, "geometric")
         fast = nystrom_hankel(spec, g).dense()
-        direct = nystrom_hankel(lambda x: b0_quadrature(w, x), g).dense()
+        direct = nystrom_hankel(lambda x: b0_quadrature(1.0, x), g).dense()
         scale = np.abs(direct).max()
         assert np.abs(fast - direct).max() <= 1e-13 * scale
 
@@ -200,10 +199,9 @@ class TestNystromHelson:
 
     def test_smooth_kernel_gram_path_matches_direct(self):
         spec = SymbolSpec("a0", alpha=1.0)
-        w = SymbolSpec("weight_w", alpha=1.0)
         g = make_grid((1.0, 1e6), 80, "geometric")
         fast = nystrom_helson(spec, g).dense()
-        direct = nystrom_helson(lambda t: a0_quadrature(w, t), g).dense()
+        direct = nystrom_helson(lambda t: a0_quadrature(1.0, t), g).dense()
         scale = np.abs(direct).max()
         assert np.abs(fast - direct).max() <= 1e-13 * scale
 
@@ -232,7 +230,8 @@ class TestNystromHelson:
 
 class TestSideKinds:
     # a section takes callables and the kinds of its own side; the other
-    # side's kinds, the weight and a custom spec are refused by name
+    # side's kinds are refused by name, the weight is no spec (SymbolSpec
+    # refuses it by name), and a custom kernel is no spec
     @pytest.mark.parametrize("build, kind", [
         ("hankel", "a0"), ("hankel", "helson_a"), ("hankel", "weight_w"),
         ("helson", "b0"), ("helson", "hankel_b"), ("helson", "weight_w"),
@@ -249,10 +248,9 @@ class TestSideKinds:
         fn = lambda x: 1.0 / (1.0 + x)  # noqa: E731
         assert nystrom_hankel(fn, gx).map.cols == 16
         assert nystrom_helson(fn, gt).map.cols == 16
-        spec = SymbolSpec("custom", fn=fn)
         for build, grid in ((nystrom_hankel, gx), (nystrom_helson, gt)):
             with pytest.raises(ValueError, match="'custom'"):
-                build(spec, grid)
+                build(SymbolSpec("custom"), grid)
 
 
 class TestDifferenceKernels:
@@ -270,11 +268,10 @@ class TestDifferenceKernels:
         gx, gt = v_matched_grids((0.0, 30.0), 160)
         fa = kernel_fn(SymbolSpec("helson_a", alpha=alpha))
         fb = kernel_fn(SymbolSpec("hankel_b", alpha=alpha))
-        w = SymbolSpec("weight_w", alpha=alpha)
-        rule = symbols._weight_rule(w, symbols.RULE_NODES)
+        rule = symbols._weight_rule(alpha, symbols.RULE_NODES)
         # callable kernels take the entrywise quadrature path; the sum
         # side's Laplace sum is taken directly, since x = 0 is on gx
-        rough = {"a": lambda t: fa(t) - a0_quadrature(w, t),
+        rough = {"a": lambda t: fa(t) - a0_quadrature(alpha, t),
                  "b": lambda x: fb(x) - symbols._laplace_sum(x, *rule)}
         sections = {}
         for kind, build, g, full, smooth in (
@@ -316,18 +313,15 @@ class TestDifferenceKernels:
 # factorization of the smooth part
 
 
-def _unit_weight(support=(0.0, 1.0)):
-    return SymbolSpec("custom", fn=lambda lam: np.ones_like(lam),
-                      support=support)
-
-
 class TestFactorMatrix:
     def test_integer_side_product_closed_form(self):
-        # rows F F^T over the unit weight on [0,1]:
-        # entry (j,k) = (jk)^(-1/2) * (1 - 1/(jk)) / log(jk), and 1 at (1,1)
-        g = make_grid((0.0, 1.0), 256, "gauss")
+        # the factor's form over w = 1 on [0,1] by gauss_panels: entry
+        # (j,k) of F F^T = (jk)^(-1/2) * (1 - 1/(jk)) / log(jk), and 1 at
+        # (1,1)
+        x, om = symbols.gauss_panels(np.linspace(0.0, 1.0, 9), 32)
         J = 16
-        F = factor_N_dense(_unit_weight(), J, g)
+        F = structured_ops._dirichlet_factor(
+            np.arange(1, J + 1, dtype=float), x, np.log(om))
         P = F @ F.T
         jj = np.arange(1, J + 1, dtype=float)
         pr = np.outer(jj, jj)
@@ -336,38 +330,47 @@ class TestFactorMatrix:
         want[0, 0] = 1.0
         assert np.abs(P - want).max() < 1e-12
 
+    def test_rows_reproduce_the_smooth_part(self):
+        # F F^T is the section [a0(jk)] to the grid's accuracy
+        g = make_grid((1e-12, 0.75), 2000, "geometric")
+        F = factor_N_dense(1.0, 32, g)
+        n = np.arange(1, 33)
+        want = a0_quadrature(1.0, np.multiply.outer(n, n).astype(float))
+        assert np.abs(F @ F.T - want).max() <= 1e-8
+
     def test_shared_nonzero_spectrum(self):
         # the two products of the same rectangular factor share every
         # nonzero eigenvalue
-        g = make_grid((0.0, 1.0), 200, "gauss")
+        g = make_grid((1e-8, 0.75), 200, "geometric")
         J = 24
-        F = factor_N_dense(_unit_weight(), J, g)
+        F = factor_N_dense(1.0, J, g)
         P, Q = F @ F.T, F.T @ F
         ep = np.linalg.eigvalsh(P)[::-1][:J]
         eq = np.linalg.eigvalsh(Q)[::-1][:J]
         assert np.abs(ep - eq).max() <= 1e-12 * max(ep[0], 1.0)
 
     def test_support_coverage_enforced(self):
-        with pytest.raises(ConstructionError):
-            factor_N_dense(_unit_weight(), 8, make_grid((0.3, 0.8), 32, "gauss"))
-        with pytest.raises(ConstructionError):
-            factor_N_dense(_unit_weight(), 8, make_grid((0.0, 0.5), 32, "gauss"))
+        # the grid must reach CHI_HI and start in the bottom 5% of
+        # supp w = [0, CHI_HI]
+        with pytest.raises(ConstructionError, match="weight support"):
+            factor_N_dense(1.0, 8, make_grid((0.3, 0.8), 32, "gauss"))
+        with pytest.raises(ConstructionError, match="weight support"):
+            factor_N_dense(1.0, 8, make_grid((0.0, 0.5), 32, "gauss"))
         # a sliver missing at the vanishing lower edge is fine
-        w = SymbolSpec("weight_w", alpha=1.0)
-        factor_N_dense(w, 8, make_grid((1e-8, 0.75), 64, "geometric"))
+        factor_N_dense(1.0, 8, make_grid((1e-8, 0.75), 64, "geometric"))
 
     def test_quadrature_side_is_weighted_zeta_section(self):
         # F^T F converges to the weighted zeta section as the integer
-        # truncation grows; with the weight supported in [0.5, 2] the
-        # tail decays like 1/J
-        w = _unit_weight((0.5, 2.0))
-        g = make_grid((0.5, 2.0), 48, "gauss")
-        Z = weighted_operator("zeta1", w, g).dense()
+        # truncation grows; between the nodes in [0.5, 0.75], where the
+        # kernel's argument is at least 1, the tail decays like 1/J
+        g = make_grid((1e-6, 0.75), 48, "gauss")
+        top = np.ix_(g.nodes >= 0.5, g.nodes >= 0.5)
+        Z = weighted_operator("zeta1", 1.0, g).dense()
         errs = []
         for J in (2048, 4096, 8192):
-            F = factor_N_dense(w, J, g)
+            F = factor_N_dense(1.0, J, g)
             Q = F.T @ F
-            errs.append(np.abs(Q - Z).max())
+            errs.append(np.abs(Q - Z)[top].max())
         assert errs[-1] <= 1e-5
         assert 1.6 <= errs[0] / errs[1] <= 2.4
         assert 1.6 <= errs[1] / errs[2] <= 2.4
@@ -375,19 +378,18 @@ class TestFactorMatrix:
 
 class TestWeightedOperator:
     def test_reciprocal_kernel_entries(self):
-        w = _unit_weight((0.5, 2.0))
-        g = make_grid((0.5, 2.0), 3, "uniform")
-        op = weighted_operator("carleman", w, g)
+        g = make_grid((0.1, 0.7), 3, "uniform")
+        op = weighted_operator("carleman", 1.0, g)
         x, om = g.nodes, g.weights
-        want = np.sqrt(np.outer(om, om)) / (x[:, None] + x[None, :])
+        wom = np.abs(np.log(x)) ** -1.0 * chi_cutoff(x) * om
+        want = np.sqrt(np.outer(wom, wom)) / (x[:, None] + x[None, :])
         assert np.allclose(op.dense(), want, rtol=1e-15)
 
     def test_zeta_section_is_psd(self):
         # zeta(1+s) is a Laplace transform of a positive measure, so the
         # weighted section must be PSD
-        w = SymbolSpec("weight_w", alpha=1.0)
         g = make_grid((1e-6, 0.75), 96, "geometric")
-        M = weighted_operator("zeta1", w, g).dense()
+        M = weighted_operator("zeta1", 1.0, g).dense()
         vals = np.linalg.eigvalsh(M)
         assert vals.min() >= -1e-12 * vals.max()
 
@@ -395,11 +397,10 @@ class TestWeightedOperator:
         # zeta1 expands every entry into its 63-term partial sum; evaluated
         # over all node pairs at once that is n^2 x 63 floats (~130 MB at
         # n = 512), in blocks of _ASSEMBLY_BUDGET entries it is ~4 MB
-        w = SymbolSpec("weight_w", alpha=1.0)
         g = make_grid((1e-8, 0.75), 512, "geometric")
         tracemalloc.start()
         try:
-            M = weighted_operator("zeta1", w, g).dense()
+            M = weighted_operator("zeta1", 1.0, g).dense()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -409,24 +410,22 @@ class TestWeightedOperator:
         # one-shot formula
         g = make_grid((1e-8, 0.75), 200, "geometric")
         x = g.nodes
-        sq = np.sqrt(np.atleast_1d(_weight_values(w, x)) * g.weights)
+        sq = np.sqrt(_weight_values(1.0, x) * g.weights)
         want = zeta1(np.add.outer(x, x).ravel()).reshape(x.size, x.size)
         want = sq[:, None] * want * sq[None, :]
-        assert np.array_equal(weighted_operator("zeta1", w, g).dense(),
+        assert np.array_equal(weighted_operator("zeta1", 1.0, g).dense(),
                               0.5 * (want + want.T))
 
     def test_zero_lower_end_rejected(self):
-        w = _unit_weight()
         g = make_grid((0.0, 1.0), 16, "uniform")
         for kind in ("zeta1", "carleman"):
             with pytest.raises(ConstructionError):
-                weighted_operator(kind, w, g)
+                weighted_operator(kind, 1.0, g)
 
     def test_unknown_kind(self):
-        w = _unit_weight()
         g = make_grid((0.1, 1.0), 8, "uniform")
         with pytest.raises(ValueError):
-            weighted_operator("hilbert", w, g)
+            weighted_operator("hilbert", 1.0, g)
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +568,7 @@ class TestLogWindowSection:
         op = log_window_smooth_section(1.0, 512)
         spec = lanczos_extreme(op.map, k=1)
         lam1 = spec.lambda_plus[0]
-        w = SymbolSpec("weight_w", alpha=1.0)
-        wmax = np.max(_weight_values(w, np.linspace(1e-6, 0.75, 20001)))
+        wmax = np.max(_weight_values(1.0, np.linspace(1e-6, 0.75, 20001)))
         assert 0.0 < lam1 <= math.pi * wmax * (1.0 + 1e-8)
 
     def test_top_eigenvalue_stable_under_window_growth(self):

@@ -108,3 +108,37 @@ def test_json_changes_reach_into_report_blocks(tool, tmp_path):
     assert tool.json_changes(tmp_path / "a" / "sub" / "row0_matrix_N48.csv",
                              tmp_path / "b" / "sub" / "row0_matrix_N48.csv") \
         == []
+
+
+def test_commands_cover_every_suite_operator_and_kernel(tool):
+    # the fixed list reaches what the chain does not: factor_N_dense and
+    # weighted_operator through verify, b0_quadrature through spectrum
+    from helsonlab import cli
+
+    suites = {c[2] for c in tool.COMMANDS if c[0] == "verify"}
+    assert suites == set(cli._SUITES)
+    runs = {(c[2], c[4]) for c in tool.COMMANDS if c[0] == "spectrum"}
+    assert runs == {(op, kernel)
+                    for op in cli._MATRIX_OPS + cli._INTEGRAL_OPS
+                    for kernel in ("full", "smooth")}
+    assert len(tool.COMMANDS) == len(suites) + len(runs)
+
+
+def _fake_cli(tree: pathlib.Path, body: str) -> pathlib.Path:
+    pkg = tree / "src" / "helsonlab"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "cli.py").write_text("import sys\nargs = sys.argv[1:]\n" + body)
+    return tree
+
+
+def test_differing_commands_compare_stdout_and_exit_status(tool, tmp_path):
+    # "same" prints alike in both trees; "text" prints other bytes, and
+    # "status" prints alike but exits 1 in the change
+    parent = _fake_cli(tmp_path / "parent", "print(args[0])\n")
+    change = _fake_cli(tmp_path / "change", (
+        "print(args[0] + ('!' if args[0] == 'text' else ''))\n"
+        "sys.exit(1 if args[0] == 'status' else 0)\n"))
+    commands = (["same", "--x", "1"], ["text"], ["status"])
+    assert tool.differing_commands(parent, change, commands) == [
+        "helsonlab text", "helsonlab status: exit 0 → 1"]

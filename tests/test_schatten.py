@@ -27,6 +27,18 @@ def test_schatten_rejects_bad_p():
         schatten_norm([1.0], -2.0)
 
 
+@pytest.mark.parametrize("p", [math.inf, math.nan])
+def test_non_finite_p_refused_by_name(p):
+    # at p = inf the norm read sum(s^p)^0 = 1 for any s
+    s = np.arange(20.0, 1.0, -1.0)
+    for call in (lambda: schatten_norm(s, p),
+                 lambda: schatten_lorentz_norm(s, p, 2.0),
+                 lambda: schatten_lorentz_norm(s, p, math.inf),
+                 lambda: schatten_report(s, p)):
+        with pytest.raises(ValueError, match="p must be positive and finite"):
+            call()
+
+
 def test_schatten_rejects_increasing():
     with pytest.raises(ValueError):
         schatten_norm([1.0, 2.0], 1.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -21,12 +22,6 @@ B0_AT_20 = 0.01579562261569273927110749151827079324191
 A0_AT_100 = 0.0108284398948359472695576676800445514834
 
 
-def w_one_unit():
-    # test weight w = 1 on [0, 1]
-    return SymbolSpec("custom", fn=lambda l: np.where((l >= 0) & (l <= 1), 1.0, 0.0),
-                      support=(0.0, 1.0))
-
-
 class TestSpecValidation:
     @pytest.mark.parametrize("kw", [dict(alpha=0.0), dict(alpha=-1.0)])
     def test_invalid_fields_raise(self, kw):
@@ -38,8 +33,19 @@ class TestSpecValidation:
             SymbolSpec("not_a_kind")
 
     def test_custom_needs_fn(self):
-        with pytest.raises(ValueError):
+        # the custom kind and its fn field are gone: an ad-hoc symbol is a
+        # plain callable
+        with pytest.raises(ValueError, match="'custom'"):
             SymbolSpec("custom")
+        with pytest.raises(TypeError):
+            SymbolSpec("helson_a", fn=lambda t: 1.0 / t)
+
+    def test_weight_spec_refused_by_name(self):
+        # alpha fixes the weight: a spec holds a kind and alpha only
+        assert [f.name for f in dataclasses.fields(SymbolSpec)] == \
+            ["kind", "alpha"]
+        with pytest.raises(ValueError, match="'weight_w'"):
+            SymbolSpec("weight_w")
 
 
 class TestEvalSymbol:
@@ -66,19 +72,19 @@ class TestEvalSymbol:
 
     def test_weight_w_plateau_value(self):
         # |log(e^-2)| = 2 and chi = 1 below CHI_LO
-        val = eval_symbol(SymbolSpec("weight_w", alpha=1.0), math.exp(-2))
+        val = symbols._weight_values(1.0, math.exp(-2))
         assert val == pytest.approx(0.5, rel=1e-14)
 
     def test_weight_w_vanishes_past_chi_hi(self):
-        spec = SymbolSpec("weight_w", alpha=1.0)
-        assert eval_symbol(spec, 0.75) == 0.0
-        assert eval_symbol(spec, 0.9) == 0.0
+        assert symbols._weight_values(1.0, 0.75) == 0.0
+        assert symbols._weight_values(1.0, 0.9) == 0.0
+        assert symbols._weight_values(1.0, 0.0) == 0.0
 
     def test_weight_w_midband_uses_smoothstep(self):
         # chi(1/2) = 1/2 exactly by symmetry of the gluing
-        spec = SymbolSpec("weight_w", alpha=1.0)
         assert chi_cutoff(0.5) == pytest.approx(0.5, abs=1e-15)
-        assert eval_symbol(spec, 0.5) == pytest.approx(0.5 / math.log(2), rel=1e-13)
+        assert symbols._weight_values(1.0, 0.5) == pytest.approx(
+            0.5 / math.log(2), rel=1e-13)
 
     def test_conjugation_identity(self):
         # b(x) = e^{x/2} a(e^x) wherever both closed forms are real
@@ -132,14 +138,13 @@ class TestRestrict:
         # jk = 1 included, where a0(1) is the integral of the weight
         spec = SymbolSpec("helson_a")
         A = build_smooth_helson(spec, 48).dense()
-        w = SymbolSpec("weight_w", alpha=spec.alpha)
         lam = np.linspace(0.0, symbols.CHI_HI, 200001)
-        want = np.trapezoid(_weight_values_for_test(w, lam), lam)
+        want = np.trapezoid(_weight_values_for_test(spec.alpha, lam), lam)
         assert A[0, 0] == pytest.approx(want, rel=1e-5)
         n = np.arange(1, 49)
         prod = np.multiply.outer(n, n).astype(float)
-        np.testing.assert_allclose(A, a0_quadrature(w, prod), rtol=1e-13,
-                                   atol=0.0)
+        np.testing.assert_allclose(A, a0_quadrature(spec.alpha, prod),
+                                   rtol=1e-13, atol=0.0)
         # the restriction convention still zeroes the head for every kind
         assert sequence_values(SymbolSpec("a0"), np.array([1]))[0] == 0.0
 
@@ -154,55 +159,55 @@ class TestRestrict:
         assert np.linalg.eigvalsh(A_r)[0] < -1e-3 * ev[-1]
 
 
-def _weight_values_for_test(w: SymbolSpec, lam: np.ndarray) -> np.ndarray:
+def _weight_values_for_test(alpha: float, lam: np.ndarray) -> np.ndarray:
     # direct re-evaluation of the parametric weight with its band
     # (0.25, 0.75), bypassing the package quadrature machinery
     out = np.zeros_like(lam)
     inside = (lam > 0) & (lam < 0.75)
     li = lam[inside]
-    out[inside] = np.abs(np.log(li)) ** (-w.alpha) * smoothstep(
+    out[inside] = np.abs(np.log(li)) ** (-alpha) * smoothstep(
         (0.75 - li) / 0.5)
     return out
 
 
 class TestA0Quadrature:
     def test_unit_weight_closed_form(self):
-        # integral of t^{-1/2-l} over l in [0,1] = t^{-1/2}(1-1/t)/log t
+        # integral of t^{-1/2-l} over l in [0,1] = t^{-1/2}(1-1/t)/log t,
+        # by a0_quadrature's two parts, gauss_panels and the Laplace sum,
+        # with w = 1
         t = E ** 2
         want = math.exp(-1.0) * (1 - math.exp(-2.0)) / 2.0
-        got = a0_quadrature(w_one_unit(), t, Q=2000)
-        assert got == pytest.approx(want, rel=1e-12)
+        x, om = symbols.gauss_panels(np.linspace(0.0, 1.0, 5), 20)
+        got = t ** -0.5 * symbols._laplace_sum(math.log(t), x, om)
+        assert float(got) == pytest.approx(want, rel=1e-12)
 
     def test_zero_weight(self):
-        wz = SymbolSpec("custom", fn=lambda l: np.zeros_like(np.asarray(l, dtype=float)),
-                        support=(0.0, 1.0))
-        for t in (2.0, 10.0, 1e6):
-            assert a0_quadrature(wz, t) == 0.0
+        x, om = symbols.gauss_panels([0.0, 1.0], 20)
+        got = symbols._laplace_sum(np.log([2.0, 10.0, 1e6]), x, 0.0 * om)
+        assert np.all(got == 0.0)
 
     def test_vector_matches_scalar_loop(self):
-        w = SymbolSpec("weight_w", alpha=1.0)
         ts = np.array([1.5, 7.0, 100.0, 1e6])
-        vec = a0_quadrature(w, ts)
-        sca = np.array([a0_quadrature(w, float(t)) for t in ts])
+        vec = a0_quadrature(1.0, ts)
+        sca = np.array([a0_quadrature(1.0, float(t)) for t in ts])
         assert np.max(np.abs(vec - sca)) <= 1e-15
 
     def test_doubling_differences_decrease(self):
-        w = SymbolSpec("weight_w", alpha=1.0)
         t = 50.0
-        vals = [a0_quadrature(w, t, Q=q) for q in (250, 500, 1000, 2000)]
+        vals = [a0_quadrature(1.0, t, Q=q) for q in (250, 500, 1000, 2000)]
         diffs = [abs(a - b) for a, b in zip(vals, vals[1:])]
         assert diffs[0] >= diffs[1] >= diffs[2] or max(diffs) < 1e-14
 
     def test_against_independent_quadrature_oracle(self):
-        w = SymbolSpec("weight_w", alpha=1.0)
-        assert a0_quadrature(w, 100.0, Q=2000) == pytest.approx(A0_AT_100, rel=1e-10)
+        assert a0_quadrature(1.0, 100.0, Q=2000) == pytest.approx(
+            A0_AT_100, rel=1e-10)
 
     def test_laplace_asymptotics_ratio_small_alpha(self):
         # a0(t) / [t^{-1/2} (log t)^{-1} (log log t)^{-alpha}] -> 1; for
         # alpha = 1/2 the approach is already monotone at these t
-        w = SymbolSpec("weight_w", alpha=0.5)
         a = SymbolSpec("helson_a", alpha=0.5)
-        ratios = [a0_quadrature(w, t) / eval_symbol(a, t) for t in (1e6, 1e12, 1e24)]
+        ratios = [a0_quadrature(0.5, t) / eval_symbol(a, t)
+                  for t in (1e6, 1e12, 1e24)]
         assert ratios[0] < ratios[1] < ratios[2] < 1.0
         assert abs(1 - ratios[2]) < abs(1 - ratios[1]) < abs(1 - ratios[0])
 
@@ -210,62 +215,63 @@ class TestA0Quadrature:
         # for alpha = 1 the second-order correction changes sign: the
         # ratio dips near t ~ 1e24 (min about 0.938) before the slow rise
         # to 1, so monotonicity only sets in past the dip
-        w = SymbolSpec("weight_w", alpha=1.0)
         a = SymbolSpec("helson_a", alpha=1.0)
-        near = [a0_quadrature(w, t) / eval_symbol(a, t) for t in (1e6, 1e12, 1e24)]
+        near = [a0_quadrature(1.0, t) / eval_symbol(a, t)
+                for t in (1e6, 1e12, 1e24)]
         assert all(0.9 < r < 1.0 for r in near)
-        far = [a0_quadrature(w, t) / eval_symbol(a, t) for t in (1e24, 1e96, 1e300)]
+        far = [a0_quadrature(1.0, t) / eval_symbol(a, t)
+               for t in (1e24, 1e96, 1e300)]
         assert far[0] < far[1] < far[2] < 1.0
 
     def test_domain_guard(self):
         with pytest.raises(DomainError):
-            a0_quadrature(SymbolSpec("weight_w"), 0.5)
+            a0_quadrature(1.0, 0.5)
+        # alpha is checked as SymbolSpec checks it
+        for alpha in (0.0, math.nan):
+            with pytest.raises(ValueError, match="alpha must be positive"):
+                a0_quadrature(alpha, 2.0)
 
 
 class TestWeightRule:
     def test_panels_stay_inside_a_shifted_support(self):
-        # w = 1 on (0.5, 1): the rule's masses sum to the support's length
+        # w = 1 on (0.5, 1), on panels halving toward 0.5 as the weight
+        # rule's halve toward 0: the masses sum to the support's length
         # and every node lies in it, so the rule integrates l^2 to 7/24
-        w = SymbolSpec("custom", fn=lambda l: np.ones_like(l),
-                       support=(0.5, 1.0))
-        x, om = symbols._weight_rule(w, symbols.RULE_NODES)
-        assert x.size == symbols.RULE_NODES
+        edges = 0.5 + 0.5 * np.concatenate([[0.0],
+                                            0.5 ** np.arange(44, -1, -1)])
+        x, om = symbols.gauss_panels(edges, 11)
         assert 0.5 < x.min() and x.max() < 1.0
         assert om.sum() == pytest.approx(0.5, rel=1e-14)
         assert om @ x ** 2 == pytest.approx(7.0 / 24.0, rel=1e-14)
         # a0 over it: integral of t^(-1/2-l) on (0.5, 1) in closed form
         t = 10.0
         want = (t ** -1.0 - t ** -1.5) / math.log(t)
-        assert a0_quadrature(w, t) == pytest.approx(want, rel=1e-13)
+        got = t ** -0.5 * symbols._laplace_sum(math.log(t), x, om)
+        assert float(got) == pytest.approx(want, rel=1e-13)
 
     def test_band_edges_are_panel_edges(self):
         # no panel straddles CHI_LO, and the last one ends at CHI_HI: the
         # rule's plain Gauss weights (its masses over w, which is 1/|log l|
         # below CHI_LO) sum to CHI_LO there
-        w = SymbolSpec("weight_w", alpha=1.0)
-        edges = symbols._rule_edges(w)
+        edges = symbols._rule_edges()
         assert symbols.CHI_LO in edges
         assert edges[0] == 0.0 and edges[-1] == symbols.CHI_HI
-        x, om = symbols._weight_rule(w, symbols.RULE_NODES)
+        x, om = symbols._weight_rule(1.0, symbols.RULE_NODES)
         assert x.size == symbols.RULE_NODES <= 650
         assert x.max() < symbols.CHI_HI
         below = x < symbols.CHI_LO
         plain = om[below] * np.abs(np.log(x[below]))
         assert plain.sum() == pytest.approx(symbols.CHI_LO, rel=1e-14)
 
-    @pytest.mark.parametrize("spec", [
-        SymbolSpec("weight_w", alpha=2.0),
-        SymbolSpec("custom", fn=lambda l: np.ones_like(l), support=(0.5, 1.0)),
-    ])
-    def test_keeps_exactly_q_nodes(self, spec):
+    def test_keeps_exactly_q_nodes(self):
         # Q need not be a multiple of the panel count
-        panels = symbols._rule_edges(spec).size - 1
+        panels = symbols._rule_edges().size - 1
         for Q in (2 * panels, 617, 1000):
-            x, om = symbols._weight_rule(spec, Q)
+            x, om = symbols._weight_rule(2.0, Q)
             assert x.size == om.size == Q
             assert np.all(np.diff(x) > 0)
         with pytest.raises(ValueError, match="two per panel"):
-            symbols._weight_rule(spec, 2 * panels - 1)
+            symbols._weight_rule(2.0, 2 * panels - 1)
 
     def test_gauss_panels_per_panel_counts(self):
         # 2 and 5 nodes on [0, 1] and [1, 3]: both panels are exact for
@@ -305,17 +311,16 @@ class TestWeightRuleAccuracy:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_a0_and_b0_against_mpmath(self, alpha):
         mp = pytest.importorskip("mpmath")
-        w = SymbolSpec("weight_w", alpha=alpha)
         with mp.workdps(20):
             for x in self.NEAR + self.FAR:
                 tol = 5e-15 if x <= 60.0 else 1e-14
                 t = math.exp(x)
                 ref_a0 = self.laplace_reference(mp, alpha, mp.log(t)) \
                     / mp.sqrt(t)
-                assert abs(a0_quadrature(w, t) / ref_a0 - 1) <= tol, x
+                assert abs(a0_quadrature(alpha, t) / ref_a0 - 1) <= tol, x
                 if x > 0:
                     ref_b0 = self.laplace_reference(mp, alpha, mp.mpf(x))
-                    assert abs(b0_quadrature(w, x) / ref_b0 - 1) <= tol, x
+                    assert abs(b0_quadrature(alpha, x) / ref_b0 - 1) <= tol, x
 
 
 class TestLaplaceSum:
@@ -323,8 +328,7 @@ class TestLaplaceSum:
         # 20k points x RULE_NODES = 605 nodes is 97 MB of exponentials;
         # the sum may hold one _BLOCK_BYTES buffer and its output at a time
         x = np.linspace(0.0, 40.0, 20000)
-        nodes, om = symbols._weight_rule(SymbolSpec("weight_w"),
-                                         symbols.RULE_NODES)
+        nodes, om = symbols._weight_rule(1.0, symbols.RULE_NODES)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -342,16 +346,14 @@ class TestLaplaceSum:
 
 class TestB0Quadrature:
     def test_frozen_oracle_values(self):
-        w = SymbolSpec("weight_w", alpha=1.0)
-        assert b0_quadrature(w, 2.0) == pytest.approx(B0_AT_2, rel=1e-10)
-        assert b0_quadrature(w, 20.0) == pytest.approx(B0_AT_20, rel=1e-10)
+        assert b0_quadrature(1.0, 2.0) == pytest.approx(B0_AT_2, rel=1e-10)
+        assert b0_quadrature(1.0, 20.0) == pytest.approx(B0_AT_20, rel=1e-10)
 
     def test_matches_a0_under_change_of_variable(self):
         # b0(x) = e^{x/2} a0(e^x)
-        w = SymbolSpec("weight_w", alpha=1.0)
         for x in (1.0, 3.0, 10.0):
-            lhs = b0_quadrature(w, x)
-            rhs = math.exp(x / 2) * a0_quadrature(w, math.exp(x))
+            lhs = b0_quadrature(1.0, x)
+            rhs = math.exp(x / 2) * a0_quadrature(1.0, math.exp(x))
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -360,10 +362,9 @@ class TestA1Residual:
         # the rough part a1 = a - a0 decays faster than a by (log log t)^-1:
         # |a1(t)| t^{1/2} (log t)(log log t)^2 stays bounded for alpha = 1
         a = SymbolSpec("helson_a", alpha=1.0)
-        w = SymbolSpec("weight_w", alpha=1.0)
         vals = []
         for t in (1e3, 1e6, 1e9, 1e12):
-            r = abs(eval_symbol(a, t) - a0_quadrature(w, t))
+            r = abs(eval_symbol(a, t) - a0_quadrature(1.0, t))
             vals.append(r * math.sqrt(t) * math.log(t) * math.log(math.log(t)) ** 2)
         assert max(vals) < 10.0
 
@@ -436,7 +437,7 @@ class TestKernelContracts:
 
     def test_a0_kernel_positive_at_one(self):
         # the smooth part carries mass at t = 1: entry (1,1) of its matrix
-        assert a0_quadrature(SymbolSpec("weight_w", alpha=1.0), 1.0) > 0.1
+        assert a0_quadrature(1.0, 1.0) > 0.1
 
     @pytest.mark.parametrize("kind", ["weight_w", "a0", "b0"])
     def test_only_full_symbols_have_a_kernel_fn(self, kind):
@@ -444,9 +445,6 @@ class TestKernelContracts:
             kernel_fn(SymbolSpec(kind, alpha=1.0))
 
     def test_custom_spec_is_no_symbol(self):
-        spec = SymbolSpec("custom", fn=lambda t: 1.0 / t)
-        for evaluate in (eval_symbol, sequence_values):
-            with pytest.raises(ValueError, match="'custom'"):
-                evaluate(spec, np.arange(2, 5))
+        # an ad-hoc symbol is a plain callable, never a spec
         with pytest.raises(ValueError, match="'custom'"):
-            kernel_fn(spec)
+            SymbolSpec("custom")

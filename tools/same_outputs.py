@@ -20,8 +20,14 @@ the columns alone would overstate the change. For a JSON file that
 differs (run_report.json after the exclusions above), one line per
 differing key reads `key: parent → change`, with a key of a nested
 block, such as run_report.json's `fits`, spelled `block.key`. The
-outputs stay on disk for inspection. Exit status 1 if any file differs
-or a chain fails, 0 otherwise.
+outputs stay on disk for inspection.
+
+Then both trees run each of the fixed CLI commands in COMMANDS, which
+reach code that no chain does: the four `verify` suites, and `spectrum`
+on every operator and kernel at --size 64. Each command whose stdout
+(compared byte for byte) or exit status differs between the two trees
+is listed. Exit status 1 if any file or command differs or a chain
+fails, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -45,6 +51,13 @@ REPORT = "run_report.json"
 CHAIN = ("import json, sys; "
          "from helsonlab.pipeline import RunConfig, run_chain; "
          "run_chain(RunConfig(**json.loads(sys.argv[1])))")
+# CLI runs the chain never makes, as argument lists of `helsonlab`
+COMMANDS = tuple(
+    [["verify", "--suite", suite]
+     for suite in ("chain", "factorization", "s0diff", "decay")]
+    + [["spectrum", "--operator", op, "--kernel", kernel, "--size", "64"]
+       for op in ("hankel", "helson", "integral-hankel", "integral-helson")
+       for kernel in ("full", "smooth")])
 
 
 def workloads() -> dict:
@@ -146,17 +159,44 @@ def _key_changes(ja: dict, jb: dict, nested: bool) -> list:
     return out
 
 
-def run_chain_in(tree: pathlib.Path, config: dict,
-                 out_dir: pathlib.Path) -> subprocess.CompletedProcess:
-    shutil.rmtree(out_dir, ignore_errors=True)
-    out_dir.mkdir(parents=True)
+def _env(tree: pathlib.Path) -> dict:
+    """The environment of a run in tree: its package, one BLAS thread."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                 "MKL_NUM_THREADS"):
         env[var] = "1"
+    return env
+
+
+def run_chain_in(tree: pathlib.Path, config: dict,
+                 out_dir: pathlib.Path) -> subprocess.CompletedProcess:
+    shutil.rmtree(out_dir, ignore_errors=True)
+    out_dir.mkdir(parents=True)
     job = dict(config, out_dir=str(out_dir), solver={"seed": SEED})
     return subprocess.run([sys.executable, "-c", CHAIN, json.dumps(job)],
-                          cwd=tree, env=env, capture_output=True, text=True)
+                          cwd=tree, env=_env(tree), capture_output=True,
+                          text=True)
+
+
+def run_cli_in(tree: pathlib.Path, argv: list) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "helsonlab.cli", *argv],
+                          cwd=tree, env=_env(tree), capture_output=True)
+
+
+def differing_commands(parent: pathlib.Path, change: pathlib.Path,
+                       commands=COMMANDS) -> list:
+    """`helsonlab <args>` for each command whose stdout or exit status
+    differs between the two trees, a differing status noted after it."""
+    out = []
+    for argv in commands:
+        a, b = run_cli_in(parent, argv), run_cli_in(change, argv)
+        if (a.returncode, a.stdout) == (b.returncode, b.stdout):
+            continue
+        line = " ".join(["helsonlab", *argv])
+        if a.returncode != b.returncode:
+            line += f": exit {a.returncode} → {b.returncode}"
+        out.append(line)
+    return out
 
 
 def main(argv=None) -> int:
@@ -186,6 +226,12 @@ def main(argv=None) -> int:
                 print(f"    {line}")
         if diff:
             status = 1
+    diff = differing_commands(parent_tree, ROOT)
+    print(f"cli: {len(diff)} of {len(COMMANDS)} commands differ")
+    for line in diff:
+        print(f"  {line}")
+    if diff:
+        status = 1
     return status
 
 
