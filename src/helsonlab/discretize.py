@@ -23,8 +23,11 @@ factorization, the weighted zeta(1+s) and 1/s kernels, through the same
 blocked entrywise assembly.  The headline section,
 log_window_smooth_section, is the smooth additive kernel's Gram kernel
 in log coordinates on a uniform grid: a symmetric Toeplitz map
-diag(d) T diag(d) (structured_ops.toeplitz_section), whose matvec is one
-convolution with taps that decay exponentially.
+A = diag(d) T diag(d) with taps that decay exponentially.  Its symbol is
+band-limited, so the map solved is A's Gram twin
+(structured_ops.toeplitz_gram_twin), of order r ~ n/2 at chain sizes,
+with A's nonzero spectrum; a window too short for the taps to decay
+keeps A itself (structured_ops.toeplitz_section).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 
 from helsonlab.structured_ops import (MAX_DENSE, LinearMap,
                                       _dirichlet_factor, _smooth_nodes,
-                                      dense_matrix, toeplitz_section)
+                                      dense_matrix, toeplitz_gram_twin)
 from helsonlab.symbols import (
     CHI_HI, SIDE_KINDS, SymbolSpec, _weight_values,
     chi_cutoff, gauss_panels, kernel_fn, zeta1,
@@ -329,21 +332,8 @@ def weighted_operator(kind: str, alpha: float, grid: Grid) -> NystromOperator:
 _LOG_STEP = 0.135
 
 
-def log_window_smooth_section(alpha: float, n: int) -> NystromOperator:
-    """Smooth additive-kernel section in log coordinates, window grown with n.
-
-    The smooth additive kernel, integral of e^(-lambda (x+y)) w(lambda)
-    dlambda, is a Gram operator, so its nonzero spectrum is that of the
-    kernel sqrt(W(mu) W(nu)) / (2 cosh((mu - nu)/2)) in mu = -log(lambda),
-    W(mu) = w(e^-mu) (Pushnitski and Yafaev, IMRN 2015).  The section is
-    that kernel on the nodes mu_q = -log(CHI_HI) + h q, q < n, where W
-    starts: structured_ops.toeplitz_section with d_q^2 = h W(mu_q) and
-    taps c_k = e^(-kh/2) / (1 + e^(-kh)), the form of 1/(2 cosh(kh/2))
-    that cannot overflow.  Keeping the step h = _LOG_STEP fixed while n
-    grows widens the window, which is the actual accuracy knob:
-    truncation error falls like 1/width^2 while the quadrature error in
-    mu is already superexponentially small at this step.
-    """
+def _log_window(alpha: float, n: int) -> tuple:
+    """Nodes mu_q, taps c_k and weights d_q of log_window_smooth_section."""
     if n < 2:
         raise ValueError("need n >= 2")
     h = _LOG_STEP
@@ -352,7 +342,35 @@ def log_window_smooth_section(alpha: float, n: int) -> NystromOperator:
     # e^-mu underflows (mu > ~745), which would stop the window growing
     d = np.sqrt(h * mu ** -alpha * chi_cutoff(np.exp(-mu)))
     t = h * np.arange(n)
-    c = np.exp(-0.5 * t) / (1.0 + np.exp(-t))
-    grid = Grid(nodes=mu, weights=np.full(n, h),
+    return mu, np.exp(-0.5 * t) / (1.0 + np.exp(-t)), d
+
+
+def log_window_smooth_section(alpha: float, n: int) -> NystromOperator:
+    """Smooth additive-kernel section in log coordinates, window grown with n.
+
+    The smooth additive kernel, integral of e^(-lambda (x+y)) w(lambda)
+    dlambda, is a Gram operator, so its nonzero spectrum is that of the
+    kernel sqrt(W(mu) W(nu)) / (2 cosh((mu - nu)/2)) in mu = -log(lambda),
+    W(mu) = w(e^-mu) (Pushnitski and Yafaev, IMRN 2015).  The section is
+    that kernel on the nodes mu_q = -log(CHI_HI) + h q, q < n, where W
+    starts: the map A = diag(d) T diag(d) with d_q^2 = h W(mu_q) and
+    taps c_k = e^(-kh/2) / (1 + e^(-kh)), the form of 1/(2 cosh(kh/2))
+    that cannot overflow.  Keeping the step h = _LOG_STEP fixed while n
+    grows widens the window, which is the actual accuracy knob:
+    truncation error falls like 1/width^2 while the quadrature error in
+    mu is already superexponentially small at this step.
+
+    The map solved is structured_ops.toeplitz_gram_twin: the kernel's
+    symbol pi / cosh(pi xi) is band-limited, so about half the Fourier
+    modes of the circulant that embeds T are zero to rounding, and A's
+    nonzero spectrum is that of an r x r Gram twin on the rest.  Once
+    the taps decay inside the window and r < n, that twin is the map,
+    and its cols is r, not n: r/n is 0.96 at n = 600, 0.81 at 1024 and
+    0.51 at 16384.  A shorter window (n = 12, 96 or 300) leaves the
+    circulant indefinite and gets toeplitz_section itself.  The grid
+    keeps the n nodes either way.
+    """
+    mu, c, d = _log_window(alpha, n)
+    grid = Grid(nodes=mu, weights=np.full(n, _LOG_STEP),
                 domain=(float(mu[0]), float(mu[-1])))
-    return NystromOperator(grid=grid, map=toeplitz_section(c, d))
+    return NystromOperator(grid=grid, map=toeplitz_gram_twin(c, d))

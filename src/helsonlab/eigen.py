@@ -33,6 +33,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -406,14 +407,23 @@ def _lanczos_sweep(lm: LinearMap, k: int, max_iter: int, rng,
     return vals[top], res[top], m, converged, passes
 
 
+def check_seed(seed) -> int:
+    """seed as an int; anything but a non-negative integer is refused by
+    name, before np.random.default_rng would refuse it without one."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) \
+            or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 def lanczos_extreme(lm: LinearMap, k: int, which: str = "largest",
                     seed: int = 0) -> Spectrum:
     """Extreme eigenvalues of a symmetric map, residual-certified.
 
     which = largest | both_ends.  One Lanczos sweep finds the top k
     Ritz values, and for both_ends the bottom k from the same basis.
-    Deterministic for a fixed seed (start vectors from one PCG64 stream,
-    fixed reduction order).  The sweep runs at most min(n, max(4k + 32,
+    Deterministic for a fixed seed, a non-negative integer (start vectors
+    from one PCG64 stream, fixed reduction order).  The sweep runs at most min(n, max(4k + 32,
     128)) steps and converges once every residual bound it selects is at
     most _TOL; non-convergence is reported through meta["converged"],
     not raised.  meta["iterations"] counts the Lanczos steps and
@@ -428,6 +438,7 @@ def lanczos_extreme(lm: LinearMap, k: int, which: str = "largest",
     the deflation floor (1e-14 of its largest Lanczos coefficient) gives
     only the Ritz values that space holds.
     """
+    seed = check_seed(seed)
     if not 1 <= k < lm.cols:
         raise ValueError("need 1 <= k < dim")
     if which not in ("largest", "both_ends"):

@@ -37,8 +37,9 @@ from helsonlab.asymptotics import (NOISE_FLOOR,
 from helsonlab.discretize import (log_window_smooth_section,
                                   nystrom_difference, nystrom_hankel,
                                   nystrom_helson, v_matched_grids)
-from helsonlab.eigen import (Spectrum, dense_eig_oracle, lanczos_extreme,
-                             spectrum_to_csv, write_meta_sidecar)
+from helsonlab.eigen import (Spectrum, check_seed, dense_eig_oracle,
+                             lanczos_extreme, spectrum_to_csv,
+                             write_meta_sidecar)
 from helsonlab.structured_ops import (MAX_DENSE, HelsonTruncation,
                                       LinearMap, build_helson,
                                       build_smooth_helson, difference_section)
@@ -110,7 +111,7 @@ class RunConfig:
                              f"got {self.nystrom_n}")
         _need_object("solver", self.solver)
         _refuse_unknown("solver", self.solver, ("seed",))
-        self.solver = {"seed": _need_int("seed", self.solver.get("seed", 0))}
+        self.solver = {"seed": check_seed(self.solver.get("seed", 0))}
 
     def to_json(self) -> dict:
         return {
@@ -171,8 +172,10 @@ def solve(lm: LinearMap, k: int = _LANCZOS_K, seed: int = 0,
 
     Orders up to _DENSE_LIMIT get the full dense spectrum; larger ones
     get k Lanczos pairs per requested end, started from seed and
-    certified to lanczos_extreme's residual tolerance.
+    certified to lanczos_extreme's residual tolerance.  A seed that is
+    not a non-negative integer is refused on either route.
     """
+    check_seed(seed)
     if lm.cols <= _DENSE_LIMIT:
         return dense_eig_oracle(lm)
     return lanczos_extreme(lm, min(k, lm.cols - 1), which=which, seed=seed)
@@ -229,9 +232,11 @@ def _headline_fit(alpha: float, n_top: int, seed: int,
     part's integral Hankel operator as the Toeplitz map diag(d) T diag(d)
     in mu = -log(lambda), whose kernel carries the reference kappa(alpha):
     the one object whose tail corrections shrink fast enough to observe
-    the power law at desk scale.  Matrix sections get no fit: they
-    resolve only 8-9 eigenvalues above the noise floor, in geometric
-    rather than power-law decay.  The section and its Lanczos basis are
+    the power law at desk scale.  Once the window is wide enough the map
+    solved is its Gram twin, so the sidecar's dim reads the twin's order
+    r < n_top, while fits.headline.n_nodes stays n_top.  Matrix sections
+    get no fit: they resolve only 8-9 eigenvalues above the noise floor,
+    in geometric rather than power-law decay.  The section and its Lanczos basis are
     dead when this returns.
     """
     artifacts = report["artifacts"]

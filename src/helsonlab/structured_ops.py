@@ -5,8 +5,13 @@ Hankel product goes through it, over the numerical support of its taps
 (_support), in 5-smooth transform lengths (_fft_length).  A Hankel
 section {b(j+k)} (build_hankel) multiplies a vector as one such
 convolution with the reversed vector, and a symmetric Toeplitz section
-d_j c(|j-k|) d_k (toeplitz_section, the headline section of discretize)
-as one with its two-sided taps, in O(N log N) either way.
+d_j c(|j-k|) d_k (toeplitz_section) as one with its two-sided taps, in
+O(N log N) either way.  When the taps' symbol is band-limited, so that
+about half the modes of the circulant embedding T are zero to rounding,
+toeplitz_gram_twin solves the section on the smaller side of its
+factorization L L^T instead: the r x r map L^T L, one irfft and one
+rfft per matvec.  It is the headline map of discretize; toeplitz_section
+stays the map of windows too short for it and the tests' reference.
 
 A multiplicative section {a(jk)} whose symbol is a sum of Dirichlet
 exponentials, a(n) = sum_q m_q n^(-1/2-s_q), is a Gram matrix E E^T
@@ -123,6 +128,15 @@ def _fft_length(L: int) -> int:
 # ||f||_1 max(d)^2, far below rounding
 _TAIL_MASS = 1e-20
 
+# share of the embedding circulant's peak eigenvalue s_0 at or below
+# which toeplitz_gram_twin drops a mode.  The eigenvalues are one rfft of
+# taps whose l1 norm bounds s_0, so each carries a rounding of a few
+# 1e-16 s_0 (the headline circulants' smallest read -1.5e-16 s_0).  By
+# Weyl's inequality, dropping modes no larger than _TWIN_FLOOR * s_0
+# moves each eigenvalue of diag(d) T diag(d) by at most _TWIN_FLOOR *
+# s_0 * max(d)^2, that share of the bound s_0 max(d)^2 on its norm
+_TWIN_FLOOR = 1e-15
+
 
 def _support(f: np.ndarray) -> tuple:
     """(lo, hi) of the shortest f[lo:hi] whose dropped head f[:lo] and
@@ -135,8 +149,9 @@ def _support(f: np.ndarray) -> tuple:
     return (lo, hi) if lo < hi else (0, 1)
 
 
-def _overlap_save(f: np.ndarray, i0: int, count: int) -> Callable:
-    """x -> (f * x)[i0 : i0 + count], x read as zero outside its indices.
+def _overlap_save(f: np.ndarray, i0: int, count: int, size: int) -> Callable:
+    """x -> (f * x)[i0 : i0 + count] for x of at most size entries, read
+    as zero outside its indices.
 
     The package's one convolution.  Overlap-save (Stockham, AFIPS 1966)
     over the numerical support f[lo:hi] of the taps (_support), P = hi -
@@ -144,35 +159,53 @@ def _overlap_save(f: np.ndarray, i0: int, count: int) -> Callable:
     count is the one that blocks of _fft_length(4P) points need, which
     weighs the log B cost per point of a transform against the P - 1
     outputs every block discards; B is then the shortest 5-smooth length
-    that covers count in that many blocks (one block when count is below
-    about 3P).  All blocks go through one 2-D rfft/irfft along axis 1.
-    The filter's transform, the padded input and its block view are made
-    here, once; the transforms' outputs are allocated per call, since
-    buffers kept for them raised a whole chain's peak RSS by ~1.3 MB.
+    that covers count in that many blocks.  When one block covers it,
+    the block holds only the inputs x[start:stop] that the kept outputs
+    read (stop <= size).  Its circular convolution wraps the taps behind
+    the first kept output, at offset t0, onto its last P - 1 - t0
+    places, which hold no input once B >= stop - start + P - 1 - t0, and
+    the kept outputs fit once B >= t0 + count.  A Hankel section of
+    order N so transforms 2N - 1 points, where a block padded for the
+    inputs before x[0] took 3N - 2.
+    All blocks go through one 2-D rfft/irfft along axis 1.  The filter's
+    transform, the padded input and its block view are made here, once;
+    the transforms' outputs are allocated per call, since buffers kept
+    for them raised a whole chain's peak RSS by ~1.3 MB.
     """
     lo, hi = _support(f)
     P = hi - lo
+    # output i reads inputs i - hi + 1 .. i - lo; the kept ones read
+    # inputs first .. stop - 1 at most
+    first = i0 - hi + 1
+    stop = min(i0 + count - lo, size)
     blocks = -(-count // (_fft_length(4 * P) - P + 1))
-    B = _fft_length(-(-count // blocks) + P - 1)
-    S = B - P + 1
+    if blocks == 1:
+        start = min(max(first, 0), i0 - lo)
+        t0 = i0 - lo - start
+        B = _fft_length(max(stop - start + P - 1 - t0, t0 + count))
+        S = count
+    else:
+        start, t0 = first, P - 1
+        B = _fft_length(-(-count // blocks) + P - 1)
+        S = B - P + 1
     F = np.fft.rfft(f[lo:hi], n=B)
     # block j writes outputs i0 + jS .. i0 + jS + S - 1 and reads inputs
-    # first + jS .. first + jS + B - 1
-    first = i0 - lo - (P - 1)
-    span = (blocks - 1) * S + B
-    xp = np.zeros(span)
+    # start + jS .. start + jS + B - 1
+    xp = np.zeros((blocks - 1) * S + B)
     X = np.lib.stride_tricks.sliding_window_view(xp, B)[::S]
 
     def apply(x):
-        a, b = max(first, 0), min(first + span, x.size)
+        if x.size > size:
+            raise ValueError(f"expected at most {size} inputs, got {x.size}")
+        a, b = max(start, 0), min(stop, x.size)
         xp[:] = 0.0
         if a < b:
-            xp[a - first:b - first] = x[a:b]
+            xp[a - start:b - start] = x[a:b]
         Xf = np.fft.rfft(X, axis=1)
         Xf *= F
         Y = np.fft.irfft(Xf, n=B, axis=1)
         # a copy, so that the result does not keep Y alive
-        return Y[:, P - 1:].flatten()[:count]
+        return Y[:, t0:t0 + S].flatten()[:count]
 
     return apply
 
@@ -191,7 +224,7 @@ def build_hankel(b) -> LinearMap:
     if b.ndim != 1 or b.size % 2 == 0:
         raise ValueError("need an odd number 2N-1 of symbol values")
     N = (b.size + 1) // 2
-    conv = _overlap_save(b, N - 1, N)
+    conv = _overlap_save(b, N - 1, N, N)
     idx = np.arange(N)
     return LinearMap(cols=N, matvec=lambda u: conv(u[::-1]),
                      dense=lambda: b[idx[:, None] + idx[None, :]])
@@ -214,11 +247,71 @@ def toeplitz_section(c, d) -> LinearMap:
         raise ValueError("need taps c and weights d of one length N")
     N = c.size
     taps = np.concatenate([c[:0:-1], c])
-    conv = _overlap_save(taps, N - 1, N)
+    conv = _overlap_save(taps, N - 1, N, N)
     # row j is taps[N-1-j : 2N-1-j], that is c[|j-k|] in column k
     rows = np.lib.stride_tricks.sliding_window_view(taps, N)[::-1]
     return LinearMap(cols=N, matvec=lambda x: d * conv(d * x),
                      dense=lambda: np.outer(d, d) * rows)
+
+
+def toeplitz_gram_twin(c, d) -> LinearMap:
+    """toeplitz_section(c, d) solved on the smaller side of A = L L^T.
+
+    T embeds in the circulant C of order M = _fft_length(N + K), K the
+    one-sided support of c (_support), whose eigenvalues s_j are the
+    rfft of its first column.  Over the real Fourier modes of order M
+    (cos and sin of 2 pi j m / M scaled by sqrt(2/M); the constant and,
+    for even M, the alternating mode by sqrt(1/M)), C = S diag(s) S^T.
+    Keeping the r modes S_r with s_j > _TWIN_FLOOR * s_0, s_0 = max
+    |s_j|, gives A ~ L L^T with L = diag(d) P S_r diag(s_r)^(1/2), P
+    the first N entries, and the map returned is the r x r Gram twin
+    L^T L: it has A's nonzero spectrum up to the Weyl bound
+    _TWIN_FLOOR * s_0 * max(d)^2.  Its matvec is one irfft and one rfft
+    of length M, and it has no dense(): dense_matrix applies it to each
+    unit vector.
+
+    The twin is returned only when every dropped mode lies within
+    +-_TWIN_FLOOR * s_0 and r < N.  A window that ends before the taps
+    decay leaves C indefinite (at N = 12 it has modes down to -4.8e-2
+    s_0), and then the section itself is returned.
+    """
+    c = np.asarray(c, dtype=float)
+    d = np.asarray(d, dtype=float)
+    if c.ndim != 1 or c.shape != d.shape:
+        raise ValueError("need taps c and weights d of one length N")
+    N = c.size
+    K = _support(c)[1]
+    M = _fft_length(N + K)
+    first_col = np.zeros(M)
+    first_col[:K] = c[:K]
+    first_col[M - K + 1:] = c[K - 1:0:-1]
+    s = np.fft.rfft(first_col).real
+    floor = _TWIN_FLOOR * np.abs(s).max()
+    keep = np.flatnonzero(s > floor)
+    # modes 0 and M/2 have no sine partner
+    pair = (keep > 0) & (2 * keep < M)
+    r = int(keep.size + np.count_nonzero(pair))
+    if s.min() < -floor or not 0 < r < N:
+        return toeplitz_section(c, d)
+    # a unit cosine or sine mode is cos or sin(2 pi j m / M) / sqrt(M/2),
+    # an unpaired one has norm sqrt(M): then S_r diag(s_r)^(1/2) y is irfft
+    # of the coefficients sqrt(s_j) nu_j y (cosine parts real, sine parts
+    # imaginary), and diag(s_r)^(1/2) S_r^T x is sqrt(s_j) / nu_j rfft(x)
+    nu = np.sqrt(np.where(pair, M / 2, M))
+    fwd = np.sqrt(s[keep]) * nu
+    back = np.sqrt(s[keep]) / nu
+    m, paired = keep.size, keep[pair]
+    d2 = d * d
+
+    def mv(y):
+        Z = np.zeros(M // 2 + 1, dtype=complex)
+        Z[keep] = fwd * y[:m]
+        Z[paired] += 1j * fwd[pair] * y[m:]
+        X = np.fft.rfft(d2 * np.fft.irfft(Z, n=M)[:N], n=M)
+        return np.concatenate([back * X.real[keep],
+                               back[pair] * X.imag[paired]])
+
+    return LinearMap(cols=r, matvec=mv)
 
 
 # ---------------------------------------------------------------------------

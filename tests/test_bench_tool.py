@@ -68,3 +68,47 @@ def test_paired_ratio_skips_zero_parent(bench):
     assert wall["pairs"] == 2
     assert wall["change_over_parent"] == {"n": 1, "median": 1.5, "q1": 1.5,
                                           "q3": 1.5}
+
+
+def _verdict(bench, parents, changes, better="lower"):
+    spec = [{"name": "wall_s", "unit": "s", "better": better, "bound": 0.25}]
+    pairs = [{"parent": run(a), "change": run(b)}
+             for a, b in zip(parents, changes)]
+    return bench.summarize(pairs, spec)["wall_s"]["verdict"]
+
+
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01, 0.99]
+
+
+def test_verdict_gain_needs_nine_wins_and_a_gap_past_the_iqr(bench):
+    assert _verdict(bench, PARENT, [0.7 * a for a in PARENT]) == "gain"
+    # 8 of 10 wins is not enough, whatever the gap
+    eight = [0.7 * a for a in PARENT[:8]] + [1.1, 1.1]
+    assert _verdict(bench, PARENT, eight) == "within bound"
+    # 10 wins by less than the parent's IQR (0.02) is no gain either
+    assert _verdict(bench, PARENT, [a - 0.005 for a in PARENT]) \
+        == "within bound"
+    # a metric where higher is better
+    assert _verdict(bench, PARENT, [1.5 * a for a in PARENT],
+                    better="higher") == "gain"
+
+
+def test_verdict_regressed_past_the_bound(bench):
+    assert _verdict(bench, PARENT, [1.3 * a for a in PARENT]) == "regressed"
+    assert _verdict(bench, PARENT, [0.7 * a for a in PARENT],
+                    better="higher") == "regressed"
+    assert _verdict(bench, PARENT, [1.2 * a for a in PARENT]) \
+        == "within bound"
+
+
+def test_verdict_unresolved_when_the_parent_spreads_past_the_bound(bench):
+    # the parent's IQR is 0.45 of its median, against a 0.25 bound
+    wide = [0.6, 1.4, 0.8, 1.2, 1.0, 0.7, 1.3, 0.9, 1.1, 1.0]
+    assert _verdict(bench, wide, [1.05 * a for a in wide]) == "unresolved"
+    # a change worse past the bound is regressed first
+    assert _verdict(bench, wide, [1.4 * a for a in wide]) == "regressed"
+    # every change run beating every parent run settles it, here with a
+    # median gap (0.35) inside the parent's IQR (0.6)
+    split = [0.9, 1.5] * 5
+    assert _verdict(bench, split, [0.85] * 10) == "within bound"
+    assert _verdict(bench, split, [0.95] * 10) == "unresolved"

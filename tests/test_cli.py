@@ -187,6 +187,20 @@ class TestSpectrum:
         assert meta["method"] == method
         assert meta["dim"] == size
 
+    @pytest.mark.parametrize("size", [64, 700])
+    def test_negative_seed_refused_by_name(self, size, tmp_path, capsys):
+        # 64 is on the dense route, which used to accept the seed, and 700
+        # on the Lanczos route, where numpy refused it without naming it
+        out_csv = tmp_path / "s.csv"
+        for flags in ([], ["--out", str(out_csv)]):
+            code, out, err = _run(capsys, "spectrum", "--operator", "hankel",
+                                  "--size", str(size), "--seed", "-1",
+                                  *flags)
+            assert code == 2 and out == ""
+            assert err == "error: seed must be a non-negative integer, " \
+                          "got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_operator_is_usage_error(self, capsys):
         code, _, _ = _run(capsys, "spectrum", "--operator", "toeplitz",
                           "--size", "8")
@@ -499,6 +513,22 @@ class TestChainVerb:
         code, _, err = _run(capsys, "chain", "--config", str(cfg_path))
         assert code == 2
         assert field in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("cfg, flags", [
+        ({"solver": {"seed": -3}}, []),
+        ({}, ["--seed", "-1"]),
+    ])
+    def test_negative_seed_exits_two(self, cfg, flags, tmp_path, capsys):
+        # refused by name before any stage, from the file or the flag
+        cfg = dict(cfg, sizes=[32, 64], outputs={"dir": str(tmp_path / "o")})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, out, err = _run(capsys, "chain", "--config", str(cfg_path),
+                              *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("error: seed must be a non-negative integer")
+        assert err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("part, key", [

@@ -10,12 +10,12 @@ import helsonlab.discretize as discretize
 import helsonlab.structured_ops as structured_ops
 import helsonlab.symbols as symbols
 from helsonlab.discretize import (
-    ConstructionError, Grid, factor_N_dense,
+    ConstructionError, Grid, NystromOperator, factor_N_dense,
     log_window_smooth_section, make_grid, nystrom_hankel, nystrom_helson,
     v_matched_grids, weighted_operator,
 )
 from helsonlab.eigen import dense_eig_oracle, lanczos_extreme
-from helsonlab.structured_ops import dense_matrix
+from helsonlab.structured_ops import dense_matrix, toeplitz_section
 from helsonlab.symbols import (SymbolSpec, _weight_values, a0_quadrature,
                                b0_quadrature, chi_cutoff, kernel_fn, zeta1)
 
@@ -464,7 +464,7 @@ class TestOverlapSave:
         f = RNG.standard_normal(taps)
         x = RNG.standard_normal(size)
         want = window(f, x)
-        conv = structured_ops._overlap_save(f, i0, count)
+        conv = structured_ops._overlap_save(f, i0, count, size)
         got = conv(x)
         assert got.shape == (count,)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
@@ -489,20 +489,20 @@ class TestOverlapSave:
         x = RNG.standard_normal(400)
         assert structured_ops._support(f) == (50, 80)
         want = np.convolve(f, x)[60:360]
-        got = structured_ops._overlap_save(f, 60, 300)(x)
+        got = structured_ops._overlap_save(f, 60, 300, x.size)(x)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestLogWindowSection:
     def test_fft_matvec_matches_materialized(self):
         for n in (160, 1000, 2048):
-            op = log_window_smooth_section(1.0, n)
+            op = toeplitz_section(*_log_window_factor(1.0, n))
             M = op.dense()
             assert np.array_equal(M, M.T)
             for _ in range(3):
                 u = RNG.standard_normal(n)
                 want = M @ u
-                got = op.map.apply(u)
+                got = op.apply(u)
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("alpha, n", [(0.5, 8192), (1.0, 16384)])
@@ -512,13 +512,13 @@ class TestLogWindowSection:
         c, d = _log_window_factor(alpha, n)
         taps = np.concatenate([c[:0:-1], c])
         M = 1 << (taps.size + n).bit_length()
-        op = log_window_smooth_section(alpha, n)
+        op = toeplitz_section(c, d)
         for _ in range(2):
             v = RNG.standard_normal(n)
             full = np.fft.irfft(np.fft.rfft(taps, n=M) *
                                 np.fft.rfft(d * v, n=M), n=M)
             want = d * full[n - 1:2 * n - 1]
-            got = op.map.apply(v)
+            got = op.apply(v)
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     @pytest.mark.parametrize("n", [8192, 16384])
@@ -551,11 +551,14 @@ class TestLogWindowSection:
         # at n = 16384 the taps reach t = kh = 2212, past the t ~ 1420
         # where the cosh form overflows
         with np.errstate(over="raise", invalid="raise"):
-            op = log_window_smooth_section(1.0, 16384)
+            _, c, d = discretize._log_window(1.0, 16384)
             e = np.zeros(16384)
             e[-1] = 1.0
-            col = op.map.apply(e)
+            col = toeplitz_section(c, d).apply(e)
+            twin = log_window_smooth_section(1.0, 16384).map
+            out = twin.apply(RNG.standard_normal(twin.cols))
         assert np.all(np.isfinite(col)) and col[-1] > 0
+        assert np.all(np.isfinite(out))
 
     def test_materialized_section_is_psd(self):
         op = log_window_smooth_section(0.5, 128)
@@ -583,10 +586,10 @@ class TestLogWindowSection:
         # and w(e^-mu) would read 0
         diag = {}
         for n in (4096, 8192):
-            op = log_window_smooth_section(1.0, n)
+            mu, c, d = discretize._log_window(1.0, n)
             e = np.zeros(n)
             e[-1] = 1.0
-            diag[n] = (op.map.apply(e)[-1], op.grid.nodes[-1])
+            diag[n] = (toeplitz_section(c, d).apply(e)[-1], mu[-1])
         (d4, u4), (d8, u8) = diag[4096], diag[8192]
         assert d8 == pytest.approx(d4 * (u4 / u8), rel=0.01)
 
@@ -594,14 +597,51 @@ class TestLogWindowSection:
         # the explicit matrix is allowed up to MAX_DENSE and refused past
         # it, with no fall-back to one matvec per column
         n = structured_ops.MAX_DENSE
-        M = log_window_smooth_section(1.0, n).dense()
+        M = toeplitz_section(*_log_window_factor(1.0, n)).dense()
         assert M.shape == (n, n)
         del M
-        op = log_window_smooth_section(1.0, n + 1)
+        op = toeplitz_section(*_log_window_factor(1.0, n + 1))
         with pytest.raises(ValueError, match="beyond 4096"):
-            op.dense()
+            dense_matrix(op)
         with pytest.raises(ValueError, match="beyond 4096"):
-            dense_matrix(op.map)
+            NystromOperator(grid=make_grid((0.0, 1.0), n + 1),
+                            map=op).dense()
+
+    @pytest.mark.parametrize("n", [12, 96, 300])
+    def test_short_window_solves_the_section(self, n):
+        # the window ends before the taps decay, so the circulant that
+        # embeds T has modes down to -4.8e-2 (n = 12) and -9.0e-5 (n = 96)
+        # of its peak: no twin
+        _, c, d = discretize._log_window(1.0, n)
+        lm = log_window_smooth_section(1.0, n).map
+        assert lm.cols == n
+        assert np.array_equal(dense_matrix(lm),
+                              toeplitz_section(c, d).dense())
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n", [700, 1024, 4096])
+    def test_twin_has_the_sections_spectrum(self, alpha, n):
+        _, c, d = discretize._log_window(alpha, n)
+        twin = log_window_smooth_section(alpha, n).map
+        assert twin.cols < n
+        G = dense_matrix(twin)
+        assert np.abs(G - G.T).max() <= 1e-14 * np.abs(G).max()
+        got = np.linalg.eigvalsh(G)[::-1]
+        want = np.linalg.eigvalsh(toeplitz_section(c, d).dense())[::-1]
+        k = np.count_nonzero(got > 1e-14 * want[0])
+        assert k > 200
+        assert np.abs(got[:k] - want[:k]).max() <= 1e-14 * want[0]
+
+    def test_twin_lanczos_top_matches_the_sections(self):
+        # the integral workload's headline, past the dense cap
+        _, c, d = discretize._log_window(0.5, 8192)
+        twin = log_window_smooth_section(0.5, 8192).map
+        assert twin.cols < 0.6 * 8192
+        a = lanczos_extreme(toeplitz_section(c, d), 200, seed=0)
+        b = lanczos_extreme(twin, 200, seed=0)
+        assert a.meta["converged"] and b.meta["converged"]
+        assert np.abs(a.lambda_plus - b.lambda_plus).max() \
+            <= 4e-15 * a.lambda_plus[0]
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):

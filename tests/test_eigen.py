@@ -381,6 +381,9 @@ class TestLanczos:
             lanczos_extreme(map_from_dense(np.eye(3)), k=1, which="middle")
         with pytest.raises(ValueError):
             lanczos_extreme(map_from_dense(np.eye(3)), k=1, which="smallest")
+        for seed in (-1, 1.5, True):
+            with pytest.raises(ValueError, match="seed must be a non-negative"):
+                lanczos_extreme(map_from_dense(np.eye(3)), k=1, seed=seed)
 
     def test_zero_map(self):
         lm = LinearMap(6, lambda u: np.zeros(6))

@@ -50,6 +50,18 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=field):
             RunConfig(**kw)
 
+    def test_negative_seed_refused_by_name(self, monkeypatch):
+        # refused by RunConfig, before run_chain could start a stage; the
+        # parent's chain ran the headline and exited 1 with
+        # "stage fit: expected non-negative integer"
+        with pytest.raises(ValueError,
+                           match="seed must be a non-negative integer, "
+                                 "got -3"):
+            RunConfig(solver={"seed": -3})
+        with pytest.raises(ValueError, match="seed"):
+            RunConfig.from_json({"solver": {"seed": -1}})
+        assert RunConfig(solver={"seed": 0}).solver == {"seed": 0}
+
     def test_nystrom_n_capped_at_max_dense(self):
         # the Nystrom builders' one node cap, refused before any stage
         cap = structured_ops.MAX_DENSE
@@ -464,6 +476,12 @@ class TestSolvePolicy:
         assert routes == [("dense", 2), ("dense", limit),
                           ("lanczos", limit + 1, pipeline._LANCZOS_K,
                            "both_ends")]
+
+    @pytest.mark.parametrize("n", [2, pipeline._DENSE_LIMIT + 1])
+    def test_negative_seed_refused_on_either_route(self, routes, n):
+        with pytest.raises(ValueError, match="seed must be a non-negative"):
+            solve(_identity(n), seed=-1)
+        assert routes == []
 
     def test_k_and_which_pass_through_capped_by_order(self, routes):
         n = pipeline._DENSE_LIMIT + 1

@@ -9,6 +9,7 @@ from helsonlab.discretize import (log_window_smooth_section, nystrom_hankel,
 from helsonlab.structured_ops import (
     GramSection, HelsonTruncation, LinearMap, build_hankel, build_helson,
     build_smooth_helson, dense_matrix, difference_section,
+    toeplitz_gram_twin, toeplitz_section,
 )
 from helsonlab.symbols import DomainError, SymbolSpec, sequence_values
 
@@ -127,10 +128,66 @@ class TestHankel:
         with pytest.raises(ValueError):
             H.apply(np.ones(4))
 
+    @pytest.mark.parametrize("N", [2000, 8192])
+    def test_one_block_of_2n_minus_1_points(self, N, monkeypatch):
+        # the input has N entries, so 2N - 1 points keep the circular
+        # wrap off the N kept outputs: 4000 and 16384, where 3N - 2
+        # (6000 and 24576) were transformed before
+        lengths = []
+        rfft = np.fft.rfft
+
+        def recording(a, n=None, axis=-1, **kw):
+            lengths.append(np.shape(a)[axis] if n is None else n)
+            return rfft(a, n=n, axis=axis, **kw)
+
+        monkeypatch.setattr(np.fft, "rfft", recording)
+        rng = np.random.default_rng(N)
+        b = rng.standard_normal(2 * N - 1)
+        u = rng.standard_normal(N)
+        got = build_hankel(b).apply(u)
+        assert set(lengths) == {structured_ops._fft_length(2 * N - 1)}
+        want = np.convolve(b, u[::-1])[N - 1:2 * N - 1]
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
     def test_zero_symbol_gives_zero_map(self):
         # every tap is zero: the convolution keeps one, and reads 0
         H = build_hankel(np.zeros(7))
         assert np.array_equal(H.apply(np.ones(4)), np.zeros(4))
+
+
+class TestToeplitzGramTwin:
+    def test_band_limited_taps_give_a_smaller_map_with_their_spectrum(self):
+        # Gaussian taps: the symbol falls below 1e-15 of its peak on about
+        # a third of the circulant's modes, whatever the weights
+        rng = np.random.default_rng(5)
+        n = 400
+        c = np.exp(-(np.arange(n) / 6.0) ** 2)
+        d = rng.uniform(0.5, 2.0, n)
+        twin = toeplitz_gram_twin(c, d)
+        assert twin.cols < 0.75 * n
+        G = dense_matrix(twin)
+        assert np.abs(G - G.T).max() <= 1e-14 * np.abs(G).max()
+        got = np.linalg.eigvalsh(G)[::-1]
+        want = np.linalg.eigvalsh(toeplitz_section(c, d).dense())[::-1]
+        assert np.abs(got - want[:twin.cols]).max() <= 1e-14 * want[0]
+        assert np.abs(want[twin.cols:]).max() <= 1e-14 * want[0]
+
+    @pytest.mark.parametrize("c1", [0.9, 0.0])
+    def test_section_kept_unless_the_dropped_modes_are_zero(self, c1):
+        # taps 1, 0.9: the symbol 1 + 1.8 cos(theta) dips to -0.8, so the
+        # modes a twin of 49 < 64 columns would drop are not zero; taps
+        # 1, 0 leave every mode, and no smaller side
+        n = 64
+        c = np.zeros(n)
+        c[:2] = 1.0, c1
+        lm = toeplitz_gram_twin(c, np.ones(n))
+        assert lm.cols == n
+        assert np.array_equal(dense_matrix(lm),
+                              toeplitz_section(c, np.ones(n)).dense())
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            toeplitz_gram_twin(np.ones(5), np.ones(4))
 
 
 class TestHelson:

@@ -18,8 +18,11 @@ The output file holds the environment, every sample (one run.py result
 per side and pair), each side's median, q1 and q3 of every end-to-end
 metric, the median, q1 and q3 of the per-pair change/parent ratio, the
 pairs the change won, its median against the parent's with the
-benchmark's bound, each side's attempted and failed chains, and both
-traced layer splits. The ratio is the paired statistic: when the box
+benchmark's bound, a verdict (gain, regressed, unresolved or within
+bound; see verdict()), each side's attempted and failed chains, and
+both traced layer splits. "unresolved" says that the parent's own runs
+spread wider than the bound, so one median against another cannot
+settle that metric. The ratio is the paired statistic: when the box
 speeds up or slows down during a series, each side's quartiles widen
 and overlap, while the ratio within a pair, whose two runs are
 adjacent, does not drift with it. It is
@@ -46,6 +49,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 BUILD = ROOT / ".bench_build"
 PAIRS = 10
 SEED = 1
+# share of the pairs a change must win for a gain verdict: 9 of 10
+GAIN_SHARE = 0.9
 
 
 def git(*args: str) -> str:
@@ -140,8 +145,37 @@ def summarize(pairs: list, end_to_end: list) -> dict:
             entry["median_gap_over_parent_iqr"] = (
                 abs(change["median"] - parent["median"])
                 / max(parent["q3"] - parent["q1"], 1e-300))
+            entry["verdict"] = verdict(entry, both)
         out[name] = entry
     return out
+
+
+def verdict(entry: dict, both: list) -> str:
+    """One word on a metric's pairs, from the first test that holds:
+
+    gain: the change wins at least GAIN_SHARE of the pairs and its median
+    is better than the parent's by more than the parent's IQR;
+    regressed: its median is worse by more than the bound;
+    unresolved: the parent's IQR over its median is wider than the bound,
+    and not every change run beats every parent run;
+    within bound: anything else.
+    """
+    parent = entry["parent"]
+    iqr = parent["q3"] - parent["q1"]
+    if entry["change_wins"] >= GAIN_SHARE * len(both) \
+            and entry["change_worse_by"] < 0 \
+            and entry["median_gap_over_parent_iqr"] > 1:
+        return "gain"
+    if entry["change_worse_by"] > entry["bound"]:
+        return "regressed"
+    a, b = zip(*both)
+    if entry["better"] == "lower":
+        separated = max(b) < min(a)
+    else:
+        separated = min(b) > max(a)
+    if iqr / abs(parent["median"]) > entry["bound"] and not separated:
+        return "unresolved"
+    return "within bound"
 
 
 def environment(parent_sha: str) -> dict:
