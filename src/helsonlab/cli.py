@@ -29,9 +29,9 @@ from helsonlab.asymptotics import (NOISE_FLOOR, default_fit_window,
 from helsonlab.discretize import (ConstructionError, factor_N_dense,
                                   make_grid, nystrom_hankel, nystrom_helson,
                                   v_matched_grids, weighted_operator)
-from helsonlab.eigen import (Spectrum, dense_eig_oracle, lanczos_extreme,
-                             spectrum_from_csv, spectrum_to_csv,
-                             write_meta_sidecar)
+from helsonlab.eigen import (Spectrum, check_seed, dense_eig_oracle,
+                             lanczos_extreme, spectrum_from_csv,
+                             spectrum_to_csv, write_meta_sidecar)
 from helsonlab.pipeline import (RunConfig, StageError, _top_agreement,
                                 run_chain, solve)
 from helsonlab.schatten import schatten_report
@@ -290,7 +290,7 @@ _SUITES = {
 
 
 def _cmd_verify(args) -> int:
-    checks = _SUITES[args.suite](args.seed)
+    checks = _SUITES[args.suite](check_seed(args.seed))
     all_ok = True
     for ok, line in checks:
         print(("PASS: " if ok else "FAIL: ") + line)
@@ -318,8 +318,9 @@ def _cmd_chain(args) -> int:
         raise
     skipped = report.get("fit_skipped")
     if skipped:
-        _diag(f"note: no headline fit: {skipped['available']} eigenvalues "
-              f"are too few for the fit window {skipped['window']}")
+        _diag(f"note: no headline fit: {skipped['certified_count']} "
+              f"certified eigenvalues are too few for the fit window "
+              f"{skipped['window']}")
     print(json.dumps({"out_dir": str(config.out_dir),
                       "stages": report["stages"],
                       "report": str(Path(config.out_dir) / "run_report.json")},

@@ -27,7 +27,10 @@ A = diag(d) T diag(d) with taps that decay exponentially.  Its symbol is
 band-limited, so the map solved is A's Gram twin
 (structured_ops.toeplitz_gram_twin), of order r ~ n/2 at chain sizes,
 with A's nonzero spectrum; a window too short for the taps to decay
-keeps A itself (structured_ops.toeplitz_section).
+keeps A itself (structured_ops.toeplitz_section).  The Weyl turning
+point of that kernel's symbol tells which of its eigenvalues the window
+resolves (certified_count) and how wide a window a given eigenvalue
+needs (window_nodes).
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from helsonlab.structured_ops import (MAX_DENSE, LinearMap,
                                       _dirichlet_factor, _smooth_nodes,
                                       dense_matrix, toeplitz_gram_twin)
 from helsonlab.symbols import (
-    CHI_HI, SIDE_KINDS, SymbolSpec, _weight_values,
+    CHI_HI, CHI_LO, SIDE_KINDS, SymbolSpec, _weight_values,
     chi_cutoff, gauss_panels, kernel_fn, zeta1,
 )
 
@@ -331,18 +334,97 @@ def weighted_operator(kind: str, alpha: float, grid: Grid) -> NystromOperator:
 # node step in mu
 _LOG_STEP = 0.135
 
+# an eigenvalue of the window is certified when its turning point lies
+# within this share of the last node: against a wider window, truncation
+# first moves an eigenvalue by 1e-8 at 0.924-0.940 of the width, at
+# alpha = 0.5, 1 and 2
+CERTIFY_SHARE = 0.9
+
+# samples of W across the cutoff band that locate its peak
+_BAND_SAMPLES = 257
+
+
+def _log_weight(alpha: float, mu, h: float = 1.0):
+    """h W(mu), W(mu) = mu^-alpha chi(e^-mu) the weight in log coordinates.
+
+    Evaluated in mu: w(e^-mu) itself reads 0 once e^-mu underflows
+    (mu > ~745), which would stop the window growing.
+    """
+    mu = np.asarray(mu, dtype=float)
+    return h * mu ** -alpha * chi_cutoff(np.exp(-mu))
+
+
+def _node(q):
+    """mu_q = -log(CHI_HI) + h q, the q-th node of every window."""
+    return -math.log(CHI_HI) + _LOG_STEP * q
+
 
 def _log_window(alpha: float, n: int) -> tuple:
     """Nodes mu_q, taps c_k and weights d_q of log_window_smooth_section."""
     if n < 2:
         raise ValueError("need n >= 2")
     h = _LOG_STEP
-    mu = -math.log(CHI_HI) + h * np.arange(n)
-    # evaluated in mu as mu^-alpha chi(e^-mu): w(e^-mu) itself reads 0 once
-    # e^-mu underflows (mu > ~745), which would stop the window growing
-    d = np.sqrt(h * mu ** -alpha * chi_cutoff(np.exp(-mu)))
+    mu = _node(np.arange(n))
+    d = np.sqrt(_log_weight(alpha, mu, h))
     t = h * np.arange(n)
     return mu, np.exp(-0.5 * t) / (1.0 + np.exp(-t)), d
+
+
+def turning_point(alpha: float, lam) -> np.ndarray:
+    """Classical turning point mu*(lambda) of the log window's kernel.
+
+    The kernel sqrt(W(mu) W(nu)) / (2 cosh((mu - nu)/2)) has the symbol
+    W(mu) pi / cosh(pi xi), so an eigenvalue lambda lives where
+    pi W(mu) >= lambda, and mu* is the last mu with pi W(mu*) = lambda;
+    counting that phase space gives lambda_n ~ kappa(alpha) n^-alpha.
+    Past -log(CHI_LO), W = mu^-alpha and mu* = (pi / lambda)^(1/alpha).
+    A larger lambda turns inside the cutoff band, where W rises to one
+    peak and falls from it: mu* is bisected on W between the peak and
+    the band's end, and a lambda above pi W everywhere turns at the
+    peak.  A lambda <= 0 never turns: its mu* is inf.
+    """
+    lam = np.asarray(lam, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = np.where(lam > 0.0, (math.pi / lam) ** (1.0 / alpha), math.inf)
+    hi = -math.log(CHI_LO)
+    band = out < hi
+    if np.any(band):
+        grid = np.linspace(-math.log(CHI_HI), hi, _BAND_SAMPLES)
+        a = np.full(np.count_nonzero(band),
+                    grid[np.argmax(_log_weight(alpha, grid))])
+        b = np.full_like(a, hi)
+        for _ in range(60):
+            mid = 0.5 * (a + b)
+            up = math.pi * _log_weight(alpha, mid) >= lam[band]
+            a, b = np.where(up, mid, a), np.where(up, b, mid)
+        out[band] = a
+    return out
+
+
+def certified_count(alpha: float, lam, n: int) -> int:
+    """Leading eigenvalues of the n-node window that it resolves.
+
+    Index i counts while every lambda_j, j <= i, has its turning point
+    within CERTIFY_SHARE of the window's last node; past that share the
+    window's end truncates the eigenfunction.
+    """
+    inside = turning_point(alpha, lam) <= CERTIFY_SHARE * _node(n - 1)
+    return int(np.cumprod(inside).sum())
+
+
+def window_nodes(alpha: float, lam: float) -> int:
+    """Fewest nodes (at least 2) whose window certifies an eigenvalue lam:
+    the last node reaches mu*(lam) / CERTIFY_SHARE."""
+    reach = float(turning_point(alpha, lam)) / CERTIFY_SHARE
+    if not math.isfinite(reach):
+        raise ValueError(f"no window certifies lambda = {lam!r}")
+    n = max(2, math.ceil((reach + math.log(CHI_HI)) / _LOG_STEP) + 1)
+    # step past rounding in the ceil, on the nodes themselves
+    while n > 2 and _node(n - 2) >= reach:
+        n -= 1
+    while _node(n - 1) < reach:
+        n += 1
+    return n
 
 
 def log_window_smooth_section(alpha: float, n: int) -> NystromOperator:
@@ -355,10 +437,14 @@ def log_window_smooth_section(alpha: float, n: int) -> NystromOperator:
     that kernel on the nodes mu_q = -log(CHI_HI) + h q, q < n, where W
     starts: the map A = diag(d) T diag(d) with d_q^2 = h W(mu_q) and
     taps c_k = e^(-kh/2) / (1 + e^(-kh)), the form of 1/(2 cosh(kh/2))
-    that cannot overflow.  Keeping the step h = _LOG_STEP fixed while n
-    grows widens the window, which is the actual accuracy knob:
-    truncation error falls like 1/width^2 while the quadrature error in
-    mu is already superexponentially small at this step.
+    that cannot overflow.  The step h = _LOG_STEP stays fixed, where the
+    quadrature error in mu is already superexponentially small, so n
+    sets the window's width, and the width decides which eigenvalues
+    the section resolves: lambda_i agrees with a wider window's to
+    rounding while its turning point (turning_point) lies well inside
+    the window, and is truncated past that.  certified_count reads the
+    resolved indices off a returned spectrum, and window_nodes gives the
+    n that certifies a given eigenvalue.
 
     The map solved is structured_ops.toeplitz_gram_twin: the kernel's
     symbol pi / cosh(pi xi) is band-limited, so about half the Fourier

@@ -130,13 +130,15 @@ def spectrum_from_csv(path) -> Spectrum:
 def write_meta_sidecar(spec: Spectrum, path) -> None:
     """Solver metadata next to a spectrum CSV: convergence flag, route,
     Lanczos steps and how many of them reorthogonalized, the noise floor
-    and resolved count, and the spectrum verb's operator, kernel, alpha,
-    size and topk, each when the spectrum carries it."""
+    and resolved count, the spectrum verb's operator, kernel, alpha,
+    size and topk, and the headline's n_cap and certified_count, each
+    when the spectrum carries it."""
     keep = {k: spec.meta[k] for k in ("dim", "iterations", "reorthogonalized",
                                       "seed", "tol", "converged", "method",
                                       "lambda_max_alg", "lambda_min_alg",
                                       "noise_floor", "resolved", "operator",
-                                      "kernel", "alpha", "size", "topk")
+                                      "kernel", "alpha", "size", "topk",
+                                      "n_cap", "certified_count")
             if k in spec.meta}
     with open(path, "w") as fh:
         json.dump(keep, fh)

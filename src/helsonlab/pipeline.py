@@ -34,9 +34,11 @@ from helsonlab.asymptotics import (NOISE_FLOOR,
                                    default_fit_window,  # noqa: F401
                                    fit_power_tail, kappa,
                                    negative_part_domination)
-from helsonlab.discretize import (log_window_smooth_section,
+from helsonlab.discretize import (certified_count,
+                                  log_window_smooth_section,
                                   nystrom_difference, nystrom_hankel,
-                                  nystrom_helson, v_matched_grids)
+                                  nystrom_helson, v_matched_grids,
+                                  window_nodes)
 from helsonlab.eigen import (Spectrum, check_seed, dense_eig_oracle,
                              lanczos_extreme, spectrum_to_csv,
                              write_meta_sidecar)
@@ -54,7 +56,8 @@ _LANCZOS_K = 20
 # x-range of the matched Nystrom grids (t = e^x on the multiplicative side)
 _X_DOMAIN = (0.0, 30.0)
 
-# index window (1-based) of the headline tail fit
+# index window (1-based) of the headline tail fit; its top index also
+# sizes the headline window, and the fit stops at the last certified index
 _FIT_WINDOW = (20, 200)
 
 
@@ -85,6 +88,13 @@ def _refuse_unknown(where: str, blob: dict, known) -> None:
 
 @dataclass
 class RunConfig:
+    """Settings of one chain run.
+
+    sizes lists the matrix sections' orders, solved up to helson_cap;
+    its last entry also caps the headline window, which is otherwise
+    as wide as the fit window needs (pipeline._headline_fit).
+    """
+
     alpha: float = 1.0
     sizes: tuple = (512, 1024, 2048, 4096, 8192)
     helson_cap: int = 4096
@@ -224,37 +234,51 @@ def _top_agreement(sa: Spectrum, sb: Spectrum) -> dict:
             "max_rel_diff": float(np.max(rel)), "floor": NOISE_FLOOR}
 
 
-def _headline_fit(alpha: float, n_top: int, seed: int,
+def _headline_fit(alpha: float, n_cap: int, seed: int,
                   out_dir: pathlib.Path, report: dict) -> None:
     """Headline section, its spectrum and tail fit into report["fits"].
 
-    The headline is log_window_smooth_section on n_top nodes, the smooth
-    part's integral Hankel operator as the Toeplitz map diag(d) T diag(d)
-    in mu = -log(lambda), whose kernel carries the reference kappa(alpha):
+    The headline is log_window_smooth_section, the smooth part's integral
+    Hankel operator as the Toeplitz map diag(d) T diag(d) in
+    mu = -log(lambda), whose kernel carries the reference kappa(alpha):
     the one object whose tail corrections shrink fast enough to observe
-    the power law at desk scale.  Once the window is wide enough the map
-    solved is its Gram twin, so the sidecar's dim reads the twin's order
-    r < n_top, while fits.headline.n_nodes stays n_top.  Matrix sections
-    get no fit: they resolve only 8-9 eigenvalues above the noise floor,
-    in geometric rather than power-law decay.  The section and its Lanczos basis are
-    dead when this returns.
+    the power law at desk scale.  Its width is the fewest nodes that
+    certify the fit window's top index at the Weyl estimate
+    kappa(alpha) k^-alpha (discretize.window_nodes), capped at n_cap, the
+    chain's last size.  Each returned eigenvalue is certified by its
+    turning point (discretize.certified_count), and the fit reads indices
+    _FIT_WINDOW[0] up to the last certified one; a window that certifies
+    fewer than _FIT_WINDOW[0] + 8 is reported under "fit_skipped" with
+    its certified count instead of a fit.  fits.headline and the sidecar
+    record n_nodes (the width solved, which names the CSV), n_cap and
+    certified_count.  Once the window is wide enough the map solved is
+    its Gram twin, so the sidecar's dim reads the twin's order, below
+    n_nodes.  Matrix sections get no fit: they resolve only 8-9
+    eigenvalues above the noise floor, in geometric rather than
+    power-law decay.  The section and its Lanczos basis are dead when
+    this returns.
     """
     artifacts = report["artifacts"]
     fits = {}
+    n_top = min(n_cap, window_nodes(alpha,
+                                    kappa(alpha) * _FIT_WINDOW[1] ** -alpha))
     sec = log_window_smooth_section(alpha, n_top)
     sp_head = solve(sec.map, k=_FIT_WINDOW[1], seed=seed, which="largest")
-    _write_spectrum(sp_head, out_dir, f"headline_section_n{n_top}", report)
     lam = sp_head.lambda_plus
-    n0 = min(_FIT_WINDOW[0], max(1, lam.size // 2))
-    n1 = min(_FIT_WINDOW[1], lam.size)
+    certified = certified_count(alpha, lam, n_top)
+    sp_head = replace(sp_head, meta=dict(sp_head.meta, n_cap=n_cap,
+                                         certified_count=certified))
+    _write_spectrum(sp_head, out_dir, f"headline_section_n{n_top}", report)
+    n0, n1 = _FIT_WINDOW[0], min(_FIT_WINDOW[1], certified)
     if n1 - n0 < 8:
-        report["fit_skipped"] = {"available": int(lam.size),
+        report["fit_skipped"] = {"certified_count": certified,
                                  "window": list(_FIT_WINDOW)}
     else:
         fit = fit_power_tail(lam, (n0, n1))
         fits["headline"] = dict(fit.to_json(),
                                 object="log_window_smooth_section",
-                                n_nodes=n_top, window=[n0, n1],
+                                n_nodes=n_top, n_cap=n_cap,
+                                certified_count=certified, window=[n0, n1],
                                 kappa_ref=kappa(alpha))
         ref_n = np.arange(n0, n1 + 1, dtype=float)
         loglog_figure(
@@ -284,9 +308,11 @@ def run_chain(config: RunConfig) -> dict:
     and the combined section at every matrix size, row 1 once, at the
     negativity size, which is the largest matrix size on the dense route
     (the smallest matrix size if none is); the headline asks for the fit
-    window's top index of largest pairs, no more.  Every solved spectrum
-    gets its CSV and sidecar.  A headline too short for the fit window
-    is reported under "fit_skipped" instead of a fit.
+    window's top index of largest pairs, no more, on the narrowest window
+    that certifies them, with config.sizes[-1] as a cap on its width.
+    Every solved spectrum gets its CSV and sidecar.  A headline that
+    certifies too few eigenvalues for the fit window is reported under
+    "fit_skipped" instead of a fit.
     """
     matrix_sizes = [s for s in config.sizes if s <= config.helson_cap]
     if not matrix_sizes:

@@ -433,6 +433,18 @@ class TestVerify:
         code, _, _ = _run(capsys, "verify", "--suite", suite)
         assert code == 2
 
+    @pytest.mark.parametrize("suite", sorted(PASSES))
+    def test_negative_seed_refused_by_every_suite(self, suite, capsys,
+                                                  monkeypatch):
+        # refused before the suite runs, also by the suites that ignore
+        # their seed
+        monkeypatch.setitem(cli._SUITES, suite, lambda seed: pytest.fail(
+            "the suite ran"))
+        code, out, err = _run(capsys, "verify", "--suite", suite,
+                              "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+
 
 # ---------------------------------------------------------------------------
 # chain / report
@@ -570,8 +582,9 @@ class TestChainVerb:
 
     def test_report_without_fit_reads_the_capped_combined_section(
             self, tmp_path, capsys):
-        # a 12-node headline section is too short to fit, and the chain
-        # writes combined sections only up to helson_cap = 4
+        # a 12-node headline section certifies too few eigenvalues to
+        # fit, and the chain writes combined sections only up to
+        # helson_cap = 4
         cfg = {"alpha": 1.0, "sizes": [4, 12], "helson_cap": 4,
                "grids": {"n": 64}, "outputs": {"dir": str(tmp_path / "o")}}
         cfg_path = tmp_path / "cfg.json"
@@ -580,16 +593,39 @@ class TestChainVerb:
         assert code == 0
         rep = json.loads((tmp_path / "o" / "run_report.json").read_text())
         assert rep["fits"] == {}
-        head = spectrum_from_csv(tmp_path / "o" / "headline_section_n12.csv")
-        assert rep["fit_skipped"] == {"available": head.lambda_plus.size,
-                                      "window": [20, 200]}
+        meta = json.loads((tmp_path / "o" /
+                           "headline_section_n12.meta.json").read_text())
+        assert meta["certified_count"] < 28 and meta["n_cap"] == 12
+        assert rep["fit_skipped"] == {
+            "certified_count": meta["certified_count"], "window": [20, 200]}
         assert err.count("\n") == 1 and "no headline fit" in err
+        assert f"{meta['certified_count']} certified eigenvalues" in err
         svg = tmp_path / "tail.svg"
         code, out, err = _run(capsys, "report", "--config", str(cfg_path),
                               "--svg", str(svg))
         assert code == 0, err
         assert "combined matrix tail, N=4" in svg.read_text()
         assert "combined_matrix_N4.csv" in err
+
+    def test_report_plots_the_headline_at_its_solved_width(self, tmp_path,
+                                                             capsys):
+        # at alpha = 2 the fit window needs 6195 nodes, below the last
+        # size: the CSV is named by the width solved, and report finds it
+        cfg = {"alpha": 2.0, "sizes": [24, 8192], "helson_cap": 24,
+               "grids": {"n": 48}, "outputs": {"dir": str(tmp_path / "o")}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, err = _run(capsys, "chain", "--config", str(cfg_path))
+        assert code == 0 and err == ""
+        rep = json.loads((tmp_path / "o" / "run_report.json").read_text())
+        head = rep["fits"]["headline"]
+        assert (head["n_nodes"], head["n_cap"]) == (6195, 8192)
+        assert head["certified_count"] == 200
+        svg = tmp_path / "tail.svg"
+        code, out, err = _run(capsys, "report", "--config", str(cfg_path),
+                              "--svg", str(svg))
+        assert code == 0 and err == ""
+        assert "tail of the smooth additive section" in svg.read_text()
 
     def test_report_before_chain(self, tmp_path, capsys):
         cfg = {"alpha": 1.0, "sizes": [32, 64],

@@ -1,5 +1,6 @@
 """Grids, Nystrom sections, the change of variable, and the factorization."""
 
+import functools
 import math
 import tracemalloc
 
@@ -9,10 +10,12 @@ import pytest
 import helsonlab.discretize as discretize
 import helsonlab.structured_ops as structured_ops
 import helsonlab.symbols as symbols
+from helsonlab.asymptotics import kappa
 from helsonlab.discretize import (
-    ConstructionError, Grid, NystromOperator, factor_N_dense,
-    log_window_smooth_section, make_grid, nystrom_hankel, nystrom_helson,
-    v_matched_grids, weighted_operator,
+    ConstructionError, Grid, NystromOperator, certified_count,
+    factor_N_dense, log_window_smooth_section, make_grid, nystrom_hankel,
+    nystrom_helson, turning_point, v_matched_grids, weighted_operator,
+    window_nodes,
 )
 from helsonlab.eigen import dense_eig_oracle, lanczos_extreme
 from helsonlab.structured_ops import dense_matrix, toeplitz_section
@@ -619,7 +622,7 @@ class TestLogWindowSection:
                               toeplitz_section(c, d).dense())
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
-    @pytest.mark.parametrize("n", [700, 1024, 4096])
+    @pytest.mark.parametrize("n", [700, 1024])
     def test_twin_has_the_sections_spectrum(self, alpha, n):
         _, c, d = discretize._log_window(alpha, n)
         twin = log_window_smooth_section(alpha, n).map
@@ -631,6 +634,19 @@ class TestLogWindowSection:
         k = np.count_nonzero(got > 1e-14 * want[0])
         assert k > 200
         assert np.abs(got[:k] - want[:k]).max() <= 1e-14 * want[0]
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_twin_lanczos_top_matches_the_sections_at_4096(self, alpha):
+        # past the dense comparison's 1024: densifying both 4096-wide maps
+        # for eigvalsh took ~9 s per alpha on one BLAS thread
+        _, c, d = discretize._log_window(alpha, 4096)
+        twin = log_window_smooth_section(alpha, 4096).map
+        assert twin.cols < 4096
+        a = lanczos_extreme(toeplitz_section(c, d), 200, seed=0)
+        b = lanczos_extreme(twin, 200, seed=0)
+        assert a.meta["converged"] and b.meta["converged"]
+        assert np.abs(a.lambda_plus - b.lambda_plus).max() \
+            <= 4e-15 * a.lambda_plus[0]
 
     def test_twin_lanczos_top_matches_the_sections(self):
         # the integral workload's headline, past the dense cap
@@ -646,3 +662,109 @@ class TestLogWindowSection:
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
             log_window_smooth_section(1.0, 1)
+
+
+# ---------------------------------------------------------------------------
+# the turning-point certificate and the window it sizes
+
+
+@functools.cache
+def _window_top(alpha: float, n: int) -> np.ndarray:
+    """The 200 largest eigenvalues of the n-node window, as the chain's
+    headline solves them."""
+    spec = lanczos_extreme(log_window_smooth_section(alpha, n).map, 200,
+                           which="largest", seed=0)
+    assert spec.meta["converged"]
+    return spec.lambda_plus
+
+
+def _certified_change(alpha: float, n: int) -> float:
+    """Largest relative move of a certified eigenvalue of the n-node
+    window against the 16384-node one."""
+    lam, wide = _window_top(alpha, n), _window_top(alpha, 16384)
+    m = certified_count(alpha, lam, n)
+    return float(np.max(np.abs(lam[:m] - wide[:m]) / wide[:m]))
+
+
+class TestTurningPoint:
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_closed_form_past_the_band(self, alpha):
+        lam = np.array([1e-3, 1e-2, 0.5 * math.pi * math.log(4) ** -alpha])
+        assert np.array_equal(turning_point(alpha, lam),
+                              (math.pi / lam) ** (1.0 / alpha))
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_band_turning_point_is_the_last_crossing(self, alpha):
+        # pi W(mu*) = lambda, and pi W < lambda everywhere past mu*
+        lo, hi = -math.log(symbols.CHI_HI), -math.log(symbols.CHI_LO)
+        mu = np.linspace(lo, hi, 4001)
+        w = discretize._log_weight(alpha, mu)
+        lam = math.pi * np.linspace(w[-1], w.max(), 7)[1:-1]
+        star = turning_point(alpha, lam)
+        assert np.all((lo < star) & (star < hi))
+        assert np.allclose(math.pi * discretize._log_weight(alpha, star),
+                           lam, rtol=1e-12)
+        for s, v in zip(star, lam):
+            assert np.all(math.pi * w[mu > s + 1e-9] < v)
+
+    def test_edges(self):
+        # above pi W everywhere the turning point is W's peak; a
+        # lambda <= 0 never turns
+        mu = np.linspace(-math.log(symbols.CHI_HI),
+                         -math.log(symbols.CHI_LO), 4001)
+        peak = discretize._log_weight(1.0, mu).max()
+        star = turning_point(1.0, [10.0, 0.0, -1.0])
+        assert discretize._log_weight(1.0, star[0]) == pytest.approx(
+            peak, rel=1e-4)
+        assert np.all(np.isinf(star[1:]))
+
+    def test_monotone_along_a_spectrum(self):
+        lam = np.geomspace(2.0, 1e-4, 500)
+        assert np.all(np.diff(turning_point(1.0, lam)) > 0)
+
+
+class TestHeadlineCertificate:
+    @pytest.mark.parametrize("alpha, onset, measured", [
+        (1.0, 160, 158), (0.5, 104, 101)])
+    def test_no_index_past_the_truncation_onset(self, alpha, onset,
+                                                measured):
+        # onset: the first index of the 8192-node window that moves by
+        # more than 1e-12 (alpha = 1) or 1e-8 (alpha = 0.5) against the
+        # 16384-node window
+        lam, wide = _window_top(alpha, 8192), _window_top(alpha, 16384)
+        moved = np.abs(lam - wide) / wide
+        tol = 1e-12 if alpha == 1.0 else 1e-8
+        assert int(np.argmax(moved > tol)) + 1 == onset
+        m = certified_count(alpha, lam, 8192)
+        assert measured - 5 <= m < onset
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_certified_indices_agree_with_a_wider_window(self, alpha):
+        # measured: at most 5.9e-11 (alpha = 0.5)
+        assert _certified_change(alpha, 8192) <= 1e-8
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_certifying_the_whole_window_fails(self, alpha, monkeypatch):
+        # the mutation: every returned index passes the certificate
+        monkeypatch.setattr(discretize, "CERTIFY_SHARE", 1e9)
+        assert certified_count(alpha, _window_top(alpha, 8192), 8192) == 200
+        assert _certified_change(alpha, 8192) > 1e-8
+
+    @pytest.mark.parametrize("alpha, want", [(1.0, 10342), (0.5, 16246)])
+    def test_window_sized_for_the_fit_windows_top(self, alpha, want):
+        n = window_nodes(alpha, kappa(alpha) * 200.0 ** -alpha)
+        assert n == want
+        # the last node reaches mu* / CERTIFY_SHARE, the one before not
+        mu = discretize._log_window(alpha, n)[0]
+        reach = turning_point(alpha, kappa(alpha) * 200.0 ** -alpha) \
+            / discretize.CERTIFY_SHARE
+        assert mu[-1] >= reach > mu[-2]
+
+    def test_sized_window_keeps_the_wider_windows_top(self):
+        lam, wide = _window_top(1.0, 10342), _window_top(1.0, 16384)
+        assert np.max(np.abs(lam - wide) / wide) <= 1e-12
+        assert certified_count(1.0, lam, 10342) == 200
+
+    def test_window_nodes_refuses_a_lambda_no_window_certifies(self):
+        with pytest.raises(ValueError, match="no window"):
+            window_nodes(1.0, 0.0)

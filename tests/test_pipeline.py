@@ -130,6 +130,14 @@ def small_run(tmp_path_factory):
     return cfg, run_chain(cfg)
 
 
+@pytest.fixture(scope="module")
+def fit_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("chain_fit")
+    cfg = RunConfig(alpha=1.0, sizes=(24, 2000), helson_cap=24,
+                    nystrom_n=48, out_dir=str(out))
+    return cfg, run_chain(cfg)
+
+
 class TestRunChain:
     def test_stages_complete_in_order(self, small_run):
         _, rep = small_run
@@ -177,13 +185,32 @@ class TestRunChain:
         assert neg["max_excess"] <= 1e-10
         assert neg["max_neg_to_pos"] <= 0.05
 
-    def test_fit_fields_populated(self, small_run):
-        _, rep = small_run
+    def test_fit_fields_populated(self, fit_run):
+        # the cap of 2000 nodes, below the 10342 that the fit window asks
+        # for, certifies 39 indices: the fit reads 20..39
+        cfg, rep = fit_run
         head = rep["fits"]["headline"]
         assert math.isfinite(head["alpha_hat"]) and head["kappa_hat"] > 0
         assert head["kappa_ref"] == pytest.approx(0.5)
+        assert head["n_nodes"] == head["n_cap"] == 2000
+        assert 28 <= head["certified_count"] < 200
+        assert head["window"] == [20, head["certified_count"]]
+        meta = json.loads((pathlib.Path(cfg.out_dir) /
+                           "headline_section_n2000.meta.json").read_text())
+        assert (meta["n_cap"], meta["certified_count"]) == (
+            2000, head["certified_count"])
         # matrix sections get no fit of their own
         assert set(rep["fits"]) == {"headline"}
+
+    def test_short_headline_refuses_its_fit(self, small_run):
+        # 96 nodes certify too few indices for the fit window
+        cfg, rep = small_run
+        assert rep["fits"] == {}
+        meta = json.loads((pathlib.Path(cfg.out_dir) /
+                           "headline_section_n96.meta.json").read_text())
+        assert meta["certified_count"] < 28
+        assert rep["fit_skipped"] == {
+            "certified_count": meta["certified_count"], "window": [20, 200]}
 
     def test_all_solves_converged(self, small_run):
         _, rep = small_run
@@ -326,6 +353,26 @@ def test_headline_asks_for_the_fit_windows_top_index(monkeypatch, tmp_path):
         pipeline._FIT_WINDOW[1]]
 
 
+@pytest.mark.parametrize("alpha, cap, want", [
+    (1.0, 16384, 10342), (0.5, 32768, 16246), (0.5, 8192, 8192),
+    (1.0, 2000, 2000)])
+def test_headline_width_certifies_the_fit_window_under_the_cap(
+        alpha, cap, want, monkeypatch, tmp_path):
+    # the fewest nodes whose window certifies kappa(alpha) 200^-alpha,
+    # unless the last size caps it
+    asked = []
+
+    def stop(alpha, n):
+        asked.append(n)
+        raise RuntimeError("stop after sizing")
+
+    monkeypatch.setattr(pipeline, "log_window_smooth_section", stop)
+    with pytest.raises(StageError, match="stop after sizing"):
+        run_chain(RunConfig(alpha=alpha, sizes=(24, cap), helson_cap=24,
+                            out_dir=str(tmp_path)))
+    assert asked == [want]
+
+
 def test_negativity_size_is_the_largest_dense_matrix_size(monkeypatch,
                                                           tmp_path):
     # 1024 takes the Lanczos route, so row 1 and the negativity check run
@@ -447,6 +494,12 @@ def test_shipped_defaults_finish_under_memory_cap(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     report = json.loads((out / "run_report.json").read_text())
     assert report["additivity"]["ok"]
+    # the last size caps the headline below the 10342 nodes its fit window
+    # asks for; 158 indices were certified
+    head = report["fits"]["headline"]
+    assert head["n_nodes"] == head["n_cap"] == 8192
+    assert 150 <= head["certified_count"] < 160
+    assert head["window"] == [20, head["certified_count"]]
     sidecars = sorted(out.glob("*.meta.json"))
     assert sidecars
     for path in sidecars:

@@ -142,3 +142,35 @@ def test_differing_commands_compare_stdout_and_exit_status(tool, tmp_path):
     commands = (["same", "--x", "1"], ["text"], ["status"])
     assert tool.differing_commands(parent, change, commands) == [
         "helsonlab text", "helsonlab status: exit 0 → 1"]
+
+
+def test_headline_files_of_another_width_are_paired(tool, tmp_path):
+    # the parent solved 16384 nodes and the change 10342: each headline
+    # file is listed once against its counterpart, not as two one-sided
+    # files; the CSVs are compared over the eigenvalues both hold
+    head = "n,lambda_plus,lambda_minus,s_n\n"
+    for side, n, rows, dim in (
+            ("a", 16384, "1,1.0,,1.0\n2,0.5,,0.5\n3,0.25,,0.25\n", 8333),
+            ("b", 10342, "1,1.0,,1.0\n2,0.5000000001,,0.5000000001\n",
+             5423)):
+        write_run(tmp_path / side, REPORT, CSV)
+        (tmp_path / side / f"headline_section_n{n}.csv").write_text(
+            head + rows)
+        (tmp_path / side / f"headline_section_n{n}.meta.json").write_text(
+            json.dumps({"dim": dim, "converged": True}))
+    (tmp_path / "a" / "headline_section_n77.svg").write_text("<svg/>")
+    assert tool.width_pairs(tmp_path / "a", tmp_path / "b") == [
+        (pathlib.Path("headline_section_n16384.csv"),
+         pathlib.Path("headline_section_n10342.csv")),
+        (pathlib.Path("headline_section_n16384.meta.json"),
+         pathlib.Path("headline_section_n10342.meta.json"))]
+    assert tool.file_changes(tmp_path / "a", tmp_path / "b") == [
+        "3 of 4 output files differ",
+        "  headline_section_n77.svg",
+        "  headline_section_n16384.csv → headline_section_n10342.csv: "
+        "max |Δ| / λ₁ = 1e-10 over the leading 2",
+        "  headline_section_n16384.meta.json → "
+        "headline_section_n10342.meta.json",
+        "    dim: 8333 → 5423"]
+    # the same width on both sides pairs nothing
+    assert tool.width_pairs(tmp_path / "a", tmp_path / "a") == []

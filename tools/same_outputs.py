@@ -20,7 +20,12 @@ the columns alone would overstate the change. For a JSON file that
 differs (run_report.json after the exclusions above), one line per
 differing key reads `key: parent → change`, with a key of a nested
 block, such as run_report.json's `fits`, spelled `block.key`. The
-outputs stay on disk for inspection.
+headline's files carry the width of its window in their names
+(headline_section_n<N>.csv and .meta.json); when the two sides solved
+different widths, each such file is paired with the other side's and
+listed once as `parent name → change name`, with the same notes, the
+CSV's taken over the eigenvalues both hold. The outputs stay on disk
+for inspection.
 
 Then both trees run each of the fixed CLI commands in COMMANDS, which
 reach code that no chain does: the four `verify` suites, and `spectrum`
@@ -38,6 +43,7 @@ import csv
 import json
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -48,6 +54,8 @@ ROOT = bench.ROOT
 OUT = bench.BUILD / "same_outputs"
 SEED = 12345
 REPORT = "run_report.json"
+# a headline artifact, its window width in the name: the suffix pairs it
+HEADLINE = re.compile(r"headline_section_n\d+(\..+)")
 CHAIN = ("import json, sys; "
          "from helsonlab.pipeline import RunConfig, run_chain; "
          "run_chain(RunConfig(**json.loads(sys.argv[1])))")
@@ -108,20 +116,56 @@ def _algebraic_spectrum(path: pathlib.Path):
     return sorted(values, reverse=True)
 
 
-def spectrum_change(a: pathlib.Path, b: pathlib.Path):
+def spectrum_change(a: pathlib.Path, b: pathlib.Path, leading=False):
     """max |Δ| / λ₁ between the sorted algebraic spectra of two spectrum
     CSVs, λ₁ the first one's largest eigenvalue in modulus, as a
-    printable note; None for any other pair of files."""
+    printable note; None for any other pair of files. Spectra of
+    different lengths are compared over the leading values both hold if
+    leading is set, and only counted otherwise."""
     if a.suffix != ".csv" or not (a.is_file() and b.is_file()):
         return None
     sa, sb = _algebraic_spectrum(a), _algebraic_spectrum(b)
     if sa is None or sb is None:
         return None
+    span = ""
     if len(sa) != len(sb):
-        return f"{len(sa)} against {len(sb)} eigenvalues"
+        if not leading:
+            return f"{len(sa)} against {len(sb)} eigenvalues"
+        span = f" over the leading {min(len(sa), len(sb))}"
     top = max((abs(v) for v in sa), default=0.0)
     gap = max((abs(x - y) for x, y in zip(sa, sb)), default=0.0)
-    return f"max |Δ| / λ₁ = {gap / top if top else gap:.3g}"
+    return f"max |Δ| / λ₁ = {gap / top if top else gap:.3g}{span}"
+
+
+def width_pairs(a: pathlib.Path, b: pathlib.Path) -> list:
+    """(path under a, path under b) for each headline file that only one
+    side wrote, paired with the other side's one-sided headline file of
+    the same directory and suffix, sorted."""
+    def one_sided(root, other):
+        return {(p.parent, HEADLINE.fullmatch(p.name).group(1)): p
+                for p in (q.relative_to(root) for q in root.rglob("*"))
+                if HEADLINE.fullmatch(p.name) and not (other / p).exists()}
+
+    only_a, only_b = one_sided(a, b), one_sided(b, a)
+    return sorted((only_a[key], only_b[key]) for key in only_a
+                  if key in only_b)
+
+
+def file_changes(a: pathlib.Path, b: pathlib.Path) -> list:
+    """The printed lines for the outputs under a (parent) and b (change):
+    a count, then each differing file or width pair with its notes."""
+    pairs = width_pairs(a, b)
+    paired = {str(p) for pair in pairs for p in pair}
+    diff = [rel for rel in differing_files(a, b) if rel not in paired]
+    count = sum(1 for p in b.rglob("*") if p.is_file())
+    lines = [f"{len(diff) + len(pairs)} of {count} output files differ"]
+    listed = [(rel, rel, str(rel), False) for rel in diff] + [
+        (ra, rb, f"{ra} → {rb}", True) for ra, rb in pairs]
+    for ra, rb, name, leading in listed:
+        note = spectrum_change(a / ra, b / rb, leading)
+        lines.append(f"  {name}" + (f": {note}" if note else ""))
+        lines += [f"    {line}" for line in json_changes(a / ra, b / rb)]
+    return lines
 
 
 _ABSENT = object()
@@ -215,16 +259,11 @@ def main(argv=None) -> int:
                 tail = proc.stderr.strip().splitlines()[-1:] or [""]
                 print(f"{name} {side}: chain failed: {tail[0]}")
                 status = 1
-        diff = differing_files(dirs["parent"], dirs["change"])
-        count = sum(1 for p in dirs["change"].rglob("*") if p.is_file())
-        print(f"{name}: {len(diff)} of {count} output files differ")
-        for rel in diff:
-            note = spectrum_change(dirs["parent"] / rel, dirs["change"] / rel)
-            print(f"  {rel}" + (f": {note}" if note else ""))
-            for line in json_changes(dirs["parent"] / rel,
-                                     dirs["change"] / rel):
-                print(f"    {line}")
-        if diff:
+        head, *rest = file_changes(dirs["parent"], dirs["change"])
+        print(f"{name}: {head}")
+        for line in rest:
+            print(line)
+        if rest:
             status = 1
     diff = differing_commands(parent_tree, ROOT)
     print(f"cli: {len(diff)} of {len(COMMANDS)} commands differ")
