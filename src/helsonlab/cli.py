@@ -33,7 +33,7 @@ from helsonlab.eigen import (Spectrum, check_seed, dense_eig_oracle,
                              lanczos_extreme, spectrum_from_csv,
                              spectrum_to_csv, write_meta_sidecar)
 from helsonlab.pipeline import (RunConfig, StageError, _top_agreement,
-                                run_chain, solve)
+                                headline_series, run_chain, solve)
 from helsonlab.schatten import schatten_report
 from helsonlab.structured_ops import (LinearMap, build_hankel, build_helson,
                                       build_smooth_helson)
@@ -352,9 +352,14 @@ def _cmd_report(args) -> int:
     if lam.size == 0:
         raise _UsageError(f"{csv_path} holds no positive eigenvalues")
     n = np.arange(1, lam.size + 1, dtype=float)
+    # the headline's eigenvalues past certified_count are truncated by
+    # its window; a combined matrix section has no such count
+    series = (headline_series(lam, head["certified_count"])
+              if head is not None
+              else [("positive spectrum", n, lam)])
     svg = Path(args.svg)
     with _partial_on_interrupt(svg):
-        loglog_figure(svg, [("positive spectrum", n, lam)],
+        loglog_figure(svg, series,
                       reference=("reference decay", n,
                                  kappa(config.alpha) / n**config.alpha),
                       title=title, x_label="n", y_label="lambda_n")

@@ -29,7 +29,8 @@ band-limited, so the map solved is A's Gram twin
 with A's nonzero spectrum; a window too short for the taps to decay
 keeps A itself (structured_ops.toeplitz_section).  The Weyl turning
 point of that kernel's symbol tells which of its eigenvalues the window
-resolves (certified_count) and how wide a window a given eigenvalue
+resolves (certified_count), the smallest eigenvalue a window can
+resolve (certified_floor) and how wide a window a given eigenvalue
 needs (window_nodes).
 """
 
@@ -370,6 +371,12 @@ def _log_window(alpha: float, n: int) -> tuple:
     return mu, np.exp(-0.5 * t) / (1.0 + np.exp(-t)), d
 
 
+def _weight_peak(alpha: float) -> float:
+    """The mu of W's peak in the cutoff band, to _BAND_SAMPLES samples."""
+    grid = np.linspace(-math.log(CHI_HI), -math.log(CHI_LO), _BAND_SAMPLES)
+    return float(grid[np.argmax(_log_weight(alpha, grid))])
+
+
 def turning_point(alpha: float, lam) -> np.ndarray:
     """Classical turning point mu*(lambda) of the log window's kernel.
 
@@ -389,9 +396,7 @@ def turning_point(alpha: float, lam) -> np.ndarray:
     hi = -math.log(CHI_LO)
     band = out < hi
     if np.any(band):
-        grid = np.linspace(-math.log(CHI_HI), hi, _BAND_SAMPLES)
-        a = np.full(np.count_nonzero(band),
-                    grid[np.argmax(_log_weight(alpha, grid))])
+        a = np.full(np.count_nonzero(band), _weight_peak(alpha))
         b = np.full_like(a, hi)
         for _ in range(60):
             mid = 0.5 * (a + b)
@@ -410,6 +415,19 @@ def certified_count(alpha: float, lam, n: int) -> int:
     """
     inside = turning_point(alpha, lam) <= CERTIFY_SHARE * _node(n - 1)
     return int(np.cumprod(inside).sum())
+
+
+def certified_floor(alpha: float, n: int) -> float:
+    """Smallest eigenvalue the n-node window certifies:
+    pi W(CERTIFY_SHARE mu_{n-1}), or inf when that point lies before W's
+    peak, where no turning point falls.  W falls past its peak, so every
+    eigenvalue at or above this turns within CERTIFY_SHARE of the last
+    node (certified_count), and by Weyl's law the window certifies about
+    (kappa(alpha) / floor)^(1/alpha) of them."""
+    reach = CERTIFY_SHARE * _node(n - 1)
+    if reach < _weight_peak(alpha):
+        return math.inf
+    return math.pi * float(_log_weight(alpha, reach))
 
 
 def window_nodes(alpha: float, lam: float) -> int:

@@ -129,12 +129,20 @@ def spectrum_from_csv(path) -> Spectrum:
 
 def write_meta_sidecar(spec: Spectrum, path) -> None:
     """Solver metadata next to a spectrum CSV: convergence flag, route,
-    Lanczos steps and how many of them reorthogonalized, the noise floor
-    and resolved count, the spectrum verb's operator, kernel, alpha,
-    size and topk, and the headline's n_cap and certified_count, each
-    when the spectrum carries it."""
+    Lanczos steps, how many of them reorthogonalized and how many
+    residual checks ran, the noise floor and resolved count, the
+    operator, kernel, alpha and size of the spectrum verb, topk (the
+    pairs asked, also on the headline), and the headline's n_cap and
+    certified_count, each when the spectrum carries it.
+
+    resolved counts the positive eigenvalues at or above the noise
+    floor, NOISE_FLOOR * lambda_1; it says nothing about truncation by
+    the window.  The headline fit reads certified_count, the leading
+    eigenvalues whose turning points lie inside the window, which can
+    be far fewer."""
     keep = {k: spec.meta[k] for k in ("dim", "iterations", "reorthogonalized",
-                                      "seed", "tol", "converged", "method",
+                                      "checks", "seed", "tol", "converged",
+                                      "method",
                                       "lambda_max_alg", "lambda_min_alg",
                                       "noise_floor", "resolved", "operator",
                                       "kernel", "alpha", "size", "topk",
@@ -280,16 +288,23 @@ def _lanczos_sweep(lm: LinearMap, k: int, max_iter: int, rng,
     operator.  A deflation drops that coupling and restarts from a
     random vector orthogonal to the basis, whose omega row starts at
     rounding level.  The sweep ends at m = n, at max_iter, at a residual
-    check (every 16 steps from 2k + 16 on, never right after a restart)
-    or when the space is used up: a restart direction q that deflates at
-    its first step with |q.Aq| below the same floor.  A random unit q has a component of order 1/sqrt(n - m)
-    along every eigenvector of the operator on the rest of the space, so
+    check that finds every selected pair converged (never right after a
+    restart), or when the space is used up: a restart direction q that
+    deflates at its first step with |q.Aq| below the same floor.  A
+    random unit q has a component of order 1/sqrt(n - m) along every
+    eigenvector of the operator on the rest of the space, so
     |A q| ~ floor puts every eigenvalue there within about sqrt(n) times
     the floor of zero (unless q is, against the odds, nearly orthogonal
     to its eigenvector): the basis already holds every eigenvalue above.
     A restart direction that deflates with |q.Aq| above the floor lies in
     an eigenspace of the rest (a repeated eigenvalue), and the sweep goes
     on.
+
+    Each residual check is a dense eigensolve of the m x m tridiagonal.
+    The first runs at m = 2k + 16, and each next one waits max(16, 2u)
+    steps, u the selected pairs the one before left above _TOL: the top
+    pairs converge at well under one per step, so a check sooner than
+    that would mostly find them still unconverged.
 
     A Q - Q T is beta_last q e_m^T plus one column per dropped coupling
     plus the rounding of each step.  Under semi-orthogonality T equals
@@ -301,8 +316,9 @@ def _lanczos_sweep(lm: LinearMap, k: int, max_iter: int, rng,
     once (Kaniel-Paige-Saad; Saad, SIAM J. Numer. Anal. 17 (1980)).
     Returns the selected Ritz values, non-increasing and each once where
     top and bottom meet, their residuals, the steps, the convergence
-    flag (every selected residual at most _TOL) and the number of steps
-    that ran a Gram-Schmidt pass against the basis.
+    flag (every selected residual at most _TOL), the number of steps
+    that ran a Gram-Schmidt pass against the basis and the number of
+    residual checks.
     """
     n = lm.cols
     q = rng.standard_normal(n)
@@ -323,9 +339,13 @@ def _lanczos_sweep(lm: LinearMap, k: int, max_iter: int, rng,
     fresh = True      # q is a random direction orthogonal to the basis
     paired = False    # the previous step reorthogonalized on the estimate
     passes = 0
+    checks = 0
     checked = -1
+    next_check = 2 * k + 16
 
     def ritz():
+        nonlocal checks
+        checks += 1
         vals, z = tridiag_eigenvalues(alphas[:m], betas[:m - 1])
         scale = max(float(np.max(np.abs(vals))), 1e-300)
         res = (np.abs(beta_last * z) + math.sqrt(dropped2)) / scale
@@ -396,17 +416,20 @@ def _lanczos_sweep(lm: LinearMap, k: int, max_iter: int, rng,
             fresh = False
         w_new[m] = 1.0
         w_prev, w_cur, w_new = w_cur, w_new, w_prev
-        if m >= n or (m >= 2 * k + 16 and (m % 16 == 0 or m == max_iter)):
+        # max_iter is at most n
+        if m >= next_check or m == max_iter:
             vals, res, top = ritz()
             checked = m
+            open_pairs = int(np.count_nonzero(res[top] > _TOL))
             # right after a restart the Ritz values are those of an
             # invariant subspace, not yet the top k
-            if (np.all(res[top] <= _TOL) and beta_last > 0.0) or m >= n:
+            if open_pairs == 0 and beta_last > 0.0:
                 break
+            next_check = m + max(16, 2 * open_pairs)
     if checked != m:
         vals, res, top = ritz()
     converged = bool(np.all(res[top] <= _TOL))
-    return vals[top], res[top], m, converged, passes
+    return vals[top], res[top], m, converged, passes, checks
 
 
 def check_seed(seed) -> int:
@@ -430,7 +453,8 @@ def lanczos_extreme(lm: LinearMap, k: int, which: str = "largest",
     most _TOL; non-convergence is reported through meta["converged"],
     not raised.  meta["iterations"] counts the Lanczos steps and
     meta["reorthogonalized"] those of them that ran a Gram-Schmidt pass
-    against the basis.
+    against the basis; meta["checks"] counts the residual checks, each a
+    dense eigensolve of the Lanczos tridiagonal.
     lambda_plus lists the positives among the top k; lambda_minus (and,
     for both_ends, singular) the negatives among the bottom k of size at
     least _NEG_SNAP * lambda_1^+.  A smallest Ritz value smaller than
@@ -448,11 +472,11 @@ def lanczos_extreme(lm: LinearMap, k: int, which: str = "largest",
     n = lm.cols
     max_iter = min(n, max(4 * k + 32, 128))
     rng = np.random.default_rng(seed)
-    vals, res, it, ok, passes = _lanczos_sweep(
+    vals, res, it, ok, passes, checks = _lanczos_sweep(
         lm, k, max_iter, rng, both_ends=which == "both_ends")
     meta = {"dim": n, "seed": seed, "tol": _TOL, "iterations": it,
-            "reorthogonalized": passes, "converged": ok, "method": "lanczos",
-            "lambda_max_alg": float(vals[0])}
+            "reorthogonalized": passes, "checks": checks, "converged": ok,
+            "method": "lanczos", "lambda_max_alg": float(vals[0])}
     # vals come non-increasing: the top k lead, the bottom k close
     plus = vals[:k][vals[:k] > 0.0]
     res_plus = res[:plus.size]

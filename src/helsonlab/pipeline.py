@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import numbers
 import pathlib
 import resource
@@ -34,7 +35,7 @@ from helsonlab.asymptotics import (NOISE_FLOOR,
                                    default_fit_window,  # noqa: F401
                                    fit_power_tail, kappa,
                                    negative_part_domination)
-from helsonlab.discretize import (certified_count,
+from helsonlab.discretize import (certified_count, certified_floor,
                                   log_window_smooth_section,
                                   nystrom_difference, nystrom_hankel,
                                   nystrom_helson, v_matched_grids,
@@ -59,6 +60,10 @@ _X_DOMAIN = (0.0, 30.0)
 # index window (1-based) of the headline tail fit; its top index also
 # sizes the headline window, and the fit stops at the last certified index
 _FIT_WINDOW = (20, 200)
+
+# pairs the headline asks past the Weyl estimate of its certified count,
+# so that the solve reaches the first uncertified index
+_WEYL_MARGIN = 8
 
 
 class StageError(RuntimeError):
@@ -198,7 +203,10 @@ def _write_spectrum(spec: Spectrum, out_dir: pathlib.Path, name: str,
 
     The CSV lists every eigenvalue the solver returned; the sidecar marks
     which are resolved: noise_floor is NOISE_FLOOR * lambda_1^+ and
-    resolved the count of positive eigenvalues at or above it.
+    resolved the count of positive eigenvalues at or above it.  resolved
+    is not what the headline fit reads: that is the sidecar's
+    certified_count, the leading eigenvalues the window does not
+    truncate, at most resolved.
     """
     lam1 = float(spec.lambda_plus[0]) if spec.lambda_plus.size else 0.0
     spec = replace(spec, meta=dict(spec.meta,
@@ -234,6 +242,29 @@ def _top_agreement(sa: Spectrum, sb: Spectrum) -> dict:
             "max_rel_diff": float(np.max(rel)), "floor": NOISE_FLOOR}
 
 
+def headline_series(lam: np.ndarray, certified: int) -> list:
+    """loglog_figure series of a headline spectrum: its certified leading
+    eigenvalues, then, when the solve returned more, the rest as a
+    second series, truncated by the window."""
+    n = np.arange(1, lam.size + 1)
+    series = [("positive spectrum", n[:certified], lam[:certified])]
+    if certified < lam.size:
+        series.append(("truncated by the window", n[certified:],
+                       lam[certified:]))
+    return series
+
+
+def _headline_pairs(alpha: float, n: int) -> int:
+    """Pairs the headline asks of the n-node window: its Weyl count
+    (kappa(alpha) / certified_floor)^(1/alpha), rounded up, plus
+    _WEYL_MARGIN, and at most the fit window's top index."""
+    top = _FIT_WINDOW[1]
+    ratio = kappa(alpha) / certified_floor(alpha, n)
+    if ratio >= top ** alpha:
+        return top
+    return min(top, math.ceil(ratio ** (1.0 / alpha)) + _WEYL_MARGIN)
+
+
 def _headline_fit(alpha: float, n_cap: int, seed: int,
                   out_dir: pathlib.Path, report: dict) -> None:
     """Headline section, its spectrum and tail fit into report["fits"].
@@ -249,9 +280,17 @@ def _headline_fit(alpha: float, n_cap: int, seed: int,
     turning point (discretize.certified_count), and the fit reads indices
     _FIT_WINDOW[0] up to the last certified one; a window that certifies
     fewer than _FIT_WINDOW[0] + 8 is reported under "fit_skipped" with
-    its certified count instead of a fit.  fits.headline and the sidecar
-    record n_nodes (the width solved, which names the CSV), n_cap and
-    certified_count.  Once the window is wide enough the map solved is
+    its certified count instead of a fit.  The solve asks only for the
+    pairs the window can certify (_headline_pairs): Weyl's count at the
+    smallest certifiable eigenvalue, plus a margin, and at most
+    _FIT_WINDOW[1].  If every pair it returns is certified, that
+    estimate fell short, and the window is solved once more for
+    _FIT_WINDOW[1] pairs: the fit then reads what asking for them at
+    once would give.  fits.headline and the sidecar record n_nodes (the
+    width solved, which names the CSV), n_cap and certified_count, and
+    the sidecar records the pairs asked as topk.  fit_figure.svg draws
+    the eigenvalues past certified_count as a second series, truncated
+    by the window.  Once the window is wide enough the map solved is
     its Gram twin, so the sidecar's dim reads the twin's order, below
     n_nodes.  Matrix sections get no fit: they resolve only 8-9
     eigenvalues above the noise floor, in geometric rather than
@@ -263,10 +302,15 @@ def _headline_fit(alpha: float, n_cap: int, seed: int,
     n_top = min(n_cap, window_nodes(alpha,
                                     kappa(alpha) * _FIT_WINDOW[1] ** -alpha))
     sec = log_window_smooth_section(alpha, n_top)
-    sp_head = solve(sec.map, k=_FIT_WINDOW[1], seed=seed, which="largest")
+    k = _headline_pairs(alpha, n_top)
+    sp_head = solve(sec.map, k=k, seed=seed, which="largest")
+    certified = certified_count(alpha, sp_head.lambda_plus, n_top)
+    if certified == sp_head.lambda_plus.size and k < _FIT_WINDOW[1]:
+        k = _FIT_WINDOW[1]
+        sp_head = solve(sec.map, k=k, seed=seed, which="largest")
+        certified = certified_count(alpha, sp_head.lambda_plus, n_top)
     lam = sp_head.lambda_plus
-    certified = certified_count(alpha, lam, n_top)
-    sp_head = replace(sp_head, meta=dict(sp_head.meta, n_cap=n_cap,
+    sp_head = replace(sp_head, meta=dict(sp_head.meta, n_cap=n_cap, topk=k,
                                          certified_count=certified))
     _write_spectrum(sp_head, out_dir, f"headline_section_n{n_top}", report)
     n0, n1 = _FIT_WINDOW[0], min(_FIT_WINDOW[1], certified)
@@ -282,8 +326,7 @@ def _headline_fit(alpha: float, n_cap: int, seed: int,
                                 kappa_ref=kappa(alpha))
         ref_n = np.arange(n0, n1 + 1, dtype=float)
         loglog_figure(
-            out_dir / "fit_figure.svg",
-            [("positive spectrum", np.arange(1, lam.size + 1), lam)],
+            out_dir / "fit_figure.svg", headline_series(lam, certified),
             reference=("reference decay", ref_n,
                        kappa(alpha) / ref_n**alpha),
             title=f"tail fit, alpha={alpha:g}",
@@ -307,9 +350,10 @@ def run_chain(config: RunConfig) -> dict:
     Each section is solved only at the sizes a report number reads: row 0
     and the combined section at every matrix size, row 1 once, at the
     negativity size, which is the largest matrix size on the dense route
-    (the smallest matrix size if none is); the headline asks for the fit
-    window's top index of largest pairs, no more, on the narrowest window
-    that certifies them, with config.sizes[-1] as a cap on its width.
+    (the smallest matrix size if none is); the headline is solved on the
+    narrowest window that certifies the fit window's top index, with
+    config.sizes[-1] as a cap on its width, for the largest pairs that
+    window can certify (_headline_fit), at most that top index.
     Every solved spectrum gets its CSV and sidecar.  A headline that
     certifies too few eigenvalues for the fit window is reported under
     "fit_skipped" instead of a fit.

@@ -627,6 +627,31 @@ class TestChainVerb:
         assert code == 0 and err == ""
         assert "tail of the smooth additive section" in svg.read_text()
 
+    def test_report_draws_the_truncated_headline_apart(self, tmp_path,
+                                                       capsys):
+        # at alpha = 0.5 the 8192-node window certifies 101 eigenvalues:
+        # report reads that count from fits.headline and draws the rest of
+        # the solve as a second series, truncated by the window
+        cfg = {"alpha": 0.5, "sizes": [24, 8192], "helson_cap": 24,
+               "grids": {"n": 48}, "outputs": {"dir": str(tmp_path / "o")}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, err = _run(capsys, "chain", "--config", str(cfg_path))
+        assert code == 0, err
+        rep = json.loads((tmp_path / "o" / "run_report.json").read_text())
+        head = rep["fits"]["headline"]
+        assert head["certified_count"] == 101
+        meta = json.loads((tmp_path / "o" /
+                           "headline_section_n8192.meta.json").read_text())
+        svg = tmp_path / "tail.svg"
+        code, out, err = _run(capsys, "report", "--config", str(cfg_path),
+                              "--svg", str(svg))
+        assert code == 0 and err == ""
+        text = svg.read_text()
+        assert "truncated by the window" in text
+        assert text.count('r="2" fill="#1f77b4"') == 101
+        assert text.count('r="2" fill="#d62728"') == meta["topk"] - 101 > 0
+
     def test_report_before_chain(self, tmp_path, capsys):
         cfg = {"alpha": 1.0, "sizes": [32, 64],
                "outputs": {"dir": str(tmp_path / "never_ran")}}

@@ -13,9 +13,9 @@ import helsonlab.symbols as symbols
 from helsonlab.asymptotics import kappa
 from helsonlab.discretize import (
     ConstructionError, Grid, NystromOperator, certified_count,
-    factor_N_dense, log_window_smooth_section, make_grid, nystrom_hankel,
-    nystrom_helson, turning_point, v_matched_grids, weighted_operator,
-    window_nodes,
+    certified_floor, factor_N_dense, log_window_smooth_section, make_grid,
+    nystrom_hankel, nystrom_helson, turning_point, v_matched_grids,
+    weighted_operator, window_nodes,
 )
 from helsonlab.eigen import dense_eig_oracle, lanczos_extreme
 from helsonlab.structured_ops import dense_matrix, toeplitz_section
@@ -768,3 +768,25 @@ class TestHeadlineCertificate:
     def test_window_nodes_refuses_a_lambda_no_window_certifies(self):
         with pytest.raises(ValueError, match="no window"):
             window_nodes(1.0, 0.0)
+
+    @pytest.mark.parametrize("alpha, n", [(0.5, 8192), (1.0, 8192),
+                                          (2.0, 600), (1.0, 12)])
+    def test_certified_floor_splits_certified_from_truncated(self, alpha, n):
+        # on the band (n = 12) and past it: an eigenvalue just above the
+        # floor is certified, one just below is not
+        floor = certified_floor(alpha, n)
+        assert certified_count(alpha, [floor * (1 + 1e-9)], n) == 1
+        assert certified_count(alpha, [floor * (1 - 1e-9)], n) == 0
+
+    @pytest.mark.parametrize("alpha, m", [(0.5, 101), (1.0, 158)])
+    def test_weyl_count_at_the_floor_reads_the_certified_count(self, alpha,
+                                                                m):
+        # what the 8192-node window certifies, within one index
+        floor = certified_floor(alpha, 8192)
+        assert abs((kappa(alpha) / floor) ** (1 / alpha) - m) < 1
+
+    def test_certified_floor_of_a_window_short_of_the_peak_is_inf(self):
+        # 0.9 mu_{n-1} lies before W's peak: no eigenvalue turns there
+        assert certified_floor(1.0, 6) == math.inf
+        assert certified_count(1.0, [100.0], 6) == 0
+        assert math.isfinite(certified_floor(1.0, 8))

@@ -73,12 +73,14 @@ class TestSpectrumType:
         spec = Spectrum(np.array([1.0]), np.array([]), np.array([]),
                         np.array([0.0]),
                         meta={"dim": 8, "iterations": 5, "reorthogonalized": 2,
-                              "seed": 3, "tol": 1e-10, "extra": "dropped"})
+                              "checks": 1, "seed": 3, "tol": 1e-10,
+                              "extra": "dropped"})
         p = tmp_path / "s.json"
         write_meta_sidecar(spec, p)
         assert json.loads(p.read_text()) == {"dim": 8, "iterations": 5,
                                              "reorthogonalized": 2,
-                                             "seed": 3, "tol": 1e-10}
+                                             "checks": 1, "seed": 3,
+                                             "tol": 1e-10}
 
 
 class TestTridiagQL:
@@ -278,6 +280,33 @@ class TestLanczos:
         spec = lanczos_extreme(lm, 100, which="largest", seed=0)
         assert spec.meta["converged"] is True
         assert 0 < spec.meta["reorthogonalized"] < spec.meta["iterations"]
+
+    def test_residual_checks_wait_for_the_unconverged_pairs(self,
+                                                             monkeypatch):
+        # each check solves the tridiagonal of the steps so far: the first
+        # at 2k + 16, the next ones max(16, 2u) steps later, u the pairs
+        # still unconverged, which at lambda_i = i^-1/4 is more than 8 at
+        # first; checks every 16 steps would run one per 16 steps after
+        # the first
+        sizes = []
+        real = eigen.tridiag_eigenvalues
+
+        def recording(d, e):
+            sizes.append(len(d))
+            return real(d, e)
+
+        monkeypatch.setattr(eigen, "tridiag_eigenvalues", recording)
+        d = np.arange(1, 3001) ** -0.25
+        k = 40
+        spec = lanczos_extreme(LinearMap(d.size, lambda u: d * u), k,
+                               which="largest", seed=0)
+        assert spec.meta["converged"] is True
+        assert spec.meta["checks"] == len(sizes)
+        assert sizes[0] == 2 * k + 16 and sizes[-1] == spec.meta["iterations"]
+        gaps = np.diff(sizes)
+        assert np.all(gaps >= 16) and np.any(gaps > 16)
+        assert len(sizes) < (sizes[-1] - sizes[0]) // 16 + 1
+        assert np.allclose(spec.lambda_plus, d[:k], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_repeated_eigenvalues_found_through_restarts(self, seed):

@@ -337,20 +337,103 @@ def test_unconverged_solve_listed_in_report(monkeypatch, tmp_path):
     assert on_disk["unconverged"] == rep["unconverged"]
 
 
-def test_headline_asks_for_the_fit_windows_top_index(monkeypatch, tmp_path):
-    # the fit reads indices up to _FIT_WINDOW[1] and nothing past them
+def _headline(alpha, n_cap, out_dir, seed=0):
+    """_headline_fit alone: its report, its sidecar and the k of each
+    solve it ran."""
     asked = []
     real = pipeline.solve
 
     def recording(lm, k=pipeline._LANCZOS_K, seed=0, which="both_ends"):
-        asked.append((which, k))
+        asked.append(k)
         return real(lm, k=k, seed=seed, which=which)
 
-    monkeypatch.setattr(pipeline, "solve", recording)
-    run_chain(RunConfig(alpha=1.0, sizes=(24, 96), nystrom_n=48,
-                        out_dir=str(tmp_path)))
-    assert [k for which, k in asked if which == "largest"] == [
-        pipeline._FIT_WINDOW[1]]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    report = {"artifacts": [], "unconverged": []}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "solve", recording)
+        pipeline._headline_fit(alpha, n_cap, seed, out_dir, report)
+    meta, = [json.loads(p.read_text())
+             for p in out_dir.glob("headline_section_n*.meta.json")]
+    return report, meta, asked
+
+
+@pytest.fixture(scope="module")
+def integral_headline(tmp_path_factory):
+    # the integral benchmark's headline: alpha = 0.5 capped at 8192 nodes,
+    # whose window certifies 101 of the fit window's 200 indices
+    out_dir = tmp_path_factory.mktemp("integral_headline")
+    return (*_headline(0.5, 8192, out_dir), out_dir)
+
+
+def test_headline_asks_for_the_fit_windows_top_index(integral_headline,
+                                                     tmp_path):
+    # a window that certifies the fit window's top index is asked for
+    # all of it (ladder's headline, alpha = 1 on 10342 nodes) ...
+    _, meta, asked = _headline(1.0, 16384, tmp_path)
+    assert asked == [pipeline._FIT_WINDOW[1]]
+    assert meta["certified_count"] == meta["topk"] == 200
+    # ... and one that certifies fewer for its Weyl count plus the
+    # margin: past the last certified index, short of the top index
+    report, meta, asked, _ = integral_headline
+    assert len(asked) == 1
+    assert meta["certified_count"] == 101
+    assert 101 < asked[0] == meta["topk"] < pipeline._FIT_WINDOW[1]
+    assert report["fits"]["headline"]["window"] == [20, 101]
+
+
+def test_short_weyl_count_solves_again_for_the_top_index(
+        integral_headline, monkeypatch, tmp_path):
+    # when every pair asked is certified, the Weyl estimate fell short:
+    # the window is solved again for _FIT_WINDOW[1] pairs, and the fit is
+    # the one that asking for them at once gives
+    top = pipeline._FIT_WINDOW[1]
+    monkeypatch.setattr(pipeline, "certified_floor", lambda alpha, n: 1e-300)
+    once, _, asked = _headline(0.5, 8192, tmp_path / "once")
+    assert asked == [top]
+    monkeypatch.setattr(pipeline, "certified_floor",
+                        lambda alpha, n: math.inf)
+    again, meta, asked = _headline(0.5, 8192, tmp_path / "again")
+    assert asked == [pipeline._WEYL_MARGIN, top]
+    assert meta["topk"] == top and meta["certified_count"] == 101
+    assert again["fits"] == once["fits"]
+    # the fit of the pairs the window certifies reads the same figures
+    fit = integral_headline[0]["fits"]["headline"]
+    for key in ("kappa_hat", "alpha_hat"):
+        assert fit[key] == pytest.approx(once["fits"]["headline"][key],
+                                         rel=1e-12, abs=0.0)
+    assert fit["window"] == once["fits"]["headline"]["window"]
+
+
+def test_integral_headline_sidecar_records_pairs_steps_and_checks(
+        integral_headline):
+    # asking 200 pairs took 416 Lanczos steps and one residual check at
+    # seed 0; the 109 the window can certify take fewer steps, and the
+    # checks after the first wait for the pairs still unconverged
+    _, meta, asked, _ = integral_headline
+    assert meta["topk"] == asked[0] == 109
+    assert meta["iterations"] < 2 * pipeline._FIT_WINDOW[1] + 16
+    assert 1 <= meta["checks"] <= 4
+    assert meta["certified_count"] <= meta["resolved"] <= meta["topk"]
+
+
+def _circles(svg: str, color: str) -> int:
+    return svg.count(f'r="2" fill="{color}"')
+
+
+def test_fit_figure_draws_truncated_eigenvalues_apart(integral_headline,
+                                                      tmp_path):
+    # the certified eigenvalues in the first series' colour, the rest of
+    # the solve in the second, labelled as truncated by the window
+    _, meta, _, out_dir = integral_headline
+    svg = (out_dir / "fit_figure.svg").read_text()
+    assert "truncated by the window" in svg
+    assert _circles(svg, "#1f77b4") == meta["certified_count"] == 101
+    assert _circles(svg, "#d62728") == meta["topk"] - 101
+    # a window that certifies every pair it returns draws one series
+    _, meta, _ = _headline(2.0, 8192, tmp_path)
+    svg = (tmp_path / "fit_figure.svg").read_text()
+    assert "truncated by the window" not in svg
+    assert _circles(svg, "#1f77b4") == meta["certified_count"] == 200
 
 
 @pytest.mark.parametrize("alpha, cap, want", [

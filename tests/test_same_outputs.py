@@ -174,3 +174,21 @@ def test_headline_files_of_another_width_are_paired(tool, tmp_path):
         "    dim: 8333 → 5423"]
     # the same width on both sides pairs nothing
     assert tool.width_pairs(tmp_path / "a", tmp_path / "a") == []
+
+
+def test_headline_csv_of_another_length_is_compared_over_both(tool,
+                                                              tmp_path):
+    # the same width solved for fewer pairs: the headline CSV keeps its
+    # name and is compared over the leading eigenvalues both sides hold;
+    # any other spectrum CSV of another length is only counted
+    head = "n,lambda_plus,lambda_minus,s_n\n"
+    for side, rows in (("a", "1,1.0,,1.0\n2,0.5,,0.5\n3,0.25,,0.25\n"),
+                       ("b", "1,1.0,,1.0\n2,0.5000000002,,0.5000000002\n")):
+        write_run(tmp_path / side, REPORT, head + rows)
+        (tmp_path / side / "headline_section_n8192.csv").write_text(
+            head + rows)
+    assert tool.file_changes(tmp_path / "a", tmp_path / "b") == [
+        "2 of 3 output files differ",
+        "  headline_section_n8192.csv: max |Δ| / λ₁ = 2e-10 over the "
+        "leading 2",
+        "  sub/row0_matrix_N48.csv: 3 against 2 eigenvalues"]

@@ -23,9 +23,10 @@ block, such as run_report.json's `fits`, spelled `block.key`. The
 headline's files carry the width of its window in their names
 (headline_section_n<N>.csv and .meta.json); when the two sides solved
 different widths, each such file is paired with the other side's and
-listed once as `parent name → change name`, with the same notes, the
-CSV's taken over the eigenvalues both hold. The outputs stay on disk
-for inspection.
+listed once as `parent name → change name`, with the same notes. A
+headline CSV is compared over the eigenvalues both sides hold, whether
+its width changed or only the number of pairs solved. The outputs stay
+on disk for inspection.
 
 Then both trees run each of the fixed CLI commands in COMMANDS, which
 reach code that no chain does: the four `verify` suites, and `spectrum`
@@ -159,9 +160,11 @@ def file_changes(a: pathlib.Path, b: pathlib.Path) -> list:
     diff = [rel for rel in differing_files(a, b) if rel not in paired]
     count = sum(1 for p in b.rglob("*") if p.is_file())
     lines = [f"{len(diff) + len(pairs)} of {count} output files differ"]
-    listed = [(rel, rel, str(rel), False) for rel in diff] + [
-        (ra, rb, f"{ra} → {rb}", True) for ra, rb in pairs]
-    for ra, rb, name, leading in listed:
+    listed = [(rel, rel, str(rel)) for rel in diff] + [
+        (ra, rb, f"{ra} → {rb}") for ra, rb in pairs]
+    for ra, rb, name in listed:
+        # a headline CSV may hold fewer pairs on one side
+        leading = bool(HEADLINE.fullmatch(pathlib.Path(ra).name))
         note = spectrum_change(a / ra, b / rb, leading)
         lines.append(f"  {name}" + (f": {note}" if note else ""))
         lines += [f"    {line}" for line in json_changes(a / ra, b / rb)]
