@@ -27,11 +27,12 @@ A = diag(d) T diag(d) with taps that decay exponentially.  Its symbol is
 band-limited, so the map solved is A's Gram twin
 (structured_ops.toeplitz_gram_twin), of order r ~ n/2 at chain sizes,
 with A's nonzero spectrum; a window too short for the taps to decay
-keeps A itself (structured_ops.toeplitz_section).  The Weyl turning
-point of that kernel's symbol tells which of its eigenvalues the window
-resolves (certified_count), the smallest eigenvalue a window can
-resolve (certified_floor) and how wide a window a given eigenvalue
-needs (window_nodes).
+keeps A itself (structured_ops.toeplitz_section).  The classical
+turning point of that kernel's symbol, at most (pi / lambda)^(1/alpha),
+gives the smallest eigenvalue a window certifies (certified_floor),
+which of its eigenvalues it certifies (certified_count), Weyl's count
+of them (weyl_count) and how wide a window a given index needs
+(window_nodes).
 """
 
 from __future__ import annotations
@@ -42,11 +43,12 @@ from typing import Callable
 
 import numpy as np
 
+from helsonlab.asymptotics import NOISE_FLOOR, kappa
 from helsonlab.structured_ops import (MAX_DENSE, LinearMap,
                                       _dirichlet_factor, _smooth_nodes,
                                       dense_matrix, toeplitz_gram_twin)
 from helsonlab.symbols import (
-    CHI_HI, CHI_LO, SIDE_KINDS, SymbolSpec, _weight_values,
+    CHI_HI, SIDE_KINDS, SymbolSpec, _weight_values,
     chi_cutoff, gauss_panels, kernel_fn, zeta1,
 )
 
@@ -341,9 +343,6 @@ _LOG_STEP = 0.135
 # alpha = 0.5, 1 and 2
 CERTIFY_SHARE = 0.9
 
-# samples of W across the cutoff band that locate its peak
-_BAND_SAMPLES = 257
-
 
 def _log_weight(alpha: float, mu, h: float = 1.0):
     """h W(mu), W(mu) = mu^-alpha chi(e^-mu) the weight in log coordinates.
@@ -371,71 +370,52 @@ def _log_window(alpha: float, n: int) -> tuple:
     return mu, np.exp(-0.5 * t) / (1.0 + np.exp(-t)), d
 
 
-def _weight_peak(alpha: float) -> float:
-    """The mu of W's peak in the cutoff band, to _BAND_SAMPLES samples."""
-    grid = np.linspace(-math.log(CHI_HI), -math.log(CHI_LO), _BAND_SAMPLES)
-    return float(grid[np.argmax(_log_weight(alpha, grid))])
-
-
-def turning_point(alpha: float, lam) -> np.ndarray:
-    """Classical turning point mu*(lambda) of the log window's kernel.
+def certified_floor(alpha: float, n: int) -> float:
+    """Smallest eigenvalue the n-node window certifies:
+    pi (CERTIFY_SHARE mu_{n-1})^-alpha.
 
     The kernel sqrt(W(mu) W(nu)) / (2 cosh((mu - nu)/2)) has the symbol
     W(mu) pi / cosh(pi xi), so an eigenvalue lambda lives where
-    pi W(mu) >= lambda, and mu* is the last mu with pi W(mu*) = lambda;
+    pi W(mu) >= lambda, up to its classical turning point mu*(lambda);
     counting that phase space gives lambda_n ~ kappa(alpha) n^-alpha.
-    Past -log(CHI_LO), W = mu^-alpha and mu* = (pi / lambda)^(1/alpha).
-    A larger lambda turns inside the cutoff band, where W rises to one
-    peak and falls from it: mu* is bisected on W between the peak and
-    the band's end, and a lambda above pi W everywhere turns at the
-    peak.  A lambda <= 0 never turns: its mu* is inf.
+    W = mu^-alpha past the cutoff band and W <= mu^-alpha inside it, so
+    mu* is at most (pi / lambda)^(1/alpha), and equal to it past the
+    band.  An eigenvalue at or above the floor turns within
+    CERTIFY_SHARE of the last node; past that share the window's end
+    truncates the eigenfunction.  From 11 nodes on, that share of the
+    last node lies past the band, and the floor is pi W there.
     """
-    lam = np.asarray(lam, dtype=float)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out = np.where(lam > 0.0, (math.pi / lam) ** (1.0 / alpha), math.inf)
-    hi = -math.log(CHI_LO)
-    band = out < hi
-    if np.any(band):
-        a = np.full(np.count_nonzero(band), _weight_peak(alpha))
-        b = np.full_like(a, hi)
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            up = math.pi * _log_weight(alpha, mid) >= lam[band]
-            a, b = np.where(up, mid, a), np.where(up, b, mid)
-        out[band] = a
-    return out
+    return math.pi * (CERTIFY_SHARE * _node(n - 1)) ** -alpha
 
 
 def certified_count(alpha: float, lam, n: int) -> int:
-    """Leading eigenvalues of the n-node window that it resolves.
-
-    Index i counts while every lambda_j, j <= i, has its turning point
-    within CERTIFY_SHARE of the window's last node; past that share the
-    window's end truncates the eigenfunction.
-    """
-    inside = turning_point(alpha, lam) <= CERTIFY_SHARE * _node(n - 1)
-    return int(np.cumprod(inside).sum())
-
-
-def certified_floor(alpha: float, n: int) -> float:
-    """Smallest eigenvalue the n-node window certifies:
-    pi W(CERTIFY_SHARE mu_{n-1}), or inf when that point lies before W's
-    peak, where no turning point falls.  W falls past its peak, so every
-    eigenvalue at or above this turns within CERTIFY_SHARE of the last
-    node (certified_count), and by Weyl's law the window certifies about
-    (kappa(alpha) / floor)^(1/alpha) of them."""
-    reach = CERTIFY_SHARE * _node(n - 1)
-    if reach < _weight_peak(alpha):
-        return math.inf
-    return math.pi * float(_log_weight(alpha, reach))
+    """Leading eigenvalues of the n-node window that it certifies: index
+    i counts while every lambda_j, j <= i, is at or above both
+    certified_floor(alpha, n) and the noise floor NOISE_FLOOR *
+    lambda_1, so the count is at most the resolved count."""
+    lam = np.asarray(lam)
+    keep = (lam >= certified_floor(alpha, n)) & (lam >= NOISE_FLOOR * lam[:1])
+    return int(np.cumprod(keep).sum())
 
 
-def window_nodes(alpha: float, lam: float) -> int:
-    """Fewest nodes (at least 2) whose window certifies an eigenvalue lam:
-    the last node reaches mu*(lam) / CERTIFY_SHARE."""
-    reach = float(turning_point(alpha, lam)) / CERTIFY_SHARE
-    if not math.isfinite(reach):
-        raise ValueError(f"no window certifies lambda = {lam!r}")
+def weyl_count(alpha: float, n: int) -> float:
+    """Weyl's count of the eigenvalues at or above certified_floor(alpha,
+    n): (kappa(alpha) / pi)^(1/alpha) CERTIFY_SHARE mu_{n-1}.  The
+    alpha-th power stays unformed: kappa(alpha) / certified_floor
+    overflows from alpha ~ 135 on."""
+    return ((kappa(alpha) / math.pi) ** (1.0 / alpha)
+            * CERTIFY_SHARE * _node(n - 1))
+
+
+def window_nodes(alpha: float, k: int) -> int:
+    """Fewest nodes (at least 2) whose window certifies index k at its
+    Weyl estimate kappa(alpha) k^-alpha: the last node reaches that
+    eigenvalue's turning point (pi / kappa(alpha))^(1/alpha) k over
+    CERTIFY_SHARE, which weyl_count inverts."""
+    if not k >= 1:
+        raise ValueError(f"no window certifies index {k!r}: indices "
+                         f"start at 1")
+    reach = (math.pi / kappa(alpha)) ** (1.0 / alpha) * k / CERTIFY_SHARE
     n = max(2, math.ceil((reach + math.log(CHI_HI)) / _LOG_STEP) + 1)
     # step past rounding in the ceil, on the nodes themselves
     while n > 2 and _node(n - 2) >= reach:
@@ -459,10 +439,10 @@ def log_window_smooth_section(alpha: float, n: int) -> NystromOperator:
     quadrature error in mu is already superexponentially small, so n
     sets the window's width, and the width decides which eigenvalues
     the section resolves: lambda_i agrees with a wider window's to
-    rounding while its turning point (turning_point) lies well inside
+    rounding while its turning point (certified_floor) lies well inside
     the window, and is truncated past that.  certified_count reads the
     resolved indices off a returned spectrum, and window_nodes gives the
-    n that certifies a given eigenvalue.
+    n that certifies a given index.
 
     The map solved is structured_ops.toeplitz_gram_twin: the kernel's
     symbol pi / cosh(pi xi) is band-limited, so about half the Fourier

@@ -138,8 +138,8 @@ def write_meta_sidecar(spec: Spectrum, path) -> None:
     resolved counts the positive eigenvalues at or above the noise
     floor, NOISE_FLOOR * lambda_1; it says nothing about truncation by
     the window.  The headline fit reads certified_count, the leading
-    eigenvalues whose turning points lie inside the window, which can
-    be far fewer."""
+    eigenvalues whose turning points lie inside the window, capped at
+    resolved, which can be far fewer."""
     keep = {k: spec.meta[k] for k in ("dim", "iterations", "reorthogonalized",
                                       "checks", "seed", "tol", "converged",
                                       "method",

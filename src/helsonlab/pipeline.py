@@ -35,11 +35,11 @@ from helsonlab.asymptotics import (NOISE_FLOOR,
                                    default_fit_window,  # noqa: F401
                                    fit_power_tail, kappa,
                                    negative_part_domination)
-from helsonlab.discretize import (certified_count, certified_floor,
+from helsonlab.discretize import (certified_count,
                                   log_window_smooth_section,
                                   nystrom_difference, nystrom_hankel,
                                   nystrom_helson, v_matched_grids,
-                                  window_nodes)
+                                  weyl_count, window_nodes)
 from helsonlab.eigen import (Spectrum, check_seed, dense_eig_oracle,
                              lanczos_extreme, spectrum_to_csv,
                              write_meta_sidecar)
@@ -206,7 +206,7 @@ def _write_spectrum(spec: Spectrum, out_dir: pathlib.Path, name: str,
     resolved the count of positive eigenvalues at or above it.  resolved
     is not what the headline fit reads: that is the sidecar's
     certified_count, the leading eigenvalues the window does not
-    truncate, at most resolved.
+    truncate, capped at resolved.
     """
     lam1 = float(spec.lambda_plus[0]) if spec.lambda_plus.size else 0.0
     spec = replace(spec, meta=dict(spec.meta,
@@ -256,13 +256,13 @@ def headline_series(lam: np.ndarray, certified: int) -> list:
 
 def _headline_pairs(alpha: float, n: int) -> int:
     """Pairs the headline asks of the n-node window: its Weyl count
-    (kappa(alpha) / certified_floor)^(1/alpha), rounded up, plus
-    _WEYL_MARGIN, and at most the fit window's top index."""
+    (discretize.weyl_count), rounded up, plus _WEYL_MARGIN, and at most
+    the fit window's top index."""
     top = _FIT_WINDOW[1]
-    ratio = kappa(alpha) / certified_floor(alpha, n)
-    if ratio >= top ** alpha:
+    count = weyl_count(alpha, n)
+    if count >= top:
         return top
-    return min(top, math.ceil(ratio ** (1.0 / alpha)) + _WEYL_MARGIN)
+    return min(top, math.ceil(count) + _WEYL_MARGIN)
 
 
 def _headline_fit(alpha: float, n_cap: int, seed: int,
@@ -277,7 +277,8 @@ def _headline_fit(alpha: float, n_cap: int, seed: int,
     certify the fit window's top index at the Weyl estimate
     kappa(alpha) k^-alpha (discretize.window_nodes), capped at n_cap, the
     chain's last size.  Each returned eigenvalue is certified by its
-    turning point (discretize.certified_count), and the fit reads indices
+    turning point and the noise floor (discretize.certified_count, at
+    most the sidecar's resolved), and the fit reads indices
     _FIT_WINDOW[0] up to the last certified one; a window that certifies
     fewer than _FIT_WINDOW[0] + 8 is reported under "fit_skipped" with
     its certified count instead of a fit.  The solve asks only for the
@@ -299,8 +300,7 @@ def _headline_fit(alpha: float, n_cap: int, seed: int,
     """
     artifacts = report["artifacts"]
     fits = {}
-    n_top = min(n_cap, window_nodes(alpha,
-                                    kappa(alpha) * _FIT_WINDOW[1] ** -alpha))
+    n_top = min(n_cap, window_nodes(alpha, _FIT_WINDOW[1]))
     sec = log_window_smooth_section(alpha, n_top)
     k = _headline_pairs(alpha, n_top)
     sp_head = solve(sec.map, k=k, seed=seed, which="largest")

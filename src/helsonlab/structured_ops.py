@@ -1,17 +1,17 @@
 """Hankel, Toeplitz and multiplicative-Hankel sections with fast matvecs.
 
-_overlap_save is the package's one convolution: every Toeplitz or
-Hankel product goes through it, over the numerical support of its taps
-(_support), in 5-smooth transform lengths (_fft_length).  A Hankel
-section {b(j+k)} (build_hankel) multiplies a vector as one such
-convolution with the reversed vector, and a symmetric Toeplitz section
-d_j c(|j-k|) d_k (toeplitz_section) as one with its two-sided taps, in
-O(N log N) either way.  When the taps' symbol is band-limited, so that
-about half the modes of the circulant embedding T are zero to rounding,
-toeplitz_gram_twin solves the section on the smaller side of its
-factorization L L^T instead: the r x r map L^T L, one irfft and one
-rfft per matvec.  It is the headline map of discretize; toeplitz_section
-stays the map of windows too short for it and the tests' reference.
+Every Toeplitz and Hankel product is one circular convolution in a
+5-smooth length (_fft_length), in O(N log N).  A symmetric Toeplitz
+section d_j c(|j-k|) d_k (toeplitz_section) multiplies on the circulant
+that embeds its taps' numerical support (_support, _circulant).  A
+Hankel section {b(j+k)} (build_hankel) convolves b with the reversed
+vector over 2N - 1 points or more, whose wrap misses the outputs kept.
+When the taps' symbol is band-limited, so that about half the
+circulant's eigenvalues are zero to rounding, toeplitz_gram_twin solves
+the section on the smaller side of its factorization L L^T instead: the
+r x r map L^T L, one irfft and one rfft per matvec.  It is the headline
+map of discretize; toeplitz_section stays the map of windows too short
+for it and the tests' reference.
 
 A multiplicative section {a(jk)} whose symbol is a sum of Dirichlet
 exponentials, a(n) = sum_q m_q n^(-1/2-s_q), is a Gram matrix E E^T
@@ -103,7 +103,7 @@ def dense_matrix(lm: LinearMap) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# one convolution: every Toeplitz and Hankel product goes through it
+# one circulant: every Toeplitz and Hankel product is a circular convolution
 
 
 def _fft_length(L: int) -> int:
@@ -120,12 +120,13 @@ def _fft_length(L: int) -> int:
     return best
 
 
-# share of a filter's l1 mass that _overlap_save may drop from its head,
-# and again from its tail.  By Young's inequality the Toeplitz operator of
-# the dropped taps has norm at most their l1 mass, 2 * _TAIL_MASS *
-# ||f||_1, against the bound ||f||_1 on that of all taps; a section
-# diag(d) T diag(d) moves by the same share, 2e-20 of its own bound
-# ||f||_1 max(d)^2, far below rounding
+# share of the taps' l1 mass that _support drops from their tail.  The
+# circulant of _circulant holds the kept taps c[:K] on both sides of lag
+# 0, so by Young's inequality T moves in norm by at most the dropped
+# two-sided mass, 2 * _TAIL_MASS * ||c||_1.  The l1 mass of all two-sided
+# taps, 2 ||c||_1 - |c_0| >= ||c||_1, bounds the norm of T, so a section
+# diag(d) T diag(d) moves by at most 2e-20 of its own bound, that mass
+# times max(d)^2: far below rounding
 _TAIL_MASS = 1e-20
 
 # share of the embedding circulant's peak eigenvalue s_0 at or below
@@ -138,76 +139,30 @@ _TAIL_MASS = 1e-20
 _TWIN_FLOOR = 1e-15
 
 
-def _support(f: np.ndarray) -> tuple:
-    """(lo, hi) of the shortest f[lo:hi] whose dropped head f[:lo] and
-    tail f[hi:] each carry at most _TAIL_MASS of the l1 mass of f; one
-    tap, (0, 1), when every tap is zero."""
-    a = np.abs(f)
-    tol = _TAIL_MASS * a.sum()
-    lo = int(np.searchsorted(np.cumsum(a), tol, side="right"))
-    hi = a.size - int(np.searchsorted(np.cumsum(a[::-1]), tol, side="right"))
-    return (lo, hi) if lo < hi else (0, 1)
+def _support(c: np.ndarray) -> int:
+    """Length K of the shortest head c[:K] whose dropped tail c[K:]
+    carries at most _TAIL_MASS of the l1 mass of c; 1 when every tap is
+    zero."""
+    a = np.abs(c)
+    tail = np.cumsum(a[::-1])
+    return max(1, a.size - int(np.searchsorted(tail, _TAIL_MASS * a.sum(),
+                                               side="right")))
 
 
-def _overlap_save(f: np.ndarray, i0: int, count: int, size: int) -> Callable:
-    """x -> (f * x)[i0 : i0 + count] for x of at most size entries, read
-    as zero outside its indices.
-
-    The package's one convolution.  Overlap-save (Stockham, AFIPS 1966)
-    over the numerical support f[lo:hi] of the taps (_support), P = hi -
-    lo of them.  A block of B inputs gives B - P + 1 outputs.  The block
-    count is the one that blocks of _fft_length(4P) points need, which
-    weighs the log B cost per point of a transform against the P - 1
-    outputs every block discards; B is then the shortest 5-smooth length
-    that covers count in that many blocks.  When one block covers it,
-    the block holds only the inputs x[start:stop] that the kept outputs
-    read (stop <= size).  Its circular convolution wraps the taps behind
-    the first kept output, at offset t0, onto its last P - 1 - t0
-    places, which hold no input once B >= stop - start + P - 1 - t0, and
-    the kept outputs fit once B >= t0 + count.  A Hankel section of
-    order N so transforms 2N - 1 points, where a block padded for the
-    inputs before x[0] took 3N - 2.
-    All blocks go through one 2-D rfft/irfft along axis 1.  The filter's
-    transform, the padded input and its block view are made here, once;
-    the transforms' outputs are allocated per call, since buffers kept
-    for them raised a whole chain's peak RSS by ~1.3 MB.
+def _circulant(c: np.ndarray) -> tuple:
+    """Order M = _fft_length(N + K) and eigenvalues s (the rfft of its
+    first column) of the circulant whose first column holds c[:K],
+    K = _support(c), at its head and c[K-1:0:-1] at its tail.  Every lag
+    of T = {c[|j-k|]} from K to N - 1 lands on the zeros between them,
+    so the circulant's leading N x N block is T without its taps past K.
     """
-    lo, hi = _support(f)
-    P = hi - lo
-    # output i reads inputs i - hi + 1 .. i - lo; the kept ones read
-    # inputs first .. stop - 1 at most
-    first = i0 - hi + 1
-    stop = min(i0 + count - lo, size)
-    blocks = -(-count // (_fft_length(4 * P) - P + 1))
-    if blocks == 1:
-        start = min(max(first, 0), i0 - lo)
-        t0 = i0 - lo - start
-        B = _fft_length(max(stop - start + P - 1 - t0, t0 + count))
-        S = count
-    else:
-        start, t0 = first, P - 1
-        B = _fft_length(-(-count // blocks) + P - 1)
-        S = B - P + 1
-    F = np.fft.rfft(f[lo:hi], n=B)
-    # block j writes outputs i0 + jS .. i0 + jS + S - 1 and reads inputs
-    # start + jS .. start + jS + B - 1
-    xp = np.zeros((blocks - 1) * S + B)
-    X = np.lib.stride_tricks.sliding_window_view(xp, B)[::S]
-
-    def apply(x):
-        if x.size > size:
-            raise ValueError(f"expected at most {size} inputs, got {x.size}")
-        a, b = max(start, 0), min(stop, x.size)
-        xp[:] = 0.0
-        if a < b:
-            xp[a - start:b - start] = x[a:b]
-        Xf = np.fft.rfft(X, axis=1)
-        Xf *= F
-        Y = np.fft.irfft(Xf, n=B, axis=1)
-        # a copy, so that the result does not keep Y alive
-        return Y[:, t0:t0 + S].flatten()[:count]
-
-    return apply
+    N = c.size
+    K = _support(c)
+    M = _fft_length(N + K)
+    first_col = np.zeros(M)
+    first_col[:K] = c[:K]
+    first_col[M - K + 1:] = c[K - 1:0:-1]
+    return M, np.fft.rfft(first_col).real
 
 
 # ---------------------------------------------------------------------------
@@ -217,17 +172,23 @@ def _overlap_save(f: np.ndarray, i0: int, count: int, size: int) -> Callable:
 def build_hankel(b) -> LinearMap:
     """Symmetric N x N map entry(j,k) = b(j+k) from 2N-1 symbol values.
 
-    The matvec is one convolution, y = (b * reversed u)[N-1 : 2N-1], by
-    _overlap_save; dense() indexes b directly.
+    The matvec is y = (b * reversed u)[N-1 : 2N-1], one circular
+    convolution of L = _fft_length(2N - 1) points: the linear one has
+    3N - 2 points, and those past L wrap onto indices at most 3N - 3 - L
+    <= N - 2, below the ones kept.  dense() indexes b directly.
     """
     b = np.asarray(b, dtype=float)
     if b.ndim != 1 or b.size % 2 == 0:
         raise ValueError("need an odd number 2N-1 of symbol values")
     N = (b.size + 1) // 2
-    conv = _overlap_save(b, N - 1, N, N)
+    L = _fft_length(b.size)
+    B = np.fft.rfft(b, L)
     idx = np.arange(N)
-    return LinearMap(cols=N, matvec=lambda u: conv(u[::-1]),
-                     dense=lambda: b[idx[:, None] + idx[None, :]])
+    return LinearMap(
+        cols=N,
+        matvec=lambda u: np.fft.irfft(B * np.fft.rfft(u[::-1], L),
+                                      L)[N - 1:2 * N - 1],
+        dense=lambda: b[idx[:, None] + idx[None, :]])
 
 
 # ---------------------------------------------------------------------------
@@ -237,29 +198,32 @@ def build_hankel(b) -> LinearMap:
 def toeplitz_section(c, d) -> LinearMap:
     """Symmetric N x N map x -> d * T(d * x), T_jk = c[|j-k|].
 
-    The matvec is one convolution with the two-sided taps c[N-1], ...,
-    c[1], c[0], c[1], ..., c[N-1] by _overlap_save; dense() scales them
-    by d_j d_k, formed first so that the matrix is bitwise symmetric.
+    The matvec is d * irfft(s * rfft(d * x, M))[:N] on the embedding
+    circulant (M, s) of _circulant; dense() scales the two-sided taps
+    c[N-1], ..., c[1], c[0], c[1], ..., c[N-1] by d_j d_k, formed first
+    so that the matrix is bitwise symmetric.
     """
     c = np.asarray(c, dtype=float)
     d = np.asarray(d, dtype=float)
     if c.ndim != 1 or c.shape != d.shape:
         raise ValueError("need taps c and weights d of one length N")
     N = c.size
+    M, s = _circulant(c)
     taps = np.concatenate([c[:0:-1], c])
-    conv = _overlap_save(taps, N - 1, N, N)
     # row j is taps[N-1-j : 2N-1-j], that is c[|j-k|] in column k
     rows = np.lib.stride_tricks.sliding_window_view(taps, N)[::-1]
-    return LinearMap(cols=N, matvec=lambda x: d * conv(d * x),
-                     dense=lambda: np.outer(d, d) * rows)
+    return LinearMap(
+        cols=N,
+        matvec=lambda x: d * np.fft.irfft(s * np.fft.rfft(d * x, M), M)[:N],
+        dense=lambda: np.outer(d, d) * rows)
 
 
 def toeplitz_gram_twin(c, d) -> LinearMap:
     """toeplitz_section(c, d) solved on the smaller side of A = L L^T.
 
-    T embeds in the circulant C of order M = _fft_length(N + K), K the
-    one-sided support of c (_support), whose eigenvalues s_j are the
-    rfft of its first column.  Over the real Fourier modes of order M
+    T embeds in the circulant C of order M of _circulant, whose
+    eigenvalues s_j are the rfft of its first column.  Over the real
+    Fourier modes of order M
     (cos and sin of 2 pi j m / M scaled by sqrt(2/M); the constant and,
     for even M, the alternating mode by sqrt(1/M)), C = S diag(s) S^T.
     Keeping the r modes S_r with s_j > _TWIN_FLOOR * s_0, s_0 = max
@@ -280,12 +244,7 @@ def toeplitz_gram_twin(c, d) -> LinearMap:
     if c.ndim != 1 or c.shape != d.shape:
         raise ValueError("need taps c and weights d of one length N")
     N = c.size
-    K = _support(c)[1]
-    M = _fft_length(N + K)
-    first_col = np.zeros(M)
-    first_col[:K] = c[:K]
-    first_col[M - K + 1:] = c[K - 1:0:-1]
-    s = np.fft.rfft(first_col).real
+    M, s = _circulant(c)
     floor = _TWIN_FLOOR * np.abs(s).max()
     keep = np.flatnonzero(s > floor)
     # modes 0 and M/2 have no sine partner

@@ -14,8 +14,8 @@ from helsonlab.asymptotics import kappa
 from helsonlab.discretize import (
     ConstructionError, Grid, NystromOperator, certified_count,
     certified_floor, factor_N_dense, log_window_smooth_section, make_grid,
-    nystrom_hankel, nystrom_helson, turning_point, v_matched_grids,
-    weighted_operator, window_nodes,
+    nystrom_hankel, nystrom_helson, v_matched_grids, weighted_operator,
+    weyl_count, window_nodes,
 )
 from helsonlab.eigen import dense_eig_oracle, lanczos_extreme
 from helsonlab.structured_ops import dense_matrix, toeplitz_section
@@ -450,50 +450,31 @@ def _g(d):
     return np.exp(0.5 * d - np.exp(np.minimum(d, 40.0)))
 
 
-class TestOverlapSave:
-    @pytest.mark.parametrize("taps, size, i0, count", [
-        (30, 200, 0, 229),        # the whole linear convolution
-        (17, 5000, 3, 4000),      # many blocks
-        (300, 500, 100, 20),      # more taps than outputs
-        (40, 100, -25, 60),       # window starting before the first output
-        (25, 100, 90, 80),        # window running past the end of x
-    ])
-    def test_matches_np_convolve(self, taps, size, i0, count):
-        def window(f, x):
-            full = np.convolve(f, x)
-            return np.array([full[i] if 0 <= i < full.size else 0.0
-                             for i in range(i0, i0 + count)])
-
-        f = RNG.standard_normal(taps)
-        x = RNG.standard_normal(size)
-        want = window(f, x)
-        conv = structured_ops._overlap_save(f, i0, count, size)
-        got = conv(x)
-        assert got.shape == (count,)
+class TestCirculant:
+    @pytest.mark.parametrize("N", [1, 2, 12, 300, 5000])
+    @pytest.mark.parametrize("decay", [True, False])
+    def test_toeplitz_matvec_matches_np_convolve(self, N, decay):
+        # taps e^-k c_k, which fall below the tail mass inside windows of
+        # 300 and 5000 nodes (K < N), and taps that do not (K = N): the
+        # circulant of order M >= N + K keeps its wrap off every output
+        c = RNG.standard_normal(N)
+        if decay:
+            c *= np.exp(-np.arange(N))
+        d = RNG.uniform(0.5, 2.0, N)
+        x = RNG.standard_normal(N)
+        K = structured_ops._support(c)
+        assert (K < N) if decay and N > 60 else K == N
+        taps = np.concatenate([c[:0:-1], c])
+        want = d * np.convolve(taps, d * x)[N - 1:2 * N - 1]
+        got = toeplitz_section(c, d).apply(x)
+        assert got.shape == (N,)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-        # a second, shorter input reuses the padded buffer: nothing of the
-        # first may leak into it, nor may the first result change
-        first = got.copy()
-        short = x[:size // 2]
-        err = np.abs(conv(short) - window(f, short)).max()
-        assert err <= 1e-14 * np.abs(want).max()
-        assert np.array_equal(got, first)
 
     def test_block_length_is_the_smallest_5_smooth(self):
         for L in range(1, 3000):
             M = structured_ops._fft_length(L)
             assert _is_5_smooth(M) and M >= L
             assert not any(_is_5_smooth(m) for m in range(L, M))
-
-    def test_zero_head_and_tail_are_dropped(self):
-        # dropping the zero taps offsets the kept ones; no output moves
-        f = np.concatenate([np.zeros(50), RNG.standard_normal(30),
-                            np.zeros(40)])
-        x = RNG.standard_normal(400)
-        assert structured_ops._support(f) == (50, 80)
-        want = np.convolve(f, x)[60:360]
-        got = structured_ops._overlap_save(f, 60, 300, x.size)(x)
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestLogWindowSection:
@@ -529,12 +510,13 @@ class TestLogWindowSection:
         # Young's inequality: the dropped l1 mass bounds the change of the
         # section in operator norm, relative to the kept mass
         c, _ = _log_window_factor(1.0, n)
+        K = structured_ops._support(c)
         taps = np.concatenate([c[:0:-1], c])
-        lo, hi = structured_ops._support(taps)
-        dropped = taps[:lo].sum() + taps[hi:].sum()
+        # the circulant drops the taps past K on both sides of lag 0
+        dropped = 2 * c[K:].sum()
         assert dropped <= 2e-20 * taps.sum()
-        # the support is the kernel's, ~1350 taps, not the window's
-        assert 1000 < hi - lo <= 1500
+        # the support is the kernel's, ~675 taps a side, not the window's
+        assert 500 < K <= 750
 
     def test_taps_are_the_u_window_gram_kernel(self):
         # h sum_m g(u_m - mu) g(u_m - nu) over a wide u-grid is the
@@ -689,38 +671,35 @@ def _certified_change(alpha: float, n: int) -> float:
 class TestTurningPoint:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_closed_form_past_the_band(self, alpha):
-        lam = np.array([1e-3, 1e-2, 0.5 * math.pi * math.log(4) ** -alpha])
-        assert np.array_equal(turning_point(alpha, lam),
-                              (math.pi / lam) ** (1.0 / alpha))
-
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
-    def test_band_turning_point_is_the_last_crossing(self, alpha):
-        # pi W(mu*) = lambda, and pi W < lambda everywhere past mu*
-        lo, hi = -math.log(symbols.CHI_HI), -math.log(symbols.CHI_LO)
-        mu = np.linspace(lo, hi, 4001)
-        w = discretize._log_weight(alpha, mu)
-        lam = math.pi * np.linspace(w[-1], w.max(), 7)[1:-1]
-        star = turning_point(alpha, lam)
-        assert np.all((lo < star) & (star < hi))
-        assert np.allclose(math.pi * discretize._log_weight(alpha, star),
-                           lam, rtol=1e-12)
-        for s, v in zip(star, lam):
-            assert np.all(math.pi * w[mu > s + 1e-9] < v)
+        # W = mu^-alpha past the cutoff band, which CERTIFY_SHARE mu_{n-1}
+        # clears from 11 nodes on: there the closed-form turning point
+        # (pi / lambda)^(1/alpha) is W's own, and the floor pi W
+        for n in (11, 12, 96, 600, 8192, 16384):
+            reach = discretize.CERTIFY_SHARE * discretize._node(n - 1)
+            assert reach > -math.log(symbols.CHI_LO)
+            assert certified_floor(alpha, n) == pytest.approx(
+                math.pi * discretize._log_weight(alpha, reach), rel=1e-15)
+        # at 8 nodes it lies in the band, where W < mu^-alpha: the floor
+        # is higher and certifies fewer
+        reach = discretize.CERTIFY_SHARE * discretize._node(7)
+        assert certified_floor(alpha, 8) > \
+            math.pi * discretize._log_weight(alpha, reach)
 
     def test_edges(self):
-        # above pi W everywhere the turning point is W's peak; a
-        # lambda <= 0 never turns
-        mu = np.linspace(-math.log(symbols.CHI_HI),
-                         -math.log(symbols.CHI_LO), 4001)
-        peak = discretize._log_weight(1.0, mu).max()
-        star = turning_point(1.0, [10.0, 0.0, -1.0])
-        assert discretize._log_weight(1.0, star[0]) == pytest.approx(
-            peak, rel=1e-4)
-        assert np.all(np.isinf(star[1:]))
+        # a lambda <= 0 never turns, so no window certifies it, nor any
+        # eigenvalue after it
+        for n in (2, 12, 8192):
+            f = certified_floor(1.0, n)
+            assert certified_count(1.0, [0.0], n) == 0
+            assert certified_count(1.0, [3 * f, -f, 2 * f], n) == 1
+            assert certified_count(1.0, [], n) == 0
 
     def test_monotone_along_a_spectrum(self):
+        # turning points grow along a falling spectrum, so a wider window
+        # certifies a longer head of it
         lam = np.geomspace(2.0, 1e-4, 500)
-        assert np.all(np.diff(turning_point(1.0, lam)) > 0)
+        counts = [certified_count(1.0, lam, n) for n in range(2, 2000, 7)]
+        assert np.all(np.diff(counts) >= 0) and counts[-1] > counts[0]
 
 
 class TestHeadlineCertificate:
@@ -752,12 +731,13 @@ class TestHeadlineCertificate:
 
     @pytest.mark.parametrize("alpha, want", [(1.0, 10342), (0.5, 16246)])
     def test_window_sized_for_the_fit_windows_top(self, alpha, want):
-        n = window_nodes(alpha, kappa(alpha) * 200.0 ** -alpha)
+        n = window_nodes(alpha, 200)
         assert n == want
-        # the last node reaches mu* / CERTIFY_SHARE, the one before not
+        # the last node reaches mu* / CERTIFY_SHARE, the one before not,
+        # mu* the turning point of the Weyl estimate kappa 200^-alpha
         mu = discretize._log_window(alpha, n)[0]
-        reach = turning_point(alpha, kappa(alpha) * 200.0 ** -alpha) \
-            / discretize.CERTIFY_SHARE
+        lam = kappa(alpha) * 200.0 ** -alpha
+        reach = (math.pi / lam) ** (1 / alpha) / discretize.CERTIFY_SHARE
         assert mu[-1] >= reach > mu[-2]
 
     def test_sized_window_keeps_the_wider_windows_top(self):
@@ -766,13 +746,16 @@ class TestHeadlineCertificate:
         assert certified_count(1.0, lam, 10342) == 200
 
     def test_window_nodes_refuses_a_lambda_no_window_certifies(self):
+        # index 0 has no eigenvalue; a real index k sizes the window for
+        # kappa k^-alpha
         with pytest.raises(ValueError, match="no window"):
-            window_nodes(1.0, 0.0)
+            window_nodes(1.0, 0)
+        assert window_nodes(1.0, 1) == 51
 
     @pytest.mark.parametrize("alpha, n", [(0.5, 8192), (1.0, 8192),
-                                          (2.0, 600), (1.0, 12)])
+                                          (2.0, 600), (1.0, 12), (1.0, 2)])
     def test_certified_floor_splits_certified_from_truncated(self, alpha, n):
-        # on the band (n = 12) and past it: an eigenvalue just above the
+        # on the band (n = 2) and past it: an eigenvalue just above the
         # floor is certified, one just below is not
         floor = certified_floor(alpha, n)
         assert certified_count(alpha, [floor * (1 + 1e-9)], n) == 1
@@ -783,10 +766,16 @@ class TestHeadlineCertificate:
                                                                 m):
         # what the 8192-node window certifies, within one index
         floor = certified_floor(alpha, 8192)
-        assert abs((kappa(alpha) / floor) ** (1 / alpha) - m) < 1
+        assert abs(weyl_count(alpha, 8192) - m) < 1
+        assert weyl_count(alpha, 8192) == pytest.approx(
+            (kappa(alpha) / floor) ** (1 / alpha), rel=1e-14)
 
-    def test_certified_floor_of_a_window_short_of_the_peak_is_inf(self):
-        # 0.9 mu_{n-1} lies before W's peak: no eigenvalue turns there
-        assert certified_floor(1.0, 6) == math.inf
-        assert certified_count(1.0, [100.0], 6) == 0
-        assert math.isfinite(certified_floor(1.0, 8))
+    @pytest.mark.parametrize("alpha", [135.0, 150.0])
+    def test_weyl_count_stays_finite_where_the_floors_power_overflows(
+            self, alpha):
+        # kappa / certified_floor overflows to inf from alpha = 135, and
+        # kappa 200^-alpha underflows to 0 from alpha = 141; the window
+        # for index 200 is sized, and counts it, without either
+        n = window_nodes(alpha, 200)
+        assert 100 < n < 120
+        assert 200 <= weyl_count(alpha, n) < 202

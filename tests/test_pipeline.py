@@ -387,11 +387,10 @@ def test_short_weyl_count_solves_again_for_the_top_index(
     # the window is solved again for _FIT_WINDOW[1] pairs, and the fit is
     # the one that asking for them at once gives
     top = pipeline._FIT_WINDOW[1]
-    monkeypatch.setattr(pipeline, "certified_floor", lambda alpha, n: 1e-300)
+    monkeypatch.setattr(pipeline, "weyl_count", lambda alpha, n: math.inf)
     once, _, asked = _headline(0.5, 8192, tmp_path / "once")
     assert asked == [top]
-    monkeypatch.setattr(pipeline, "certified_floor",
-                        lambda alpha, n: math.inf)
+    monkeypatch.setattr(pipeline, "weyl_count", lambda alpha, n: 0.0)
     again, meta, asked = _headline(0.5, 8192, tmp_path / "again")
     assert asked == [pipeline._WEYL_MARGIN, top]
     assert meta["topk"] == top and meta["certified_count"] == 101
@@ -454,6 +453,31 @@ def test_headline_width_certifies_the_fit_window_under_the_cap(
         run_chain(RunConfig(alpha=alpha, sizes=(24, cap), helson_cap=24,
                             out_dir=str(tmp_path)))
     assert asked == [want]
+
+
+def test_headline_fit_reads_no_index_below_the_noise_floor(tmp_path):
+    # at alpha = 4 the turning points certify all 200 pairs of the
+    # 3490-node window, but only 70 clear the noise floor
+    report, meta, _ = _headline(4.0, 8192, tmp_path)
+    assert report["fits"]["headline"]["window"][1] <= meta["resolved"]
+    assert meta["certified_count"] == meta["resolved"] < meta["topk"]
+
+
+@pytest.mark.parametrize("alpha, top, resolved", [
+    (6.0, 8192, 17), (135.0, 4096, 1), (150.0, 4096, 1)])
+def test_steep_alpha_chain_reports_fit_skipped(alpha, top, resolved,
+                                               tmp_path):
+    # too few eigenvalues clear the noise floor for the fit window.  From
+    # alpha = 135 on, kappa / certified_floor overflows, and from 141 on
+    # kappa 200^-alpha underflows to 0; the window and the pairs asked
+    # are sized without either
+    rep = run_chain(RunConfig(alpha=alpha, sizes=(16, 64, top),
+                              helson_cap=64, nystrom_n=64,
+                              out_dir=str(tmp_path)))
+    assert rep["stages"][-1] == "negativity"
+    assert rep["fits"] == {}
+    assert rep["fit_skipped"] == {"certified_count": resolved,
+                                  "window": [20, 200]}
 
 
 def test_negativity_size_is_the_largest_dense_matrix_size(monkeypatch,

@@ -112,15 +112,17 @@ def test_json_changes_reach_into_report_blocks(tool, tmp_path):
 
 def test_commands_cover_every_suite_operator_and_kernel(tool):
     # the fixed list reaches what the chain does not: factor_N_dense and
-    # weighted_operator through verify, b0_quadrature through spectrum
+    # weighted_operator through verify, b0_quadrature through spectrum,
+    # and the Hankel convolution through the Lanczos route past size 600
     from helsonlab import cli
 
     suites = {c[2] for c in tool.COMMANDS if c[0] == "verify"}
     assert suites == set(cli._SUITES)
-    runs = {(c[2], c[4]) for c in tool.COMMANDS if c[0] == "spectrum"}
-    assert runs == {(op, kernel)
+    runs = {(c[2], c[4], c[6]) for c in tool.COMMANDS if c[0] == "spectrum"}
+    assert runs == {(op, kernel, "64")
                     for op in cli._MATRIX_OPS + cli._INTEGRAL_OPS
-                    for kernel in ("full", "smooth")}
+                    for kernel in ("full", "smooth")} | {
+        ("hankel", kernel, "700") for kernel in ("full", "smooth")}
     assert len(tool.COMMANDS) == len(suites) + len(runs)
 
 

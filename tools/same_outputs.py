@@ -29,8 +29,10 @@ its width changed or only the number of pairs solved. The outputs stay
 on disk for inspection.
 
 Then both trees run each of the fixed CLI commands in COMMANDS, which
-reach code that no chain does: the four `verify` suites, and `spectrum`
-on every operator and kernel at --size 64. Each command whose stdout
+reach code that no chain does: the four `verify` suites, `spectrum` on
+every operator and kernel at --size 64, on the dense route, and the
+matrix Hankel operator at --size 700, on the Lanczos route, where its
+convolution matvec runs. Each command whose stdout
 (compared byte for byte) or exit status differs between the two trees
 is listed. Exit status 1 if any file or command differs or a chain
 fails, 0 otherwise.
@@ -66,7 +68,9 @@ COMMANDS = tuple(
      for suite in ("chain", "factorization", "s0diff", "decay")]
     + [["spectrum", "--operator", op, "--kernel", kernel, "--size", "64"]
        for op in ("hankel", "helson", "integral-hankel", "integral-helson")
-       for kernel in ("full", "smooth")])
+       for kernel in ("full", "smooth")]
+    + [["spectrum", "--operator", "hankel", "--kernel", kernel,
+        "--size", "700", "--topk", "8"] for kernel in ("full", "smooth")])
 
 
 def workloads() -> dict:
