@@ -34,6 +34,7 @@ import csv
 import json
 import math
 import numbers
+import random
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -227,10 +228,15 @@ def dense_eig_oracle(target: Union[LinearMap, np.ndarray]) -> Spectrum:
     if np.iscomplexobj(M):
         raise ValueError("dense oracle is real-symmetric only")
     scale = float(np.max(np.abs(M))) if M.size else 0.0
-    if scale > 0 and float(np.max(np.abs(M - M.T))) > 1e-12 * scale:
+    # one m x m buffer holds |M - M^T|, then 0.5 (M + M^T); M itself may
+    # be a map's own storage and is never written
+    D = M - M.T
+    np.abs(D, out=D)
+    if scale > 0 and float(np.max(D)) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
-    M = 0.5 * (M + M.T)
-    vals = np.linalg.eigvalsh(M)[::-1]
+    np.add(M, M.T, out=D)
+    D *= 0.5
+    vals = np.linalg.eigvalsh(D)[::-1]
     return Spectrum(lambda_plus=vals[vals > 0.0],
                     lambda_minus=-vals[vals < 0.0][::-1],
                     singular=np.sort(np.abs(vals))[::-1],
@@ -432,9 +438,33 @@ def _lanczos_sweep(lm: LinearMap, k: int, max_iter: int, rng,
     return vals[top], res[top], m, converged, passes, checks
 
 
+class _NormalStream:
+    """Standard normals from one stdlib Mersenne Twister, random.Random(seed).
+
+    standard_normal(n) draws n normals by the Box-Muller transform: the
+    stream's bytes give 53-bit uniforms u in (0, 1), and the pair (u1, u2)
+    gives sqrt(-2 log u1) times cos and sin of 2 pi u2.  A unit vector
+    along n of them is uniform on the sphere, as the Lanczos restarts
+    need.  random.Random gives the same bytes on every platform for one
+    seed.
+    """
+
+    def __init__(self, seed: int):
+        self._bits = random.Random(seed)
+
+    def standard_normal(self, n: int) -> np.ndarray:
+        m = (n + 1) // 2
+        u = np.frombuffer(self._bits.randbytes(16 * m), dtype="<u8")
+        u = ((u >> np.uint64(11)) + 0.5) * 2.0 ** -53
+        r = np.sqrt(-2.0 * np.log(u[:m]))
+        t = 2.0 * math.pi * u[m:]
+        return np.concatenate([r * np.cos(t), r * np.sin(t)])[:n]
+
+
 def check_seed(seed) -> int:
     """seed as an int; anything but a non-negative integer is refused by
-    name, before np.random.default_rng would refuse it without one."""
+    name, where random.Random would take a negative seed for its absolute
+    value and a bool or a float without a word."""
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) \
             or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
@@ -447,11 +477,12 @@ def lanczos_extreme(lm: LinearMap, k: int, which: str = "largest",
 
     which = largest | both_ends.  One Lanczos sweep finds the top k
     Ritz values, and for both_ends the bottom k from the same basis.
-    Deterministic for a fixed seed, a non-negative integer (start vectors
-    from one PCG64 stream, fixed reduction order).  The sweep runs at most min(n, max(4k + 32,
-    128)) steps and converges once every residual bound it selects is at
-    most _TOL; non-convergence is reported through meta["converged"],
-    not raised.  meta["iterations"] counts the Lanczos steps and
+    Deterministic for a fixed seed, a non-negative integer (start and
+    restart vectors are Gaussian, from one stdlib Mersenne Twister stream,
+    random.Random(seed); fixed reduction order).  The sweep runs at most
+    min(n, max(4k + 32, 128)) steps and converges once every residual
+    bound it selects is at most _TOL; non-convergence is reported through
+    meta["converged"], not raised.  meta["iterations"] counts the Lanczos steps and
     meta["reorthogonalized"] those of them that ran a Gram-Schmidt pass
     against the basis; meta["checks"] counts the residual checks, each a
     dense eigensolve of the Lanczos tridiagonal.
@@ -471,7 +502,7 @@ def lanczos_extreme(lm: LinearMap, k: int, which: str = "largest",
         raise ValueError(f"unknown which={which!r}")
     n = lm.cols
     max_iter = min(n, max(4 * k + 32, 128))
-    rng = np.random.default_rng(seed)
+    rng = _NormalStream(seed)
     vals, res, it, ok, passes, checks = _lanczos_sweep(
         lm, k, max_iter, rng, both_ends=which == "both_ends")
     meta = {"dim": n, "seed": seed, "tol": _TOL, "iterations": it,

@@ -12,6 +12,7 @@ from helsonlab.eigen import (
 )
 from helsonlab.structured_ops import (
     HelsonTruncation, LinearMap, build_helson, build_smooth_helson,
+    dense_matrix,
 )
 from helsonlab.symbols import SymbolSpec
 
@@ -28,6 +29,28 @@ def cap_sweeps(monkeypatch, steps):
         eigen, "_lanczos_sweep",
         lambda lm, k, max_iter, rng, both_ends=False:
             sweep(lm, k, min(max_iter, steps), rng, both_ends=both_ends))
+
+
+def repeated_eigenvalue_map():
+    """Q diag(1, 1, 1, 0.5, 0, ..., 0) Q^T of order 200: one Krylov space
+    holds one copy of each eigenvalue, so the other two copies of 1 are
+    reached only from restart directions."""
+    Q, _ = np.linalg.qr(np.random.default_rng(99).standard_normal((200, 200)))
+    d = np.zeros(200)
+    d[:4] = [1.0, 1.0, 1.0, 0.5]
+    return map_from_dense(Q @ np.diag(d) @ Q.T)
+
+
+def slightly_asymmetric(n, rel, seed):
+    """Symmetric n x n matrix of largest entry 1 (on its diagonal) plus
+    an antisymmetric part, so that max |M - M^T| = rel."""
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(-0.5, 0.5, (n, n))
+    A = 0.5 * (A + A.T)
+    A[0, 0] = 1.0
+    B = rng.uniform(-1.0, 1.0, (n, n))
+    B = B - B.T
+    return A + 0.5 * rel / np.max(np.abs(B)) * B
 
 
 HILBERT2 = np.array([[1.0, 0.5], [0.5, 1.0 / 3.0]])
@@ -172,6 +195,41 @@ class TestDenseOracle:
         spec = dense_eig_oracle(map_from_dense(np.diag([3.0, 2.0, 1.0])))
         assert np.allclose(spec.lambda_plus, [3.0, 2.0, 1.0])
 
+    @staticmethod
+    def algebraic(spec):
+        return np.concatenate([spec.lambda_plus, -spec.lambda_minus[::-1]])
+
+    def test_rounding_asymmetry_symmetrized_input_untouched(self):
+        # asymmetric by ~1e-13 of its scale, inside the 1e-12 tolerance:
+        # the spectrum is exactly that of 0.5 (M + M^T), and M, read-only
+        # here, keeps every bit
+        M = slightly_asymmetric(60, 1e-13, seed=40)
+        assert not np.array_equal(M, M.T)
+        before = M.copy()
+        M.setflags(write=False)
+        spec = dense_eig_oracle(M)
+        want = np.linalg.eigvalsh(0.5 * (M + M.T))[::-1]
+        assert np.array_equal(self.algebraic(spec), want)
+        assert M.tobytes() == before.tobytes()
+
+    def test_map_storage_untouched(self):
+        # dense() hands over the map's own array, not a copy
+        M = slightly_asymmetric(50, 1e-13, seed=41)
+        before = M.copy()
+        lm = LinearMap(50, lambda u: M @ u, dense=lambda: M)
+        assert dense_matrix(lm) is M
+        spec = dense_eig_oracle(lm)
+        want = np.linalg.eigvalsh(0.5 * (before + before.T))[::-1]
+        assert np.array_equal(self.algebraic(spec), want)
+        assert M.tobytes() == before.tobytes()
+
+    def test_asymmetry_past_tolerance_rejected(self):
+        M = slightly_asymmetric(40, 2e-12, seed=42)
+        assert np.max(np.abs(M)) == 1.0
+        assert np.max(np.abs(M - M.T)) == pytest.approx(2e-12, rel=1e-3)
+        with pytest.raises(ValueError, match="not symmetric"):
+            dense_eig_oracle(M)
+
 
 class TestLanczos:
     def test_diag_example(self):
@@ -224,12 +282,27 @@ class TestLanczos:
         assert np.allclose(spec.lambda_minus, -want[:k], rtol=0,
                            atol=1e-12 * want[-1])
 
-    def test_determinism_bitwise(self):
-        lm = build_helson(SymbolSpec("helson_a", alpha=1.0), 120)
-        a = lanczos_extreme(lm, k=5, seed=42)
-        b = lanczos_extreme(lm, k=5, seed=42)
-        assert np.array_equal(a.lambda_plus, b.lambda_plus)
-        assert np.array_equal(a.residuals, b.residuals)
+    @pytest.mark.parametrize("case", ["helson", "restarting"])
+    def test_determinism_bitwise(self, case, monkeypatch):
+        # the restarting sweep draws its restart directions from the
+        # seed's stream after the start vector; both solves draw alike
+        if case == "helson":
+            lm = build_helson(SymbolSpec("helson_a", alpha=1.0), 120)
+            which = "largest"
+        else:
+            lm, which = repeated_eigenvalue_map(), "both_ends"
+        draws = []
+        draw = eigen._NormalStream.standard_normal
+        monkeypatch.setattr(eigen._NormalStream, "standard_normal",
+                            lambda self, n: draws.append(n) or draw(self, n))
+        a = lanczos_extreme(lm, k=5, which=which, seed=42)
+        first = len(draws)
+        b = lanczos_extreme(lm, k=5, which=which, seed=42)
+        assert len(draws) == 2 * first
+        if case == "restarting":
+            assert first >= 3
+        for name in ("lambda_plus", "lambda_minus", "residuals"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_helson_truncation_matches_dense_oracle(self):
         spec_sym = SymbolSpec("helson_a", alpha=1.0)
@@ -310,14 +383,10 @@ class TestLanczos:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_repeated_eigenvalues_found_through_restarts(self, seed):
-        # one Krylov space holds one copy of each eigenvalue; the other
-        # two copies of 1 are reached only from restart directions, so a
-        # sweep that stops at its first deflation misses them
-        Q, _ = np.linalg.qr(np.random.default_rng(99).standard_normal((200, 200)))
-        d = np.zeros(200)
-        d[:4] = [1.0, 1.0, 1.0, 0.5]
-        lm = map_from_dense(Q @ np.diag(d) @ Q.T)
-        spec = lanczos_extreme(lm, k=5, which="both_ends", seed=seed)
+        # a sweep that stops at its first deflation misses the second and
+        # third copies of 1
+        spec = lanczos_extreme(repeated_eigenvalue_map(), k=5,
+                               which="both_ends", seed=seed)
         assert np.allclose(spec.lambda_plus[:4], [1.0, 1.0, 1.0, 0.5],
                            rtol=0, atol=1e-12)
 

@@ -586,18 +586,23 @@ run_chain(RunConfig(out_dir=sys.argv[1]))
 """
 
 
+def _fresh_interpreter(script: str, *argv: str, timeout: float):
+    """script run by a new interpreter on one BLAS thread, this package
+    first on its path."""
+    src = str(pathlib.Path(pipeline.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
 def test_shipped_defaults_finish_under_memory_cap(tmp_path):
     # RunConfig() as shipped: sizes up to 8192, Lanczos on every matrix
     # section above 600, and the additivity check at N = 512, all under a
     # 5 GiB address-space cap
     out = tmp_path / "defaults"
-    src = str(pathlib.Path(pipeline.__file__).parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _DEFAULT_RUN, str(out)],
-                          env=env, capture_output=True, text=True,
-                          timeout=600)
+    proc = _fresh_interpreter(_DEFAULT_RUN, str(out), timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
     report = json.loads((out / "run_report.json").read_text())
     assert report["additivity"]["ok"]
@@ -611,6 +616,26 @@ def test_shipped_defaults_finish_under_memory_cap(tmp_path):
     assert sidecars
     for path in sidecars:
         assert json.loads(path.read_text())["converged"] is True, path.name
+
+
+_LANCZOS_SOLVE = """
+import sys
+from helsonlab.pipeline import _DENSE_LIMIT, solve
+from helsonlab.structured_ops import build_helson
+from helsonlab.symbols import SymbolSpec
+assert 1024 > _DENSE_LIMIT
+spec = solve(build_helson(SymbolSpec("helson_a"), 1024))
+assert spec.meta["method"] == "lanczos" and spec.meta["converged"]
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_lanczos_solve_leaves_numpy_random_unloaded():
+    # numpy.random's extension modules hold ~5.6 MB of resident memory;
+    # a chain draws its start vectors from the stdlib's random.Random
+    proc = _fresh_interpreter(_LANCZOS_SOLVE, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["False"]
 
 
 def _identity(n: int) -> LinearMap:
